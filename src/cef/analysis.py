@@ -33,6 +33,7 @@ __all__ = ["GridSpec", "AccuracyReport", "BenchReport", "error_scan",
 SCAN_METHODS = ("refined", "cr", "adaptive")
 SCAN_REFERENCES = ("oracle", "refined")
 BENCH_METHODS = ("refined", "cr", "adaptive_low_y", "adaptive_high_y")
+MIN_BENCH_POINTS = 10_000
 
 # relative-error denominator floor; |w| never vanishes on scanned regions,
 # so this is a formality against division blow-ups
@@ -207,8 +208,8 @@ def measure_throughput(method: str, n_points: int, seed: int,
     """
     if method not in BENCH_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {BENCH_METHODS}")
-    if n_points < 10_000:
-        raise ValueError(f"n_points must be at least 10^4, got {n_points}")
+    if n_points < MIN_BENCH_POINTS:
+        raise ValueError(f"n_points must be at least {MIN_BENCH_POINTS}, got {n_points}")
     points = bench_points(_BENCH_REGIONS[method], n_points, seed)
 
     checksum = 0.0

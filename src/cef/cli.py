@@ -12,14 +12,16 @@ beat the CEF_DEFAULT_PARAMS environment variable (format
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import os
 import sys
 
-from .analysis import (BENCH_METHODS, SCAN_METHODS, SCAN_REFERENCES, GridSpec,
-                       error_scan, measure_throughput)
+from .analysis import (BENCH_METHODS, MIN_BENCH_POINTS, SCAN_METHODS, SCAN_REFERENCES,
+                       GridSpec, error_scan, measure_throughput)
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .fixtures import CR_STATUS_LABELS, reference_rows
@@ -41,7 +43,10 @@ TABLE_CHECK_TOL = 1e-12
 
 def format_sci(value: float) -> str:
     """Scientific notation with 15 decimals and a bare exponent,
-    e.g. 1.167371250446503E-1 and 4.196286232960261E0."""
+    e.g. 1.167371250446503E-1 and 4.196286232960261E0. Non-finite values
+    print as Python spells them (nan, inf, -inf)."""
+    if not math.isfinite(value):
+        return repr(value)
     mantissa, exponent = f"{value:.15E}".split("E")
     return f"{mantissa}E{int(exponent)}"
 
@@ -82,13 +87,21 @@ def _evaluate(z: complex, method: str, coeffs: CoefficientTable):
     return outcome.value, outcome.path
 
 
-def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable) -> int:
-    value, path = _evaluate(complex(args.x, args.y), args.method, coeffs)
+def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable,
+             parser: argparse.ArgumentParser) -> int:
+    z = complex(args.x, args.y)
+    if not cmath.isfinite(z):
+        raise DomainError(f"eval requires finite x and y, got z = {z!r}")
+    value, path = _evaluate(z, args.method, coeffs)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"w(z) at z = {z!r} overflowed to {value!r} in the "
+                            f"{path} route")
     print(f"{format_sci(value.real)} {format_sci(value.imag)} {path}")
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable) -> int:
+def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
+              parser: argparse.ArgumentParser) -> int:
     rows = reference_rows()
     show_refined = args.method in (None, "refined")
     show_cr = args.method in (None, "cr")
@@ -149,13 +162,17 @@ def _report_as_dict(report) -> dict:
     }
 
 
-def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable) -> int:
-    grid = GridSpec(x_min=args.x_min, x_max=args.x_max,
-                    y_min=args.y_min, y_max=args.y_max,
-                    nx=args.nx, ny=args.ny,
-                    spacing="logarithmic" if args.log else "linear")
-    spec = QuadratureSpec(tau_max=args.tau_max, abs_tol=args.abs_tol,
-                          max_subdivisions=args.max_subdivisions)
+def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
+             parser: argparse.ArgumentParser) -> int:
+    try:
+        grid = GridSpec(x_min=args.x_min, x_max=args.x_max,
+                        y_min=args.y_min, y_max=args.y_max,
+                        nx=args.nx, ny=args.ny,
+                        spacing="logarithmic" if args.log else "linear")
+        spec = QuadratureSpec(tau_max=args.tau_max, abs_tol=args.abs_tol,
+                              max_subdivisions=args.max_subdivisions)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = error_scan(grid, args.method, args.reference, coeffs, spec)
 
     if args.format == "json":
@@ -189,7 +206,10 @@ def _bench_row(report) -> dict:
     }
 
 
-def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable) -> int:
+def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
+              parser: argparse.ArgumentParser) -> int:
+    if args.n < MIN_BENCH_POINTS:
+        parser.error(f"--n must be at least {MIN_BENCH_POINTS}, got {args.n}")
     if args.compare:
         fast = measure_throughput("cr", args.n, args.seed, coeffs)
         slow = measure_throughput("refined", args.n, args.seed, coeffs)
@@ -297,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _resolve_params(args, parser)
         coeffs = build_coefficients(params)
-        return _COMMANDS[args.command](args, coeffs)
+        return _COMMANDS[args.command](args, coeffs, parser)
     except (DomainError, OverflowError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

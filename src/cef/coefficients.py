@@ -68,17 +68,24 @@ class CoefficientTable:
     """Precomputed coefficients a_0..a_N bound to the parameters that
     produced them, plus derived per-term constants used by the kernels.
 
-    The derived tuples are implementation details: ``_cr_terms`` holds
-    (n^2 pi^2, exp(-n^2 pi^2 / tau_m^2)), ``_refined_terms`` additionally
-    carries a_n and the parity of n, and so on. All members are plain
-    tuples, so the table is deeply immutable.
+    The derived tuples are implementation details, one entry per n = 1..N:
+
+    ``_cr_terms``      (n^2 pi^2, c_n) with c_n = exp(-n^2 pi^2 / tau_m^2),
+                       feeding the pole sum;
+    ``_refined_terms`` (n^2 pi^2, a_n, n odd), feeding the refined series;
+    ``_refine_terms``  (n^2 pi^2, c_n, n odd), feeding the single pass that
+                       yields the pole sum and its (-1)^n companion together;
+    ``_h_terms``       (n^2 h^2, c_n), the pole sum in h-parameterization;
+    ``_axis_terms``    (n pi, a_n), the real-axis limit.
+
+    All members are plain tuples, so the table is deeply immutable.
     """
 
     params: SeriesParams
     a: tuple[float, ...]
     _cr_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
     _refined_terms: tuple[tuple[float, float, bool], ...] = field(repr=False, compare=False)
-    _refine_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
+    _refine_terms: tuple[tuple[float, float, bool], ...] = field(repr=False, compare=False)
     _h_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
     _axis_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
 
@@ -112,7 +119,7 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
         odd = bool(n % 2)
         cr_terms.append((n2pi2, c_n))
         refined_terms.append((n2pi2, a[n], odd))
-        refine_terms.append((n2pi2, -c_n if odd else c_n))
+        refine_terms.append((n2pi2, c_n, odd))
         h_terms.append(((n * n) * h_sq, c_n))
         axis_terms.append((n * math.pi, a[n]))
 

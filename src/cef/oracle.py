@@ -69,8 +69,11 @@ def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> compl
         half = 0.5 * width
         mids = width * np.arange(n_panels) + half
         t = (mids[:, None] + half * _NODES[None, :]).ravel()
-        vals = f(t).reshape(n_panels, _NODES.size)
-        current = half * complex((vals @ _WEIGHTS).sum())
+        panels = f(t).reshape(n_panels, _NODES.size) @ _WEIGHTS
+        # exactly rounded, so the result cannot depend on how many
+        # negligible panels past the decay point join the sum
+        current = half * complex(math.fsum(panels.real.tolist()),
+                                 math.fsum(panels.imag.tolist()))
         if previous is not None and abs(current - previous) <= spec.abs_tol:
             return current
         previous = current
@@ -90,7 +93,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     y = z.imag
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-0.25 * t * t - y * t) * (np.cos(x * t) + 1j * np.sin(x * t))
+        return np.exp(t * complex(-y, x) - 0.25 * t * t)
 
     upper = min(spec.tau_max, _DECAY_CUTOFF)
     width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))

@@ -137,22 +137,40 @@ def w_cr_h(z: complex, coeffs: CoefficientTable) -> complex:
     return 1j * h / (math.pi * z) - 1j * (2.0 * h * z / math.pi) * acc
 
 
+def _pole_sums(tz2: complex, coeffs: CoefficientTable) -> tuple[complex, complex]:
+    """Both N-term sums over c_n / (n^2 pi^2 - tz2) in one ascending-n pass:
+    the plain sum of the pole sum and the (-1)^n sum of the refining part.
+
+    Each quotient is formed once and added to one sum, subtracted from or
+    added to the other by the parity of n; the results equal those of two
+    separate passes bit for bit.
+    """
+    common = 0j
+    alternating = 0j
+    for n2pi2, c_n, odd in coeffs._refine_terms:
+        q = c_n / (n2pi2 - tz2)
+        common += q
+        if odd:
+            alternating -= q
+        else:
+            alternating += q
+    return common, alternating
+
+
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     """Correction term -i e^{i tau_m z} [1/(tau_m z)
     - 2 tau_m z sum_n (-1)^n e^{-n^2 pi^2/tau_m^2} / (n^2 pi^2 - tau_m^2 z^2)].
 
     Adding it to ``w_cr`` recovers ``w_refined`` (the identity is an exact
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
+    The alternating sum comes from the same pass ``w_adaptive`` uses, so
+    ``w_cr(z) + refining_part(z)`` equals its full route bit for bit.
     """
     if not z.imag > 0.0:
         _reject_outside_native_domain(z)
-    tau = coeffs.params.tau_m
-    tz = tau * z
-    tz2 = tz * tz
-    acc = 0j
-    for n2pi2, sc_n in coeffs._refine_terms:
-        acc += sc_n / (n2pi2 - tz2)
-    return -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * acc)
+    tz = coeffs.params.tau_m * z
+    _, alternating = _pole_sums(tz * tz, coeffs)
+    return -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)
 
 
 def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -161,19 +179,22 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
 
     The y >= y_switch branch is exactly ``w_cr``: no complex exponential,
     one N-term sum (inlined to keep the fast path free of call overhead).
-    The full route is the literal sum of the common and refining parts;
-    e^{i tau_m z} is computed once per call (only the refining bracket
-    carries it).
+    The full route is the literal sum of the common and refining parts,
+    with tau_m z, its square and e^{i tau_m z} computed once per call and
+    one pass over the terms feeding both parts: each quotient
+    c_n / (n^2 pi^2 - tau_m^2 z^2) is divided out once, not twice.
     """
     if not z.imag > 0.0:
         _reject_outside_native_domain(z)
     params = coeffs.params
+    tz = params.tau_m * z
+    tz2 = tz * tz
     if z.imag >= params.y_switch:
-        tz = params.tau_m * z
-        tz2 = tz * tz
         acc = 0j
         for n2pi2, c_n in coeffs._cr_terms:
             acc += c_n / (n2pi2 - tz2)
         return EvaluationOutcome(1j / tz - 2j * tz * acc, Path.COMMON_ONLY)
-    return EvaluationOutcome(w_cr(z, coeffs) + refining_part(z, coeffs),
-                             Path.FULL_DECOMPOSITION)
+    common, alternating = _pole_sums(tz2, coeffs)
+    value = ((1j / tz - 2j * tz * common)
+             + (-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)))
+    return EvaluationOutcome(value, Path.FULL_DECOMPOSITION)

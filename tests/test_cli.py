@@ -40,6 +40,11 @@ class TestFormat:
         assert format_sci(0.0) == "0.000000000000000E0"
         assert format_sci(-2.827946745423245e-2) == "-2.827946745423245E-2"
 
+    def test_non_finite_values(self):
+        assert format_sci(math.nan) == "nan"
+        assert format_sci(math.inf) == "inf"
+        assert format_sci(-math.inf) == "-inf"
+
     def test_round_trip_is_digit_limited(self):
         # 15 decimals = 16 significant digits; exact round-trip needs 17,
         # so the reparse error is bounded by half a decimal step, which is
@@ -92,6 +97,13 @@ class TestEval:
         assert "error" in proc.stderr.lower()
         proc = run_cli("eval", "--x", "nan", "--y", "1")
         assert proc.returncode == 3
+        assert "requires finite x and y" in proc.stderr
+        assert "(nan+1j)" in proc.stderr
+        proc = run_cli("eval", "--x", "1e300", "--y", "1e300")  # tau_m z squared overflows
+        assert proc.returncode == 3
+        assert "(1e+300+1e+300j)" in proc.stderr
+        assert "overflowed" in proc.stderr
+        assert "unpack" not in proc.stderr
 
     def test_usage_error_exit_code(self):
         proc = run_cli("eval", "--x", "1")
@@ -170,6 +182,11 @@ class TestScan:
         assert len(payload["per_point"]) == 6
         assert payload["grid"]["spacing"] == "linear"
 
+    def test_invalid_grid_is_usage_error(self):
+        proc = run_cli("scan", "--nx", "0")
+        assert proc.returncode == 2
+        assert "nx and ny must be >= 1" in proc.stderr
+
     def test_oracle_starvation_exit_code(self):
         proc = run_cli("scan", "--method", "cr", "--reference", "oracle",
                        "--x-min", "1", "--x-max", "1", "--y-min", "1", "--y-max", "1",
@@ -198,6 +215,11 @@ class TestBenchCommand:
         assert set(payload) == {"cr", "refined", "speedup"}
         assert payload["speedup"] > 1.0
         assert "speedup" in proc.stderr
+
+    def test_too_few_points_is_usage_error(self):
+        proc = run_cli("bench", "--n", "10")
+        assert proc.returncode == 2
+        assert "--n must be at least 10000" in proc.stderr
 
     def test_csv_format(self):
         proc = run_cli("bench", "--method", "adaptive_high_y", "--n", "10000",

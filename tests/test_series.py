@@ -137,6 +137,26 @@ class TestAdaptiveDispatch:
             assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs)
             assert rel_error(outcome.value, w_refined(z, coeffs)) <= 1e-13
 
+    @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, math.nextafter(1.0, 0.0)])
+    def test_low_y_route_near_removable_points(self, y, coeffs):
+        # tau_m x = n pi is where the denominators n^2 pi^2 - tau_m^2 z^2
+        # nearly vanish and the one-pass sums carry the largest terms
+        tau = coeffs.params.tau_m
+        xs = [0.0] + [n * math.pi / tau + delta
+                      for n in range(1, coeffs.params.n_terms + 1)
+                      for delta in (0.0, 1e-12, -1e-12, 1e-6, -1e-6)]
+        points = [complex(x, y) for x in xs]
+        for z in points:
+            outcome = w_adaptive(z, coeffs)
+            assert outcome.path is Path.FULL_DECOMPOSITION
+            assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs), z
+        if y == 1e-4:
+            # accuracy degrades like eps / y here, so only the largest
+            # y is held to near machine precision
+            wofz = pytest.importorskip("scipy.special").wofz
+            for z in points:
+                assert rel_error(w_adaptive(z, coeffs).value, complex(wofz(z))) <= 1e-12, z
+
     def test_boundary_is_common_only(self, coeffs):
         outcome = w_adaptive(1.0 + 1.0j, coeffs)
         assert outcome.path is Path.COMMON_ONLY
