@@ -13,18 +13,26 @@ whose coefficients have the closed form
 This module builds those coefficients once, eagerly, together with the
 per-term constants every kernel needs (n^2 pi^2, the bare exponential
 factors, n^2 h^2 with h = pi/tau_m), so that evaluation is allocation-free
-and constant-time per call. A built table is immutable and safe to share
-between threads.
+and constant-time per call. The pole sums on the timed paths are compiled
+once per table into straight-line Python functions, one statement per term
+with the constants as complex literals, so a call pays no loop or tuple
+dispatch. A built table is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients", "default_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def _is_real(value: object) -> bool:
+    """int or float, but not bool (True would silently become 1.0)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -45,13 +53,12 @@ class SeriesParams:
     y_switch: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.tau_m, (int, float)) and math.isfinite(self.tau_m)
-                and self.tau_m > 0):
+        if not (_is_real(self.tau_m) and math.isfinite(self.tau_m) and self.tau_m > 0):
             raise ValueError(f"tau_m must be a finite positive real, got {self.tau_m!r}")
         if not isinstance(self.n_terms, int) or isinstance(self.n_terms, bool) \
                 or self.n_terms < 1:
             raise ValueError(f"n_terms must be a positive integer, got {self.n_terms!r}")
-        if not (isinstance(self.y_switch, (int, float)) and math.isfinite(self.y_switch)
+        if not (_is_real(self.y_switch) and math.isfinite(self.y_switch)
                 and self.y_switch >= 0):
             raise ValueError(f"y_switch must be a nonnegative real, got {self.y_switch!r}")
         object.__setattr__(self, "tau_m", float(self.tau_m))
@@ -68,26 +75,71 @@ class CoefficientTable:
     """Precomputed coefficients a_0..a_N bound to the parameters that
     produced them, plus derived per-term constants used by the kernels.
 
-    The derived tuples are implementation details, one entry per n = 1..N:
+    The derived members are implementation details. With
+    c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
 
-    ``_cr_terms``      (n^2 pi^2, c_n) with c_n = exp(-n^2 pi^2 / tau_m^2),
-                       feeding the pole sum;
+    ``_pole_sum(u)``   sum_n c_n / (n^2 pi^2 - u), the pole sum;
+    ``_pole_sums(u)``  (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
+                       quotient divided out once and added to both;
     ``_refined_terms`` (n^2 pi^2, a_n, n odd), feeding the refined series;
-    ``_refine_terms``  (n^2 pi^2, c_n, n odd), feeding the single pass that
-                       yields the pole sum and its (-1)^n companion together;
     ``_h_terms``       (n^2 h^2, c_n), the pole sum in h-parameterization;
     ``_axis_terms``    (n pi, a_n), the real-axis limit.
 
-    All members are plain tuples, so the table is deeply immutable.
+    The two sums are straight-line functions compiled by
+    ``build_coefficients``; they accumulate in ascending n from 0j, exactly
+    as a loop over (n^2 pi^2, c_n) pairs would, and equal it bit for bit
+    (on CPython up to 3.13; see ``_compile_pole_sums``). The tuples are
+    plain tuples, so the table is deeply immutable. A table pickles as its
+    parameters and is rebuilt on loading.
     """
 
     params: SeriesParams
     a: tuple[float, ...]
-    _cr_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
+    _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
+    _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
+                                                                    compare=False)
     _refined_terms: tuple[tuple[float, float, bool], ...] = field(repr=False, compare=False)
-    _refine_terms: tuple[tuple[float, float, bool], ...] = field(repr=False, compare=False)
     _h_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
     _axis_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
+
+    def __reduce__(self):
+        # compiled functions do not pickle; the build is deterministic, so
+        # rebuilding from the parameters restores the table bit for bit
+        return build_coefficients, (self.params,)
+
+
+def _compile_pole_sums(params: SeriesParams, terms: list[tuple[float, float]]
+                       ) -> tuple[Callable[[complex], complex],
+                                  Callable[[complex], tuple[complex, complex]]]:
+    """Generate ``_pole_sum`` and ``_pole_sums`` from the (n^2 pi^2, c_n)
+    pairs of one table, n = 1..N in order.
+
+    One statement per term, never one chained expression: a chained sum
+    nests one level per term and exhausts the compiler's recursion limit
+    at large N. The constants are written as complex literals whose repr
+    round-trips exactly, so each float-complex operation of a loop over
+    the same constants becomes one complex-complex operation with the
+    same operands and the same rounding. (That is how CPython evaluated
+    mixed float-complex arithmetic up to 3.13: the float was promoted to
+    complex(x, 0.0). Python 3.14 applies mixed-mode rules instead, and a
+    plain loop there can differ from these functions in the sign of a
+    zero imaginary part.)
+    """
+    plain = ["def _pole_sum(u):", "    acc = 0j"]
+    fused = ["def _pole_sums(u):", "    common = 0j", "    alternating = 0j"]
+    for n, (n2pi2, c_n) in enumerate(terms, start=1):
+        pole = repr(complex(n2pi2))
+        coeff = repr(complex(c_n))
+        plain.append(f"    acc += {coeff} / ({pole} - u)")
+        fused.append(f"    q = {coeff} / ({pole} - u)")
+        fused.append("    common += q")
+        fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
+    plain.append("    return acc")
+    fused.append("    return common, alternating")
+    namespace: dict = {}
+    exec(compile("\n".join(plain + fused), f"<pole sums of {params!r}>", "exec"),
+         namespace)
+    return namespace["_pole_sum"], namespace["_pole_sums"]
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:
@@ -110,25 +162,23 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
 
     cr_terms = []
     refined_terms = []
-    refine_terms = []
     h_terms = []
     axis_terms = []
     for n in range(1, n_max + 1):
         n2pi2 = (n * n) * (math.pi * math.pi)
         c_n = exp_factors[n]
-        odd = bool(n % 2)
         cr_terms.append((n2pi2, c_n))
-        refined_terms.append((n2pi2, a[n], odd))
-        refine_terms.append((n2pi2, c_n, odd))
+        refined_terms.append((n2pi2, a[n], bool(n % 2)))
         h_terms.append(((n * n) * h_sq, c_n))
         axis_terms.append((n * math.pi, a[n]))
 
+    pole_sum, pole_sums = _compile_pole_sums(params, cr_terms)
     return CoefficientTable(
         params=params,
         a=a,
-        _cr_terms=tuple(cr_terms),
+        _pole_sum=pole_sum,
+        _pole_sums=pole_sums,
         _refined_terms=tuple(refined_terms),
-        _refine_terms=tuple(refine_terms),
         _h_terms=tuple(h_terms),
         _axis_terms=tuple(axis_terms),
     )

@@ -38,8 +38,8 @@ _REFLECTION_OVERFLOW_LIMIT = 700.0
 
 
 def is_in_native_domain(z: complex) -> bool:
-    """True iff the series kernels can evaluate z directly (Im z > 0)."""
-    return z.imag > 0.0
+    """True iff the series kernels can evaluate z directly (finite, Im z > 0)."""
+    return z.imag > 0.0 and cmath.isfinite(z)
 
 
 def _w_real_axis(x: float, coeffs: CoefficientTable) -> complex:

@@ -28,9 +28,17 @@ CoefficientTable:
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. All functions are pure and safe to
-call concurrently against a shared table. Summation runs in ascending n
-with plain double accumulation; the terms decay like e^{-n^2 h^2}, so
-compensated summation buys nothing at the tolerances targeted here.
+call concurrently against a shared table, and all reject arguments that
+are not finite or not in the upper half-plane with DomainError. Summation
+runs in ascending n with plain double accumulation; the terms decay like
+e^{-n^2 h^2}, so compensated summation buys nothing at the tolerances
+targeted here.
+
+The pole sum and the refining sum, which carry the timed paths, are the
+table's compiled straight-line functions ``_pole_sum`` and ``_pole_sums``
+(see CoefficientTable). ``w_refined`` and ``w_cr_h`` keep explicit loops
+over the table's term tuples: they are reference forms, off the timed
+paths.
 
 Denominators n^2 pi^2 - tau_m^2 z^2 cannot vanish for y > 0 (their
 imaginary part is -2 tau_m^2 x y, and for x = 0 they are real positive),
@@ -75,6 +83,10 @@ class EvaluationOutcome(NamedTuple):
 
 
 def _reject_outside_native_domain(z: complex) -> None:
+    """Raise for an argument that failed a kernel's guard,
+    ``z.imag > 0.0 and cmath.isfinite(z)``."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"series kernels require a finite argument, got z = {z!r}")
     raise DomainError(
         f"series kernels require Im z > 0, got z = {z!r}; "
         "use w_full_plane for other arguments")
@@ -86,7 +98,7 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
     Reproduces the reference tables to full double precision over
     x in [0, 15], y down to 1e-4 and below.
     """
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         _reject_outside_native_domain(z)
     tau = coeffs.params.tau_m
     tz = tau * z
@@ -107,14 +119,10 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
     numerators) but only trustworthy for y around 1 and above; at small y
     it is documented to fail outright.
     """
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         _reject_outside_native_domain(z)
     tz = coeffs.params.tau_m * z
-    tz2 = tz * tz
-    acc = 0j
-    for n2pi2, c_n in coeffs._cr_terms:
-        acc += c_n / (n2pi2 - tz2)
-    return 1j / tz - 2j * tz * acc
+    return 1j / tz - 2j * tz * coeffs._pole_sum(tz * tz)
 
 
 def w_cr_h(z: complex, coeffs: CoefficientTable) -> complex:
@@ -127,7 +135,7 @@ def w_cr_h(z: complex, coeffs: CoefficientTable) -> complex:
     they normally agree to a couple of ulp (more where a denominator
     nearly cancels and magnifies the independent roundings).
     """
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         _reject_outside_native_domain(z)
     h = coeffs.params.h
     z2 = z * z
@@ -137,39 +145,20 @@ def w_cr_h(z: complex, coeffs: CoefficientTable) -> complex:
     return 1j * h / (math.pi * z) - 1j * (2.0 * h * z / math.pi) * acc
 
 
-def _pole_sums(tz2: complex, coeffs: CoefficientTable) -> tuple[complex, complex]:
-    """Both N-term sums over c_n / (n^2 pi^2 - tz2) in one ascending-n pass:
-    the plain sum of the pole sum and the (-1)^n sum of the refining part.
-
-    Each quotient is formed once and added to one sum, subtracted from or
-    added to the other by the parity of n; the results equal those of two
-    separate passes bit for bit.
-    """
-    common = 0j
-    alternating = 0j
-    for n2pi2, c_n, odd in coeffs._refine_terms:
-        q = c_n / (n2pi2 - tz2)
-        common += q
-        if odd:
-            alternating -= q
-        else:
-            alternating += q
-    return common, alternating
-
-
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     """Correction term -i e^{i tau_m z} [1/(tau_m z)
     - 2 tau_m z sum_n (-1)^n e^{-n^2 pi^2/tau_m^2} / (n^2 pi^2 - tau_m^2 z^2)].
 
     Adding it to ``w_cr`` recovers ``w_refined`` (the identity is an exact
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
-    The alternating sum comes from the same pass ``w_adaptive`` uses, so
-    ``w_cr(z) + refining_part(z)`` equals its full route bit for bit.
+    The alternating sum comes from the same compiled pass ``w_adaptive``
+    uses, so ``w_cr(z) + refining_part(z)`` equals its full route bit for
+    bit.
     """
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         _reject_outside_native_domain(z)
     tz = coeffs.params.tau_m * z
-    _, alternating = _pole_sums(tz * tz, coeffs)
+    _, alternating = coeffs._pole_sums(tz * tz)
     return -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)
 
 
@@ -178,23 +167,23 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     y < y_switch (strictly; the boundary itself runs the cheap route).
 
     The y >= y_switch branch is exactly ``w_cr``: no complex exponential,
-    one N-term sum (inlined to keep the fast path free of call overhead).
+    one N-term sum (the table's compiled ``_pole_sum``, called directly so
+    the fast path skips the extra call through ``w_cr``).
     The full route is the literal sum of the common and refining parts,
     with tau_m z, its square and e^{i tau_m z} computed once per call and
     one pass over the terms feeding both parts: each quotient
     c_n / (n^2 pi^2 - tau_m^2 z^2) is divided out once, not twice.
+    Non-finite arguments raise DomainError instead of returning NaN.
     """
-    if not z.imag > 0.0:
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
         _reject_outside_native_domain(z)
     params = coeffs.params
     tz = params.tau_m * z
     tz2 = tz * tz
     if z.imag >= params.y_switch:
-        acc = 0j
-        for n2pi2, c_n in coeffs._cr_terms:
-            acc += c_n / (n2pi2 - tz2)
-        return EvaluationOutcome(1j / tz - 2j * tz * acc, Path.COMMON_ONLY)
-    common, alternating = _pole_sums(tz2, coeffs)
+        return EvaluationOutcome(1j / tz - 2j * tz * coeffs._pole_sum(tz2),
+                                 Path.COMMON_ONLY)
+    common, alternating = coeffs._pole_sums(tz2)
     value = ((1j / tz - 2j * tz * common)
              + (-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)))
     return EvaluationOutcome(value, Path.FULL_DECOMPOSITION)

@@ -1,11 +1,15 @@
 """Coefficient table construction and invariants."""
 
+import copy
 import dataclasses
 import math
+import pickle
+import random
+import struct
 
 import pytest
 
-from cef import SeriesParams, build_coefficients
+from cef import SeriesParams, build_coefficients, w_adaptive
 from conftest import ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
@@ -37,6 +41,11 @@ def test_default_params():
     {"n_terms": 2.5},
     {"y_switch": -0.1},
     {"y_switch": math.nan},
+    # bool is an int subclass; True must not quietly become 1.0
+    {"tau_m": True},
+    {"n_terms": True},
+    {"y_switch": True},
+    {"y_switch": False},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -103,3 +112,82 @@ def test_table_is_immutable(coeffs):
         coeffs.a = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         coeffs.params.tau_m = 13.0
+
+
+# --- compiled pole sums against the loops they replace --------------------
+
+SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=2000)]
+
+
+def loop_terms(params):
+    """(n^2 pi^2, c_n) for n = 1..N, built as the loop kernels built them."""
+    tau_sq = params.tau_m * params.tau_m
+    return [((n * n) * (math.pi * math.pi),
+             math.exp(-(n * n) * (math.pi * math.pi) / tau_sq))
+            for n in range(1, params.n_terms + 1)]
+
+
+def loop_pole_sum(u, terms):
+    acc = 0j
+    for n2pi2, c_n in terms:
+        acc += c_n / (n2pi2 - u)
+    return acc
+
+
+def loop_pole_sums(u, terms):
+    common = 0j
+    alternating = 0j
+    for n, (n2pi2, c_n) in enumerate(terms, start=1):
+        q = c_n / (n2pi2 - u)
+        common += q
+        if n % 2:
+            alternating -= q
+        else:
+            alternating += q
+    return common, alternating
+
+
+def bits(value: complex) -> bytes:
+    return struct.pack("<dd", value.real, value.imag)
+
+
+def sample_arguments(params):
+    """About 10^3 values of u = (tau_m z)^2 with Im z >= 0: scattered
+    points, points next to the poles tau_m x = n pi at small y, the
+    imaginary axis, signed zeros and large |u|."""
+    tau = params.tau_m
+    rng = random.Random(20121016)
+    zs = [complex(15.0 * rng.random(), 15.0 * (1.0 - rng.random())) for _ in range(600)]
+    for n in range(1, min(params.n_terms, 40) + 1):
+        for delta in (0.0, 1e-12, -1e-12, 1e-6, -1e-6):
+            for y in (1e-12, 1e-4):
+                zs.append(complex(n * math.pi / tau + delta, y))
+    zs += [complex(0.0, y) for y in (1e-8, 0.5, 1.0, 7.0)]
+    zs += [complex(1e3, 1e3), complex(1e6, 1.0), complex(3.0, 1e5)]
+    us = [(tau * z) * (tau * z) for z in zs]
+    us += [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0), complex(-2.5, -0.0)]
+    return us
+
+
+@pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
+def test_compiled_sums_equal_loops_bitwise(params):
+    table = build_coefficients(params)
+    terms = loop_terms(params)
+    for u in sample_arguments(params):
+        assert bits(table._pole_sum(u)) == bits(loop_pole_sum(u, terms)), u
+        common, alternating = table._pole_sums(u)
+        want_common, want_alternating = loop_pole_sums(u, terms)
+        assert bits(common) == bits(want_common), u
+        assert bits(alternating) == bits(want_alternating), u
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_table_survives_pickle_round_trip(params):
+    table = build_coefficients(params)
+    for restored in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert restored == table
+        assert restored.params == params
+        rng = random.Random(5)
+        for _ in range(200):
+            z = complex(15.0 * rng.random(), 3.0 * (1.0 - rng.random()))
+            assert w_adaptive(z, restored) == w_adaptive(z, table), z

@@ -36,6 +36,8 @@ def test_native_domain_predicate():
     assert is_in_native_domain(1 + 1j)
     assert not is_in_native_domain(1 - 1j)
     assert not is_in_native_domain(1 + 0j)
+    assert not is_in_native_domain(complex(math.nan, 1.0))
+    assert not is_in_native_domain(complex(1.0, math.inf))
 
 
 def test_origin_is_exact(coeffs):

@@ -29,6 +29,15 @@ def test_kernels_reject_nonpositive_y(fn, z, coeffs):
         fn(z, coeffs)
 
 
+@pytest.mark.parametrize("fn", [w_refined, w_cr, w_cr_h, refining_part, w_adaptive])
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(1.0, math.nan),
+                               complex(math.inf, 1.0), complex(-math.inf, 1.0),
+                               complex(1.0, math.inf), complex(1.0, -math.inf)])
+def test_kernels_reject_non_finite_z(fn, z, coeffs):
+    with pytest.raises(DomainError, match="finite"):
+        fn(z, coeffs)
+
+
 def test_refined_matches_reference_rows(coeffs):
     for (x, y), row in ROWS.items():
         got = w_refined(complex(x, y), coeffs)
