@@ -20,15 +20,14 @@ from .errors import ConvergenceError, DomainError
 from .functions import erfc_complex, erfc_cr_series, imag_l, voigt_k
 from .oracle import QuadratureSpec, w_finite_quadrature, w_quadrature
 from .plane import is_in_native_domain, w_full_plane
-from .series import (EvaluationOutcome, Path, refining_part, w_adaptive,
-                     w_cr, w_cr_h, w_refined)
+from .series import EvaluationOutcome, Path, refining_part, w_adaptive, w_cr, w_refined
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SeriesParams", "CoefficientTable", "build_coefficients", "default_coefficients",
     "Path", "EvaluationOutcome",
-    "w_refined", "w_cr", "w_cr_h", "refining_part", "w_adaptive",
+    "w_refined", "w_cr", "refining_part", "w_adaptive",
     "is_in_native_domain", "w_full_plane",
     "voigt_k", "imag_l", "erfc_complex", "erfc_cr_series",
     "QuadratureSpec", "w_quadrature", "w_finite_quadrature",

@@ -20,14 +20,14 @@ import math
 import os
 import sys
 
-from .analysis import (BENCH_METHODS, MIN_BENCH_POINTS, SCAN_METHODS, SCAN_REFERENCES,
-                       GridSpec, error_scan, measure_throughput)
+from .analysis import (BENCH_METHODS, METHODS, MIN_BENCH_POINTS, SCAN_METHODS,
+                       SCAN_REFERENCES, GridSpec, error_scan, measure_throughput)
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .fixtures import CR_STATUS_LABELS, reference_rows
 from .oracle import QuadratureSpec
 from .plane import w_full_plane
-from .series import Path, w_adaptive, w_cr, w_refined
+from .series import w_cr, w_refined
 
 __all__ = ["main", "format_sci"]
 
@@ -77,14 +77,8 @@ def _resolve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def _evaluate(z: complex, method: str, coeffs: CoefficientTable):
     """(value, path) for one point; non-native z always goes full-plane."""
     if z.imag > 0.0:
-        if method == "refined":
-            return w_refined(z, coeffs), Path.REFINED
-        if method == "cr":
-            return w_cr(z, coeffs), Path.COMMON_ONLY
-        outcome = w_adaptive(z, coeffs)
-        return outcome.value, outcome.path
-    outcome = w_full_plane(z, coeffs)
-    return outcome.value, outcome.path
+        return METHODS[method][0](z, coeffs)
+    return w_full_plane(z, coeffs)
 
 
 def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable,

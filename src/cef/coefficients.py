@@ -11,9 +11,8 @@ whose coefficients have the closed form
     a_n = (2 sqrt(pi) / tau_m) exp(-n^2 pi^2 / tau_m^2).
 
 This module builds those coefficients once, eagerly, together with the
-per-term constants every kernel needs (n^2 pi^2, the bare exponential
-factors, n^2 h^2 with h = pi/tau_m), so that evaluation is allocation-free
-and constant-time per call. The pole sums on the timed paths are compiled
+poles n^2 pi^2 of the sum every kernel evaluates, so that evaluation is
+constant-time per call. The pole sums on the timed paths are compiled
 once per table into straight-line Python functions, one statement per term
 with the constants as complex literals, so a call pays no loop or tuple
 dispatch. A built table is immutable and safe to share between threads.
@@ -73,17 +72,16 @@ class SeriesParams:
 @dataclass(frozen=True)
 class CoefficientTable:
     """Precomputed coefficients a_0..a_N bound to the parameters that
-    produced them, plus derived per-term constants used by the kernels.
+    produced them, plus the poles and compiled sums used by the kernels.
 
     The derived members are implementation details. With
     c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
 
-    ``_pole_sum(u)``   sum_n c_n / (n^2 pi^2 - u), the pole sum;
-    ``_pole_sums(u)``  (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
-                       quotient divided out once and added to both;
-    ``_refined_terms`` (n^2 pi^2, a_n, n odd), feeding the refined series;
-    ``_h_terms``       (n^2 h^2, c_n), the pole sum in h-parameterization;
-    ``_axis_terms``    (n pi, a_n), the real-axis limit.
+    ``_poles``        (n^2 pi^2 for n = 1..N), the only per-term tuple
+                      besides ``a``; loops pair it with ``a[1:]``;
+    ``_pole_sum(u)``  sum_n c_n / (n^2 pi^2 - u), the pole sum;
+    ``_pole_sums(u)`` (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
+                      quotient divided out once and added to both.
 
     The two sums are straight-line functions compiled by
     ``build_coefficients``; they accumulate in ascending n from 0j, exactly
@@ -95,12 +93,10 @@ class CoefficientTable:
 
     params: SeriesParams
     a: tuple[float, ...]
+    _poles: tuple[float, ...] = field(repr=False, compare=False)
     _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
     _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
                                                                     compare=False)
-    _refined_terms: tuple[tuple[float, float, bool], ...] = field(repr=False, compare=False)
-    _h_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
-    _axis_terms: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so
@@ -108,11 +104,12 @@ class CoefficientTable:
         return build_coefficients, (self.params,)
 
 
-def _compile_pole_sums(params: SeriesParams, terms: list[tuple[float, float]]
+def _compile_pole_sums(params: SeriesParams, poles: tuple[float, ...],
+                       exp_factors: list[float]
                        ) -> tuple[Callable[[complex], complex],
                                   Callable[[complex], tuple[complex, complex]]]:
-    """Generate ``_pole_sum`` and ``_pole_sums`` from the (n^2 pi^2, c_n)
-    pairs of one table, n = 1..N in order.
+    """Generate ``_pole_sum`` and ``_pole_sums`` from the poles n^2 pi^2
+    and the factors c_n of one table, n = 1..N in order.
 
     One statement per term, never one chained expression: a chained sum
     nests one level per term and exhausts the compiler's recursion limit
@@ -124,10 +121,16 @@ def _compile_pole_sums(params: SeriesParams, terms: list[tuple[float, float]]
     complex(x, 0.0). Python 3.14 applies mixed-mode rules instead, and a
     plain loop there can differ from these functions in the sign of a
     zero imaginary part.)
+
+    c_n decreases strictly, so once it underflows to 0.0 every later
+    quotient is a signed zero, which leaves the 0j-seeded sums unchanged;
+    generation stops there.
     """
     plain = ["def _pole_sum(u):", "    acc = 0j"]
     fused = ["def _pole_sums(u):", "    common = 0j", "    alternating = 0j"]
-    for n, (n2pi2, c_n) in enumerate(terms, start=1):
+    for n, (n2pi2, c_n) in enumerate(zip(poles, exp_factors), start=1):
+        if c_n == 0.0:
+            break
         pole = repr(complex(n2pi2))
         coeff = repr(complex(c_n))
         plain.append(f"    acc += {coeff} / ({pole} - u)")
@@ -146,41 +149,24 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
     """Construct the coefficient table for ``params``.
 
     a_n = (2 sqrt(pi)/tau_m) exp(-n^2 pi^2 / tau_m^2) for n = 0..N. The
-    coefficients are strictly positive and strictly decreasing in n.
+    coefficients are strictly positive and strictly decreasing in n until
+    they underflow to 0.0 (from n = 105 at tau_m = 12).
     Invalid parameters raise ValueError (via SeriesParams validation).
     """
     tau = params.tau_m
     n_max = params.n_terms
     prefactor = 2.0 * _SQRT_PI / tau
     tau_sq = tau * tau
-    h = params.h
-    h_sq = h * h
 
-    exp_factors = [math.exp(-(n * n) * (math.pi * math.pi) / tau_sq)
-                   for n in range(n_max + 1)]
-    a = tuple(prefactor * c for c in exp_factors)
-
-    cr_terms = []
-    refined_terms = []
-    h_terms = []
-    axis_terms = []
-    for n in range(1, n_max + 1):
-        n2pi2 = (n * n) * (math.pi * math.pi)
-        c_n = exp_factors[n]
-        cr_terms.append((n2pi2, c_n))
-        refined_terms.append((n2pi2, a[n], bool(n % 2)))
-        h_terms.append(((n * n) * h_sq, c_n))
-        axis_terms.append((n * math.pi, a[n]))
-
-    pole_sum, pole_sums = _compile_pole_sums(params, cr_terms)
+    poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, n_max + 1))
+    exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
+    pole_sum, pole_sums = _compile_pole_sums(params, poles, exp_factors[1:])
     return CoefficientTable(
         params=params,
-        a=a,
+        a=tuple(prefactor * c for c in exp_factors),
+        _poles=poles,
         _pole_sum=pole_sum,
         _pole_sums=pole_sums,
-        _refined_terms=tuple(refined_terms),
-        _h_terms=tuple(h_terms),
-        _axis_terms=tuple(axis_terms),
     )
 
 

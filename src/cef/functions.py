@@ -4,8 +4,9 @@ and the complementary error function for complex argument.
 K(x, y) = Re w(x + iy) is the Voigt line-shape function; L(x, y) =
 Im w(x + iy) is its odd-in-x companion. erfc follows from the identity
 erfc(z) = e^{-z^2} w(iz). The direct pole-sum approximation of erfc
-(``erfc_cr_series``) is retained for validation; like the underlying
-pole sum it is only accurate at larger Re z.
+(``erfc_cr_series``) is retained for validation; it evaluates the same
+compiled pole sum as ``w_cr`` and, like it, is only accurate at larger
+Re z.
 """
 
 from __future__ import annotations
@@ -60,17 +61,15 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     """Direct pole-sum approximation of erfc,
 
-        (h z e^{-z^2} / pi) (1/z^2 + 2 sum_n e^{-n^2 h^2} / (n^2 h^2 + z^2)),
+        e^{-z^2} (1/(tau_m z) + 2 tau_m z sum_n e^{-n^2 pi^2/tau_m^2}
+                                             / (n^2 pi^2 + tau_m^2 z^2)),
 
-    h = pi/tau_m. Accurate only for larger Re z (it is the pole sum of
-    w evaluated at iz, so the small-Im restriction of that series turns
-    into a small-Re restriction here). z = 0 is an explicit pole.
+    the table's compiled pole sum at u = -(tau_m z)^2. Accurate only for
+    larger Re z (it is the pole sum of w evaluated at iz, so the small-Im
+    restriction of that series turns into a small-Re restriction here).
+    z = 0 is an explicit pole.
     """
     if z == 0:
         raise DomainError("erfc_cr_series has an explicit pole at z = 0")
-    h = coeffs.params.h
-    z2 = z * z
-    acc = 0j
-    for n2h2, c_n in coeffs._h_terms:
-        acc += c_n / (n2h2 + z2)
-    return (h * z * cmath.exp(-z2) / math.pi) * (1.0 / z2 + 2.0 * acc)
+    tz = coeffs.params.tau_m * z
+    return cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * coeffs._pole_sum(-(tz * tz)))

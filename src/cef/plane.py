@@ -51,7 +51,8 @@ def _w_real_axis(x: float, coeffs: CoefficientTable) -> complex:
     # i (1 - e^{i tw}) / tw
     lead = complex(sin_tw / tw, (1.0 - cos_tw) / tw)
     acc = 0j
-    for n_pi, a_n in coeffs._axis_terms:
+    for n, a_n in enumerate(coeffs.a[1:], start=1):
+        n_pi = n * math.pi
         d = tw - n_pi
         if d == 0.0:
             ratio = complex(0.0, -1.0 / (n_pi + tw))

@@ -36,9 +36,9 @@ targeted here.
 
 The pole sum and the refining sum, which carry the timed paths, are the
 table's compiled straight-line functions ``_pole_sum`` and ``_pole_sums``
-(see CoefficientTable). ``w_refined`` and ``w_cr_h`` keep explicit loops
-over the table's term tuples: they are reference forms, off the timed
-paths.
+(see CoefficientTable). ``w_refined`` keeps an explicit loop over the
+table's poles and coefficients: it is the reference form the tests hold
+the compiled route to, off the timed paths.
 
 Denominators n^2 pi^2 - tau_m^2 z^2 cannot vanish for y > 0 (their
 imaginary part is -2 tau_m^2 x y, and for x = 0 they are real positive),
@@ -51,13 +51,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from itertools import cycle
 from typing import NamedTuple
 
 from .coefficients import CoefficientTable
 from .errors import DomainError
 
-__all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "w_cr_h",
-           "refining_part", "w_adaptive"]
+__all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
+           "w_adaptive"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -107,8 +108,9 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
     even_num = e_itz - 1.0
     odd_num = -e_itz - 1.0
     acc = 0j
-    for n2pi2, a_n, odd in coeffs._refined_terms:
-        acc += a_n * (odd_num if odd else even_num) / (n2pi2 - tz2)
+    # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
+    for n2pi2, a_n, num in zip(coeffs._poles, coeffs.a[1:], cycle((odd_num, even_num))):
+        acc += a_n * num / (n2pi2 - tz2)
     return 1j * (1.0 - e_itz) / tz + 1j * (tau * tau * z / _SQRT_PI) * acc
 
 
@@ -123,26 +125,6 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
         _reject_outside_native_domain(z)
     tz = coeffs.params.tau_m * z
     return 1j / tz - 2j * tz * coeffs._pole_sum(tz * tz)
-
-
-def w_cr_h(z: complex, coeffs: CoefficientTable) -> complex:
-    """The same pole sum in its traditional small-step parameterization,
-
-        i h/(pi z) - i (2 h z/pi) sum_n e^{-n^2 h^2} / (n^2 h^2 - z^2),
-
-    with h = pi/tau_m. Kept alongside ``w_cr`` as a consistency check on
-    the parameterization; both share the stored exponential factors, so
-    they normally agree to a couple of ulp (more where a denominator
-    nearly cancels and magnifies the independent roundings).
-    """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        _reject_outside_native_domain(z)
-    h = coeffs.params.h
-    z2 = z * z
-    acc = 0j
-    for n2h2, c_n in coeffs._h_terms:
-        acc += c_n / (n2h2 - z2)
-    return 1j * h / (math.pi * z) - 1j * (2.0 * h * z / math.pi) * acc
 
 
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from cef import (ConvergenceError, GridSpec, QuadratureSpec, bench_points,
-                 error_scan, measure_throughput, w_refined)
+from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, analysis,
+                 bench_points, error_scan, measure_throughput, w_adaptive, w_refined)
+from cef.cli import _evaluate
 from conftest import rel_error
 
 
@@ -24,6 +25,12 @@ class TestGridSpec:
          "spacing": "logarithmic"},
         {"x_min": 0.1, "x_max": 1.0, "y_min": 1.0, "y_max": 2.0, "nx": 3, "ny": 3,
          "spacing": "cubic"},
+        # infinite bounds would put NaN nodes on the grid
+        {"x_min": 0.0, "x_max": math.inf, "y_min": 1.0, "y_max": 2.0, "nx": 3, "ny": 3},
+        {"x_min": -math.inf, "x_max": 1.0, "y_min": 1.0, "y_max": 2.0, "nx": 3, "ny": 3},
+        {"x_min": 0.0, "x_max": 1.0, "y_min": 1.0, "y_max": math.inf, "nx": 3, "ny": 3},
+        {"x_min": 0.1, "x_max": math.inf, "y_min": 1.0, "y_max": 2.0, "nx": 3, "ny": 3,
+         "spacing": "logarithmic"},
     ])
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -83,6 +90,15 @@ class TestErrorScan:
         bare = error_scan(grid, "adaptive", "refined", coeffs, keep_per_point=False)
         assert bare.per_point is None
         assert bare.max_rel_error == report.max_rel_error
+
+    def test_nan_error_is_the_maximum(self, coeffs):
+        # (tau_m z)^2 overflows out here, so every node's error is NaN; a
+        # NaN must not be reported as a zero maximum
+        grid = GridSpec(x_min=1e307, x_max=1e308, y_min=1e-4, y_max=1e-4, nx=3, ny=1)
+        report = error_scan(grid, "cr", "refined", coeffs)
+        assert all(math.isnan(err) for _, _, err in report.per_point)
+        assert math.isnan(report.max_rel_error)
+        assert report.argmax_point == (1e307, 1e-4)
 
     def test_error_envelope_shrinks_with_y(self, coeffs, qspec):
         # max row error of the pole sum is nonincreasing in y; below the
@@ -145,3 +161,49 @@ class TestBench:
         fast = measure_throughput("cr", 100_000, 42, coeffs)
         slow = measure_throughput("refined", 100_000, 42, coeffs)
         assert fast.throughput >= 1.2 * slow.throughput
+
+
+class TestMethodRegistry:
+    def test_every_name_agrees_with_cli_evaluate(self, coeffs):
+        expected_path = {"refined": Path.REFINED, "cr": Path.COMMON_ONLY}
+        grid = GridSpec(x_min=0.5, x_max=12.0, y_min=0.2, y_max=6.0, nx=4, ny=4)
+        for name in analysis.SCAN_METHODS:
+            report = error_scan(grid, name, "refined", coeffs)
+            for x, y, err in report.per_point:
+                z = complex(x, y)
+                value, path = _evaluate(z, name, coeffs)
+                ref = w_refined(z, coeffs)
+                assert err == abs(value - ref) / abs(ref), (name, z)
+                assert path is expected_path.get(name, w_adaptive(z, coeffs).path)
+        for name in analysis.BENCH_METHODS:
+            report = measure_throughput(name, 10_000, 3, coeffs)
+            checksum = 0.0
+            for z in bench_points(analysis.METHODS[name][1], 10_000, 3):
+                value, path = _evaluate(z, name, coeffs)
+                checksum += value.real + value.imag
+                assert path is expected_path.get(name, w_adaptive(z, coeffs).path)
+            assert report.checksum == checksum, name
+        assert set(analysis.METHODS) == set(analysis.SCAN_METHODS + analysis.BENCH_METHODS)
+
+    def test_kernels_are_looked_up_at_call_time(self, coeffs, monkeypatch):
+        calls = []
+
+        def counting(z, table):
+            calls.append(z)
+            return w_adaptive(z, table)
+
+        monkeypatch.setattr(analysis, "w_adaptive", counting)
+        grid = GridSpec(x_min=1.0, x_max=2.0, y_min=0.5, y_max=2.0, nx=2, ny=3)
+        error_scan(grid, "adaptive", "refined", coeffs)
+        assert len(calls) == 6
+
+    def test_scan_and_bench_names_stay_apart(self, coeffs):
+        grid = GridSpec(x_min=1.0, x_max=1.0, y_min=1.0, y_max=1.0, nx=1, ny=1)
+        for name in ("adaptive_low_y", "adaptive_high_y"):
+            with pytest.raises(ValueError, match="unknown method"):
+                error_scan(grid, name, "refined", coeffs)
+        with pytest.raises(ValueError, match="unknown method"):
+            measure_throughput("adaptive", 10_000, 1, coeffs)
+        assert analysis.SCAN_METHODS == ("refined", "cr", "adaptive")
+        assert analysis.BENCH_METHODS == ("refined", "cr", "adaptive_low_y",
+                                          "adaptive_high_y")

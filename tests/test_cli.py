@@ -186,6 +186,10 @@ class TestScan:
         proc = run_cli("scan", "--nx", "0")
         assert proc.returncode == 2
         assert "nx and ny must be >= 1" in proc.stderr
+        for flag in ("--x-max", "--y-max"):
+            proc = run_cli("scan", flag, "inf")
+            assert proc.returncode == 2, flag
+            assert "grid bounds must be finite" in proc.stderr
 
     def test_oracle_starvation_exit_code(self):
         proc = run_cli("scan", "--method", "cr", "--reference", "oracle",

@@ -116,7 +116,9 @@ def test_table_is_immutable(coeffs):
 
 # --- compiled pole sums against the loops they replace --------------------
 
-SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=2000)]
+# at tau_m = 0.1 even c_1 = exp(-pi^2 / 0.01) underflows to 0.0
+SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=2000),
+                               SeriesParams(tau_m=0.1)]
 
 
 def loop_terms(params):
@@ -179,6 +181,25 @@ def test_compiled_sums_equal_loops_bitwise(params):
         want_common, want_alternating = loop_pole_sums(u, terms)
         assert bits(common) == bits(want_common), u
         assert bits(alternating) == bits(want_alternating), u
+
+
+@pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
+def test_poles_are_the_loop_poles(params):
+    table = build_coefficients(params)
+    assert table._poles == tuple(n2pi2 for n2pi2, _ in loop_terms(params))
+    assert len(table._poles) == len(table.a) - 1
+
+
+@pytest.mark.parametrize("params, live_terms", [
+    (SeriesParams(), 23),
+    (SeriesParams(n_terms=2000), 104),   # c_n is 0.0 from n = 105 at tau_m = 12
+    (SeriesParams(tau_m=0.1), 0),
+])
+def test_underflowed_terms_generate_no_code(params, live_terms):
+    table = build_coefficients(params)
+    for fn in (table._pole_sum, table._pole_sums):
+        literals = {c for c in fn.__code__.co_consts if isinstance(c, complex) and c}
+        assert len(literals) == 2 * live_terms
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
