@@ -19,9 +19,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 
 from .analysis import (BENCH_METHODS, METHODS, MIN_BENCH_POINTS, SCAN_METHODS,
-                       SCAN_REFERENCES, GridSpec, error_scan, measure_throughput)
+                       SCAN_REFERENCES, BenchReport, GridSpec, error_scan,
+                       measure_throughput)
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .fixtures import CR_STATUS_LABELS, reference_rows
@@ -140,20 +142,17 @@ def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
     return EXIT_OK
 
 
-def _report_as_dict(report) -> dict:
-    return {
-        "grid": {
-            "x_min": report.grid.x_min, "x_max": report.grid.x_max,
-            "y_min": report.grid.y_min, "y_max": report.grid.y_max,
-            "nx": report.grid.nx, "ny": report.grid.ny,
-            "spacing": report.grid.spacing,
-        },
-        "method": report.method,
-        "reference": report.reference,
-        "max_rel_error": report.max_rel_error,
-        "argmax_point": list(report.argmax_point),
-        "per_point": [list(p) for p in report.per_point or ()],
-    }
+def _json_text(payload) -> str:
+    """Strict JSON (RFC 8259): non-finite numbers are written as null."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        return value
+    return json.dumps(finite(payload), indent=2, allow_nan=False)
 
 
 def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
@@ -170,7 +169,7 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
     report = error_scan(grid, args.method, args.reference, coeffs, spec)
 
     if args.format == "json":
-        text = json.dumps(_report_as_dict(report), indent=2) + "\n"
+        text = _json_text(asdict(report)) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -190,16 +189,6 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
     return EXIT_OK
 
 
-def _bench_row(report) -> dict:
-    return {
-        "method": report.method,
-        "points_evaluated": report.points_evaluated,
-        "wall_time": report.wall_time,
-        "throughput": report.throughput,
-        "checksum": report.checksum,
-    }
-
-
 def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
               parser: argparse.ArgumentParser) -> int:
     if args.n < MIN_BENCH_POINTS:
@@ -209,9 +198,8 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
         slow = measure_throughput("refined", args.n, args.seed, coeffs)
         speedup = fast.throughput / slow.throughput
         if args.format == "json":
-            payload = {"cr": _bench_row(fast), "refined": _bench_row(slow),
-                       "speedup": speedup}
-            print(json.dumps(payload, indent=2))
+            print(_json_text({"cr": asdict(fast), "refined": asdict(slow),
+                              "speedup": speedup}))
         else:
             _print_bench_csv([fast, slow], speedup)
         print(f"speedup {speedup:.2f}", file=sys.stderr)
@@ -219,7 +207,7 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
 
     report = measure_throughput(args.method, args.n, args.seed, coeffs)
     if args.format == "json":
-        print(json.dumps(_bench_row(report), indent=2))
+        print(_json_text(asdict(report)))
     else:
         _print_bench_csv([report], None)
     return EXIT_OK
@@ -227,15 +215,14 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
 
 def _print_bench_csv(reports, speedup) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["method", "points_evaluated", "wall_time", "throughput", "checksum"]
+    header = [field.name for field in fields(BenchReport)]
     if speedup is not None:
         header.append("speedup")
     writer.writerow(header)
     for report in reports:
-        row = [report.method, report.points_evaluated, repr(report.wall_time),
-               repr(report.throughput), repr(report.checksum)]
+        row = list(astuple(report))
         if speedup is not None:
-            row.append(repr(speedup))
+            row.append(speedup)
         writer.writerow(row)
 
 
@@ -312,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args, parser)
         coeffs = build_coefficients(params)
         return _COMMANDS[args.command](args, coeffs, parser)
-    except (DomainError, OverflowError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OverflowError, ConvergenceError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,6 +20,7 @@ trustworthy error estimate over speed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,11 +85,11 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     """w(z) for Im z > 0 by direct numerical integration of the defining
     integral, truncated at spec.tau_max.
 
-    Raises DomainError for Im z <= 0 and ConvergenceError when the panel
-    budget runs out before the tolerance is met.
+    Raises DomainError for Im z <= 0 or non-finite z and ConvergenceError
+    when the panel budget runs out before the tolerance is met.
     """
-    if not z.imag > 0.0:
-        raise DomainError(f"w_quadrature requires Im z > 0, got z = {z!r}")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise DomainError(f"w_quadrature requires a finite z with Im z > 0, got z = {z!r}")
     x = z.real
     y = z.imag
 
@@ -108,8 +109,9 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     integral, so the two must agree; this cross-check validates the
     analytic integration step independently of the closed form.
     """
-    if not z.imag > 0.0:
-        raise DomainError(f"w_finite_quadrature requires Im z > 0, got z = {z!r}")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise DomainError(
+            f"w_finite_quadrature requires a finite z with Im z > 0, got z = {z!r}")
     x = z.real
     y = z.imag
     tau = coeffs.params.tau_m

@@ -6,6 +6,9 @@ Faddeeva symmetries apply:
     w(-conj(z)) = conj(w(z))          (real part even in x, imaginary odd)
     w(-z)       = 2 e^{-z^2} - w(z)   (reflection into the lower half-plane)
 
+``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
+Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
+
 On the real axis the finite-interval series stays valid as a limit: its
 denominators vanish only at tau_m x = n pi, where the numerator vanishes
 too, and the combined term has a finite limit. Those removable points are
@@ -33,6 +36,10 @@ __all__ = ["is_in_native_domain", "w_full_plane"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# below this |z| Taylor terms past z^2 are < 1e-24 relative, while the
+# series lose ~eps/|tau_m z| to cancellation in 1 - e^{i tau_m z}
+_TAYLOR_RADIUS = 1e-8
+
 # 2 e^{-z^2} has magnitude 2 e^{y^2 - x^2}; doubles top out near e^{709.8}.
 _REFLECTION_OVERFLOW_LIMIT = 700.0
 
@@ -43,7 +50,7 @@ def is_in_native_domain(z: complex) -> bool:
 
 
 def _w_real_axis(x: float, coeffs: CoefficientTable) -> complex:
-    """Finite-interval series evaluated on the real axis (x != 0)."""
+    """Finite-interval series evaluated on the real axis (x > 0)."""
     tau = coeffs.params.tau_m
     tw = tau * x
     cos_tw = math.cos(tw)
@@ -67,30 +74,36 @@ def _w_real_axis(x: float, coeffs: CoefficientTable) -> complex:
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """Evaluate w(z) for any finite complex z.
 
-    z = 0 returns exactly 1. Arguments with x < 0, y > 0 are folded by
-    conjugation, the lower half-plane by reflection, and the real axis is
-    evaluated directly as the y -> 0+ limit of the refined series.
+    |z| < 1e-8 returns 1 + (2i/sqrt(pi)) z - z^2 (exactly 1 at z = 0). The
+    closed upper-right quadrant is evaluated directly, its real axis as the
+    y -> 0+ limit of the refined series. Any other z is reflected if y < 0,
+    mirrored if x < 0, evaluated there by one nested call and unfolded.
     Raises DomainError on NaN/Inf input and OverflowError when the
-    reflection term exceeds the double range (y < 0 and y^2 - x^2 > 700).
+    reflection term leaves the double range: y < 0 and y^2 - x^2 > 700,
+    tested as (y - x)(y + x) on the folded point, never inf - inf.
     """
     x = z.real
     y = z.imag
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"w_full_plane requires a finite argument, got {z!r}")
-    if z == 0:
-        return EvaluationOutcome(complex(1.0, 0.0), Path.EXACT_SPECIAL_CASE)
-    if y > 0.0:
-        if x < 0.0:
-            inner = w_full_plane(complex(-x, y), coeffs)
-            return EvaluationOutcome(inner.value.conjugate(), Path.SYMMETRY_EXTENDED)
+    if abs(z) < _TAYLOR_RADIUS:
+        return EvaluationOutcome(1.0 + 2j / _SQRT_PI * z - z * z, Path.EXACT_SPECIAL_CASE)
+    if y > 0.0 and x >= 0.0:
         return w_adaptive(z, coeffs)
-    if y < 0.0:
-        if y * y - x * x > _REFLECTION_OVERFLOW_LIMIT:
-            raise OverflowError(
-                f"2 exp(-z^2) overflows double precision at z = {z!r} "
-                f"(y^2 - x^2 = {y * y - x * x:.6g} > {_REFLECTION_OVERFLOW_LIMIT:g})")
-        reflected = w_full_plane(-z, coeffs).value
-        return EvaluationOutcome(2.0 * cmath.exp(-z * z) - reflected,
-                                 Path.SYMMETRY_EXTENDED)
-    # y == 0, x != 0
-    return EvaluationOutcome(_w_real_axis(x, coeffs), Path.REFINED)
+    if y == 0.0 and x > 0.0:
+        return EvaluationOutcome(_w_real_axis(x, coeffs), Path.REFINED)
+    reflect = y < 0.0
+    if reflect:
+        x, y = -x, -y
+    mirror = x < 0.0
+    if mirror:
+        x = -x
+    if reflect and (y - x) * (y + x) > _REFLECTION_OVERFLOW_LIMIT:
+        raise OverflowError(f"2 exp(-z^2) overflows double precision at z = {z!r} "
+                            f"(y^2 - x^2 > {_REFLECTION_OVERFLOW_LIMIT:g})")
+    value = w_full_plane(complex(x, y), coeffs).value
+    if mirror:
+        value = value.conjugate()
+    if reflect:
+        value = 2.0 * cmath.exp(-z * z) - value
+    return EvaluationOutcome(value, Path.SYMMETRY_EXTENDED)

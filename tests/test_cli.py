@@ -15,6 +15,9 @@ from conftest import rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
 
+# mpmath (60 digits): w(pi / 12 + 0i)
+W_LATTICE_1 = complex(0.933757118080976, 0.28227388511512774)
+
 SCI_RE = re.compile(r"^-?\d\.\d{15}E-?\d+$")
 
 
@@ -83,6 +86,14 @@ class TestEval:
         assert rel_error(value, complex(-1.1370378783511974, 2.026813791854195)) <= 1e-9
         assert proc.stdout.startswith("-1.1370378")
         assert proc.stdout.split()[1].startswith("2.0268137")
+
+    def test_negative_real_axis_removable_point(self):
+        # tau_m x = -pi: the real-axis series divided by zero before the fold
+        proc = run_cli("eval", "--x", "-0.2617993877991494", "--y", "0")
+        assert proc.returncode == 0, proc.stderr
+        value, path = parse_eval_output(proc.stdout)
+        assert path == "symmetry_extended"
+        assert rel_error(value, W_LATTICE_1.conjugate()) <= 1e-13
 
     def test_adaptive_path_reported(self):
         proc = run_cli("eval", "--x", "0.5", "--y", "0.5")
@@ -181,6 +192,19 @@ class TestScan:
         assert payload["method"] == "adaptive"
         assert len(payload["per_point"]) == 6
         assert payload["grid"]["spacing"] == "linear"
+
+    def test_json_is_strict_for_non_finite_errors(self):
+        proc = run_cli("scan", "--method", "cr", "--reference", "refined",
+                       "--x-min", "1e307", "--x-max", "1e308", "--nx", "2", "--ny", "1",
+                       "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        assert payload["max_rel_error"] is None
+        assert [err for _, _, err in payload["per_point"]] == [None, None]
 
     def test_invalid_grid_is_usage_error(self):
         proc = run_cli("scan", "--nx", "0")

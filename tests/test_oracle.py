@@ -39,6 +39,12 @@ def test_domain_errors(coeffs, qspec):
         w_quadrature(1.0 - 1.0j, qspec)
     with pytest.raises(DomainError):
         w_finite_quadrature(1.0 + 0j, coeffs, qspec)
+    # non-finite z is rejected up front, before any panel work
+    for z in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(DomainError):
+            w_quadrature(z, qspec)
+        with pytest.raises(DomainError):
+            w_finite_quadrature(z, coeffs, qspec)
 
 
 def test_matches_reference_row(qspec):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import cef.plane
 from cef import DomainError, Path, is_in_native_domain, w_full_plane
 from cef.fixtures import reference_rows
 from conftest import component_rel_errors, rel_error
@@ -32,6 +33,14 @@ W_LATTICE = [
 ]
 
 
+def _ring(radius):
+    """Eight points at |z| = radius: the four half-axes and the four
+    quadrant diagonals."""
+    s = radius * math.sqrt(0.5)
+    return [complex(radius, 0.0), complex(s, s), complex(0.0, radius), complex(-s, s),
+            complex(-radius, 0.0), complex(-s, -s), complex(0.0, -radius), complex(s, -s)]
+
+
 def test_native_domain_predicate():
     assert is_in_native_domain(1 + 1j)
     assert not is_in_native_domain(1 - 1j)
@@ -44,6 +53,24 @@ def test_origin_is_exact(coeffs):
     outcome = w_full_plane(0j, coeffs)
     assert outcome.value == 1.0 + 0.0j
     assert outcome.path is Path.EXACT_SPECIAL_CASE
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-20, 1e-12, 9.9e-9])
+def test_near_origin_taylor_disc(coeffs, radius):
+    # the series lose ~eps/|tau_m z| here (and returned 0j below ~1e-18)
+    wofz = pytest.importorskip("scipy.special").wofz
+    for z in _ring(radius):
+        outcome = w_full_plane(z, coeffs)
+        assert outcome.path is Path.EXACT_SPECIAL_CASE, z
+        assert rel_error(outcome.value, complex(wofz(z))) <= 1e-15, z
+
+
+def test_just_outside_origin_disc(coeffs):
+    wofz = pytest.importorskip("scipy.special").wofz
+    for z in _ring(1.01e-8):
+        outcome = w_full_plane(z, coeffs)
+        assert outcome.path is not Path.EXACT_SPECIAL_CASE, z
+        assert rel_error(outcome.value, complex(wofz(z))) <= 1e-8, z
 
 
 def test_nonfinite_input_rejected(coeffs):
@@ -66,10 +93,11 @@ def test_conjugation_symmetry_is_exact(coeffs):
     rng = random.Random(23)
     for _ in range(1_000):
         z = complex(15.0 * rng.random(), 15.0 * (1.0 - rng.random()))
-        plus = w_full_plane(z, coeffs).value
-        minus = w_full_plane(complex(-z.real, z.imag), coeffs).value
-        assert minus.real == plus.real
-        assert minus.imag == -plus.imag
+        for y in (z.imag, 0.0):
+            plus = w_full_plane(complex(z.real, y), coeffs).value
+            minus = w_full_plane(complex(-z.real, y), coeffs).value
+            assert minus.real == plus.real
+            assert minus.imag == -plus.imag
 
 
 def test_reflection_identity(coeffs):
@@ -121,11 +149,55 @@ def test_negative_real_axis(coeffs):
     assert rel_error(got, want) <= 1e-13
 
 
+def test_negative_real_axis_removable_points(coeffs):
+    # tau_m x = -n pi zeroes the factor n pi + tau_m x of the real-axis
+    # series; the fold sends these points to +x, where it is never zero
+    tau = coeffs.params.tau_m
+    for n in range(1, coeffs.params.n_terms + 1):
+        x = n * math.pi / tau
+        outcome = w_full_plane(complex(-x, 0.0), coeffs)
+        plus = w_full_plane(complex(x, 0.0), coeffs).value
+        assert cmath.isfinite(outcome.value), n
+        assert outcome.value.real.hex() == plus.real.hex(), n
+        assert outcome.value.imag.hex() == (-plus.imag).hex(), n
+        assert outcome.path is Path.SYMMETRY_EXTENDED, n
+
+
+def test_one_evaluation_per_point(coeffs, monkeypatch):
+    # a single fold: one series evaluation in every quadrant, reached
+    # through at most one nested call that does not fold again
+    calls = []
+    adaptive, full_plane = cef.plane.w_adaptive, cef.plane.w_full_plane
+
+    def counting_adaptive(z, table):
+        calls.append(("w_adaptive", z))
+        return adaptive(z, table)
+
+    def counting_full_plane(z, table):
+        calls.append(("w_full_plane", z))
+        return full_plane(z, table)
+
+    monkeypatch.setattr(cef.plane, "w_adaptive", counting_adaptive)
+    monkeypatch.setattr(cef.plane, "w_full_plane", counting_full_plane)
+    folded = 1.5 + 0.5j
+    calls.clear()
+    full_plane(folded, coeffs)
+    assert calls == [("w_adaptive", folded)]
+    for z in (-1.5 + 0.5j, -1.5 - 0.5j, 1.5 - 0.5j):
+        calls.clear()
+        full_plane(z, coeffs)
+        assert calls == [("w_full_plane", folded), ("w_adaptive", folded)], z
+
+
 def test_reflection_overflow_is_reported(coeffs):
     with pytest.raises(OverflowError):
         w_full_plane(complex(0.0, -27.0), coeffs)  # y^2 - x^2 = 729
     with pytest.raises(OverflowError):
         w_full_plane(complex(3.0, -40.0), coeffs)
+    # y^2 - x^2 would be inf - inf = nan here; the factored test is not
+    for z in (complex(1e160, -1e170), complex(-3e200, -4e200)):
+        with pytest.raises(OverflowError):
+            w_full_plane(z, coeffs)
     # just inside the representable band the value is huge but finite
     outcome = w_full_plane(complex(0.0, -26.4), coeffs)
     assert cmath.isfinite(outcome.value)
