@@ -12,7 +12,6 @@ Re z.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .coefficients import CoefficientTable
 from .errors import DomainError
@@ -22,25 +21,18 @@ from .series import w_adaptive
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 
 
-def _require_positive_y(x: float, y: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"arguments must be finite, got x={x!r}, y={y!r}")
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got y={y!r}")
-
-
 def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
-    Evenness in x is enforced structurally by evaluating at |x|.
+    Evenness in x is enforced structurally by evaluating at |x|. y <= 0 and
+    non-finite arguments raise DomainError from ``w_adaptive``.
     """
-    _require_positive_y(x, y)
     return w_adaptive(complex(abs(x), y), coeffs).value.real
 
 
 def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
-    """L(x, y) = Im w(x + iy), y > 0. Odd in x by construction."""
-    _require_positive_y(x, y)
+    """L(x, y) = Im w(x + iy), y > 0. Odd in x by construction; domain
+    errors as for ``voigt_k``."""
     if x < 0.0:
         return -w_adaptive(complex(-x, y), coeffs).value.imag
     return w_adaptive(complex(x, y), coeffs).value.imag

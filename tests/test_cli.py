@@ -95,6 +95,19 @@ class TestEval:
         assert path == "symmetry_extended"
         assert rel_error(value, W_LATTICE_1.conjugate()) <= 1e-13
 
+    def test_near_origin_is_not_zero(self):
+        # at |z| = 1e-20, 1 - e^{i tau_m z} in the lead term rounds to 0
+        proc = run_cli("eval", "--x", "0", "--y", "1e-20")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == "1.000000000000000E0"
+
+    def test_removable_point_just_above_the_axis(self):
+        # tau_m x = pi at y = 1e-300, a removable point of the series
+        proc = run_cli("eval", "--x", "0.2617993877991494", "--y", "1e-300")
+        assert proc.returncode == 0, proc.stderr
+        value, _ = parse_eval_output(proc.stdout)
+        assert rel_error(value, W_LATTICE_1) <= 1e-13
+
     def test_adaptive_path_reported(self):
         proc = run_cli("eval", "--x", "0.5", "--y", "0.5")
         assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Derived functions: Voigt, the odd companion L, complex erfc."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -19,6 +20,10 @@ ERFC_ORACLE = {
     1.0: 0.15729920705028513,
     3.0: 2.209049699858544e-05,
 }
+
+# NaN and +-inf in either argument
+NON_FINITE = [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+              (1.0, math.inf), (1.0, -math.inf), (-1.0, math.nan)]
 
 # e^{y^2} erfc(y) = K(0, y), mpmath at 60 digits
 K_AT_X0 = {
@@ -57,6 +62,9 @@ class TestVoigt:
             voigt_k(1.0, 0.0, coeffs)
         with pytest.raises(DomainError):
             voigt_k(1.0, -1.0, coeffs)
+        for x, y in NON_FINITE:
+            with pytest.raises(DomainError, match="finite"):
+                voigt_k(x, y, coeffs)
 
 
 class TestImagL:
@@ -75,6 +83,9 @@ class TestImagL:
     def test_domain_errors(self, coeffs):
         with pytest.raises(DomainError):
             imag_l(1.0, -0.5, coeffs)
+        for x, y in NON_FINITE:
+            with pytest.raises(DomainError, match="finite"):
+                imag_l(x, y, coeffs)
 
 
 class TestErfcComplex:

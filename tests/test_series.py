@@ -130,25 +130,33 @@ class TestAdaptiveDispatch:
             assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs)
             assert rel_error(outcome.value, w_refined(z, coeffs)) <= 1e-13
 
-    @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300, math.nextafter(1.0, 0.0)])
     def test_low_y_route_near_removable_points(self, y, coeffs):
         # tau_m x = n pi is where the denominators n^2 pi^2 - tau_m^2 z^2
-        # nearly vanish and the one-pass sums carry the largest terms
+        # nearly vanish and the compiled sums cancel; below tau_m y = 0.05
+        # such points take the refined series with its closed-form term
         tau = coeffs.params.tau_m
         xs = [0.0] + [n * math.pi / tau + delta
                       for n in range(1, coeffs.params.n_terms + 1)
                       for delta in (0.0, 1e-12, -1e-12, 1e-6, -1e-6)]
         points = [complex(x, y) for x in xs]
+        if y > 0.5:
+            for z in points:
+                outcome = w_adaptive(z, coeffs)
+                assert outcome.path is Path.FULL_DECOMPOSITION
+                assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs), z
+            return
+        wofz = pytest.importorskip("scipy.special").wofz
         for z in points:
             outcome = w_adaptive(z, coeffs)
-            assert outcome.path is Path.FULL_DECOMPOSITION
-            assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs), z
-        if y == 1e-4:
-            # accuracy degrades like eps / y here, so only the largest
-            # y is held to near machine precision
-            wofz = pytest.importorskip("scipy.special").wofz
-            for z in points:
-                assert rel_error(w_adaptive(z, coeffs).value, complex(wofz(z))) <= 1e-12, z
+            assert outcome.path is Path.REFINED, z
+            assert rel_error(outcome.value, complex(wofz(z))) <= 2e-14, z
+
+    def test_near_pole_dispatch_survives_overflowing_tau_x(self, coeffs):
+        # tau_m x = +-inf makes e^{i tau_m z} NaN; such points keep the
+        # full route (and its NaN, a large-|z| defect) instead of raising
+        for x in (1e308, -1e308):
+            assert w_adaptive(complex(x, 1e-3), coeffs).path is Path.FULL_DECOMPOSITION
 
     def test_boundary_is_common_only(self, coeffs):
         outcome = w_adaptive(1.0 + 1.0j, coeffs)
@@ -176,6 +184,51 @@ class TestAdaptiveDispatch:
         table = build_coefficients(SeriesParams(y_switch=0.5))
         assert w_adaptive(1 + 0.49j, table).path is Path.FULL_DECOMPOSITION
         assert w_adaptive(1 + 0.5j, table).path is Path.COMMON_ONLY
+
+
+@pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300])
+def test_refined_near_removable_points(y, coeffs):
+    # tau_m x = n pi + delta, both signs of x: the closed-form term keeps
+    # w_refined and w_adaptive at the accuracy they have elsewhere
+    wofz = pytest.importorskip("scipy.special").wofz
+    tau = coeffs.params.tau_m
+    for n in range(coeffs.params.n_terms + 2):
+        for delta in (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3):
+            for x in ((n * math.pi + delta) / tau, -(n * math.pi + delta) / tau):
+                z = complex(x, y)
+                want = complex(wofz(z))
+                assert rel_error(w_refined(z, coeffs), want) <= 2e-14, z
+                assert rel_error(w_adaptive(z, coeffs).value, want) <= 2e-14, z
+
+
+@pytest.mark.parametrize("tau_m", [7.0, 13.0])
+def test_refined_at_subnormal_y(tau_m):
+    # an odd tau_m makes tau_m y an odd count of subnormal units, which
+    # halving rounds; y = 1e-300 is the same limit without that rounding
+    table = build_coefficients(SeriesParams(tau_m=tau_m))
+    for n in range(6):
+        x = n * math.pi / tau_m
+        want = w_refined(complex(x, 1e-300), table)
+        for y in (5e-324, 1.5e-323, 2.5e-323, 1e-320):
+            assert rel_error(w_refined(complex(x, y), table), want) <= 1e-15, (x, y)
+
+
+# w_refined at large y, where no term takes the closed form: the values of
+# the plain loop over all terms
+W_LARGE_Y = {
+    200j: complex(0.0028209126572120466, 0.0),
+    0.01 + 200j: complex(0.002820912650160205, 1.4104210658756978e-07),
+    1 + 300j: complex(0.0018806006023962191, 6.268599025488419e-06),
+}
+
+
+def test_refined_at_large_y_keeps_the_loop(coeffs):
+    # the closed form is gated to |tau_m z - n pi| < 1: sin(d/2) overflows
+    # for Im d of a few hundred
+    for z, want in W_LARGE_Y.items():
+        got = w_refined(z, coeffs)
+        assert cmath.isfinite(got), z
+        assert rel_error(got, want) <= 1e-15, z
 
 
 def test_concurrent_evaluation_against_shared_table(coeffs):
