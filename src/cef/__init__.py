@@ -14,21 +14,20 @@ complex erfc) and accuracy/throughput analysis tools round out the API;
 
 from .analysis import (AccuracyReport, BenchReport, GridSpec, bench_points,
                        error_scan, measure_throughput)
-from .coefficients import (CoefficientTable, SeriesParams, build_coefficients,
-                           default_coefficients)
+from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .functions import erfc_complex, erfc_cr_series, imag_l, voigt_k
 from .oracle import QuadratureSpec, w_finite_quadrature, w_quadrature
-from .plane import is_in_native_domain, w_full_plane
+from .plane import w_full_plane
 from .series import EvaluationOutcome, Path, refining_part, w_adaptive, w_cr, w_refined
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SeriesParams", "CoefficientTable", "build_coefficients", "default_coefficients",
+    "SeriesParams", "CoefficientTable", "build_coefficients",
     "Path", "EvaluationOutcome",
     "w_refined", "w_cr", "refining_part", "w_adaptive",
-    "is_in_native_domain", "w_full_plane",
+    "w_full_plane",
     "voigt_k", "imag_l", "erfc_complex", "erfc_cr_series",
     "QuadratureSpec", "w_quadrature", "w_finite_quadrature",
     "GridSpec", "AccuracyReport", "BenchReport",

@@ -108,15 +108,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    """Maximum and optionally per-point relative error of a method
-    against a reference over a grid."""
+    """Maximum and per-point relative error of a method against a
+    reference over a grid."""
 
     grid: GridSpec
     method: str
     reference: str
     max_rel_error: float
     argmax_point: tuple[float, float]
-    per_point: tuple[tuple[float, float, float], ...] | None = None
+    per_point: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ class BenchReport:
 
 
 def error_scan(grid: GridSpec, method: str, reference: str,
-               coeffs: CoefficientTable, spec: QuadratureSpec | None = None,
-               keep_per_point: bool = True) -> AccuracyReport:
+               coeffs: CoefficientTable, spec: QuadratureSpec | None = None
+               ) -> AccuracyReport:
     """Relative error |method - reference| / max(|reference|, 1e-300) at
     every grid node. A NaN error is the maximum, reported at its first
     node. Oracle convergence failures are re-raised tagged with the
@@ -160,14 +160,13 @@ def error_scan(grid: GridSpec, method: str, reference: str,
                 raise ConvergenceError(
                     f"reference failed to converge at x={x!r}, y={y!r}: {exc}") from exc
             err = abs(evaluate(z, coeffs)[0] - ref) / max(abs(ref), _REL_ERROR_FLOOR)
-            if keep_per_point:
-                per_point.append((x, y, err))
+            per_point.append((x, y, err))
             if err > max_err or (math.isnan(err) and not math.isnan(max_err)):
                 max_err = err
                 argmax = (x, y)
     return AccuracyReport(grid=grid, method=method, reference=reference,
                           max_rel_error=max_err, argmax_point=argmax,
-                          per_point=tuple(per_point) if keep_per_point else None)
+                          per_point=tuple(per_point))
 
 
 _LCG_MULT = 6364136223846793005

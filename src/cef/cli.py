@@ -6,7 +6,9 @@ failure (domain, overflow, or quadrature non-convergence).
 
 Series parameters resolve in one place for every command: explicit flags
 beat the CEF_DEFAULT_PARAMS environment variable (format
-"tau_m,n_terms,y_switch"), which beats the built-in defaults (12, 23, 1).
+"tau_m,n_terms,y_switch"), which beats the SeriesParams defaults. Every
+other default is likewise read from the library type it configures
+(GridSpec, QuadratureSpec), so the CLI and the library cannot disagree.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 
 from .analysis import (BENCH_METHODS, METHODS, MIN_BENCH_POINTS, SCAN_METHODS,
-                       SCAN_REFERENCES, BenchReport, GridSpec, error_scan,
+                       SCAN_REFERENCES, GridSpec, error_scan,
                        measure_throughput)
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
@@ -54,24 +56,23 @@ def format_sci(value: float) -> str:
 
 
 def _resolve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SeriesParams:
-    tau_m, n_terms, y_switch = 12.0, 23, 1.0
+    """Flags, then CEF_DEFAULT_PARAMS, then the SeriesParams defaults. Each
+    environment field is parsed by the type of that field's default. Only
+    the values given reach SeriesParams, so an invalid environment field
+    that a flag overrides is never validated."""
+    names = [field.name for field in fields(SeriesParams)]
+    values = {}
     env = os.environ.get(ENV_PARAMS)
     if env:
-        fields = env.split(",")
-        if len(fields) != 3:
-            parser.error(f"{ENV_PARAMS} must be 'tau_m,n_terms,y_switch', got {env!r}")
         try:
-            tau_m, n_terms, y_switch = float(fields[0]), int(fields[1]), float(fields[2])
+            values = {field.name: type(field.default)(item) for field, item
+                      in zip(fields(SeriesParams), env.split(","), strict=True)}
         except ValueError:
-            parser.error(f"{ENV_PARAMS} must be 'tau_m,n_terms,y_switch', got {env!r}")
-    if args.tau_m is not None:
-        tau_m = args.tau_m
-    if args.n_terms is not None:
-        n_terms = args.n_terms
-    if args.y_switch is not None:
-        y_switch = args.y_switch
+            parser.error(f"{ENV_PARAMS} must be '{','.join(names)}', got {env!r}")
+    values.update({name: getattr(args, name) for name in names
+                   if getattr(args, name) is not None})
     try:
-        return SeriesParams(tau_m=tau_m, n_terms=n_terms, y_switch=y_switch)
+        return SeriesParams(**values)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -193,37 +194,23 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
               parser: argparse.ArgumentParser) -> int:
     if args.n < MIN_BENCH_POINTS:
         parser.error(f"--n must be at least {MIN_BENCH_POINTS}, got {args.n}")
+    methods = ("cr", "refined") if args.compare else (args.method,)
+    reports = [asdict(measure_throughput(method, args.n, args.seed, coeffs))
+               for method in methods]
+    payload, extra = reports[0], {}
     if args.compare:
-        fast = measure_throughput("cr", args.n, args.seed, coeffs)
-        slow = measure_throughput("refined", args.n, args.seed, coeffs)
-        speedup = fast.throughput / slow.throughput
-        if args.format == "json":
-            print(_json_text({"cr": asdict(fast), "refined": asdict(slow),
-                              "speedup": speedup}))
-        else:
-            _print_bench_csv([fast, slow], speedup)
-        print(f"speedup {speedup:.2f}", file=sys.stderr)
-        return EXIT_OK
+        extra = {"speedup": reports[0]["throughput"] / reports[1]["throughput"]}
+        payload = {report["method"]: report for report in reports} | extra
 
-    report = measure_throughput(args.method, args.n, args.seed, coeffs)
     if args.format == "json":
-        print(_json_text(asdict(report)))
+        print(_json_text(payload))
     else:
-        _print_bench_csv([report], None)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow([*reports[0], *extra])
+        writer.writerows([*report.values(), *extra.values()] for report in reports)
+    if extra:
+        print(f"speedup {extra['speedup']:.2f}", file=sys.stderr)
     return EXIT_OK
-
-
-def _print_bench_csv(reports, speedup) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = [field.name for field in fields(BenchReport)]
-    if speedup is not None:
-        header.append("speedup")
-    writer.writerow(header)
-    for report in reports:
-        row = list(astuple(report))
-        if speedup is not None:
-            row.append(speedup)
-        writer.writerow(row)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,12 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Complex error function w(z) via exponential-series "
                     "approximations, with an adaptive fast path for large Im z.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tau-m", type=float, default=None, dest="tau_m",
-                        help="half-period of the cosine expansion (default 12)")
-    common.add_argument("--n-terms", type=int, default=None, dest="n_terms",
-                        help="number of series terms (default 23)")
-    common.add_argument("--y-switch", type=float, default=None, dest="y_switch",
-                        help="imaginary-part threshold of the adaptive kernel (default 1)")
+    common.add_argument("--tau-m", type=float, help="half-period of the cosine "
+                        f"expansion (default {SeriesParams.tau_m:g})")
+    common.add_argument("--n-terms", type=int, help="number of series terms "
+                        f"(default {SeriesParams.n_terms:g})")
+    common.add_argument("--y-switch", type=float, help="imaginary-part threshold of "
+                        f"the adaptive kernel (default {SeriesParams.y_switch:g})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,6 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--y", type=float, required=True)
     p_eval.add_argument("--method", choices=list(SCAN_METHODS), default="adaptive")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_table = sub.add_parser("table", parents=[common],
                              help="reproduce the embedded reference table")
@@ -253,25 +241,27 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print only one series (default: both)")
     p_table.add_argument("--check", action="store_true",
                          help="compare against embedded values, exit 1 on mismatch")
+    p_table.set_defaults(run=cmd_table)
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="map relative error of a method over a grid")
     p_scan.add_argument("--method", choices=list(SCAN_METHODS), default="adaptive")
     p_scan.add_argument("--reference", choices=list(SCAN_REFERENCES), default="oracle")
-    p_scan.add_argument("--x-min", type=float, default=0.01)
-    p_scan.add_argument("--x-max", type=float, default=15.0)
-    p_scan.add_argument("--y-min", type=float, default=1e-4)
-    p_scan.add_argument("--y-max", type=float, default=15.0)
-    p_scan.add_argument("--nx", type=int, default=20)
-    p_scan.add_argument("--ny", type=int, default=20)
+    p_scan.add_argument("--x-min", type=float, default=GridSpec.x_min)
+    p_scan.add_argument("--x-max", type=float, default=GridSpec.x_max)
+    p_scan.add_argument("--y-min", type=float, default=GridSpec.y_min)
+    p_scan.add_argument("--y-max", type=float, default=GridSpec.y_max)
+    p_scan.add_argument("--nx", type=int, default=GridSpec.nx)
+    p_scan.add_argument("--ny", type=int, default=GridSpec.ny)
     p_scan.add_argument("--log", action="store_true",
                         help="logarithmic node spacing on both axes")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.add_argument("--out", default=None, help="write report here instead of stdout")
-    p_scan.add_argument("--tau-max", type=float, default=50.0, dest="tau_max")
-    p_scan.add_argument("--abs-tol", type=float, default=1e-14, dest="abs_tol")
-    p_scan.add_argument("--max-subdivisions", type=int, default=2 ** 16,
-                        dest="max_subdivisions")
+    p_scan.add_argument("--tau-max", type=float, default=QuadratureSpec.tau_max)
+    p_scan.add_argument("--abs-tol", type=float, default=QuadratureSpec.abs_tol)
+    p_scan.add_argument("--max-subdivisions", type=int,
+                        default=QuadratureSpec.max_subdivisions)
+    p_scan.set_defaults(run=cmd_scan)
 
     p_bench = sub.add_parser("bench", parents=[common],
                              help="measure evaluation throughput")
@@ -281,15 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--format", choices=["csv", "json"], default="json")
     p_bench.add_argument("--compare", action="store_true",
                          help="run cr and refined on the same points and report speedup")
+    p_bench.set_defaults(run=cmd_bench)
     return parser
-
-
-_COMMANDS = {
-    "eval": cmd_eval,
-    "table": cmd_table,
-    "scan": cmd_scan,
-    "bench": cmd_bench,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -298,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _resolve_params(args, parser)
         coeffs = build_coefficients(params)
-        return _COMMANDS[args.command](args, coeffs, parser)
+        return args.run(args, coeffs, parser)
     except (ValueError, OverflowError, ConvergenceError) as exc:  # DomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

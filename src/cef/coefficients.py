@@ -15,7 +15,9 @@ poles n^2 pi^2 of the sum every kernel evaluates, so that evaluation is
 constant-time per call. The pole sums on the timed paths are compiled
 once per table into straight-line Python functions, one statement per term
 with the constants as complex literals, so a call pays no loop or tuple
-dispatch. A built table is immutable and safe to share between threads.
+dispatch. A built table is immutable and safe to share between threads;
+there is no module-level default table: callers build one with
+``build_coefficients(SeriesParams())`` and pass it to every kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-__all__ = ["SeriesParams", "CoefficientTable", "build_coefficients", "default_coefficients"]
+__all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -44,7 +46,7 @@ class SeriesParams:
                refining correction is evaluated, at or above it only the
                pole-sum (Chiarella-Reichel) part runs
 
-    The defaults (12, 23, 1.0) reproduce the published reference tables.
+    The defaults reproduce the published reference tables.
     """
 
     tau_m: float = 12.0
@@ -62,11 +64,6 @@ class SeriesParams:
             raise ValueError(f"y_switch must be a nonnegative real, got {self.y_switch!r}")
         object.__setattr__(self, "tau_m", float(self.tau_m))
         object.__setattr__(self, "y_switch", float(self.y_switch))
-
-    @property
-    def h(self) -> float:
-        """Small step parameter h = pi / tau_m."""
-        return math.pi / self.tau_m
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,3 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
         _pole_sums=pole_sums,
     )
 
-
-_DEFAULT_TABLE: CoefficientTable | None = None
-
-
-def default_coefficients() -> CoefficientTable:
-    """Shared table for the default parameters (tau_m=12, N=23, y_switch=1)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = build_coefficients(SeriesParams())
-    return _DEFAULT_TABLE

@@ -3,7 +3,8 @@ and the complementary error function for complex argument.
 
 K(x, y) = Re w(x + iy) is the Voigt line-shape function; L(x, y) =
 Im w(x + iy) is its odd-in-x companion. erfc follows from the identity
-erfc(z) = e^{-z^2} w(iz). The direct pole-sum approximation of erfc
+erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and from erfc(z) = 2 - erfc(-z)
+for Re z < 0. The direct pole-sum approximation of erfc
 (``erfc_cr_series``) is retained for validation; it evaluates the same
 compiled pole sum as ``w_cr`` and, like it, is only accurate at larger
 Re z.
@@ -39,15 +40,19 @@ def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
 
 
 def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
-    """Complementary error function via erfc(z) = e^{-z^2} w(iz).
+    """Complementary error function: erfc(z) = e^{-z^2} w(iz) for
+    Re z >= 0 and erfc(z) = 2 - erfc(-z) for Re z < 0.
 
-    Routed through the full-plane evaluator: iz maps large Re z to large
-    Im of the w argument, where the cheap pole-sum route applies.
-    OverflowError propagates from e^{-z^2} or from the reflection inside
-    w_full_plane when the intermediate terms leave the double range.
+    For Re z >= 0 the w argument iz lies in the closed upper half-plane,
+    so w_full_plane never reflects, and large Re z maps to large Im iz,
+    where the cheap pole-sum route applies. The identity on the left half
+    carries erfc -> 2 without the reflection's overflow or cancellation.
+    OverflowError propagates from e^{-z^2} when |Im z|^2 - (Re z)^2
+    leaves the double range, as erfc itself does there.
     """
-    prefactor = cmath.exp(-z * z)
-    return prefactor * w_full_plane(1j * z, coeffs).value
+    if z.real < 0.0:
+        return 2.0 - erfc_complex(-z, coeffs)
+    return cmath.exp(-z * z) * w_full_plane(1j * z, coeffs).value
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:

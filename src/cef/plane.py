@@ -28,15 +28,10 @@ from .coefficients import CoefficientTable
 from .errors import DomainError
 from .series import EvaluationOutcome, Path, _refined, w_adaptive
 
-__all__ = ["is_in_native_domain", "w_full_plane"]
+__all__ = ["w_full_plane"]
 
 # 2 e^{-z^2} has magnitude 2 e^{y^2 - x^2}; doubles top out near e^{709.8}.
 _REFLECTION_OVERFLOW_LIMIT = 700.0
-
-
-def is_in_native_domain(z: complex) -> bool:
-    """True iff the series kernels can evaluate z directly (finite, Im z > 0)."""
-    return z.imag > 0.0 and cmath.isfinite(z)
 
 
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:

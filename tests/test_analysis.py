@@ -87,9 +87,6 @@ class TestErrorScan:
         report = error_scan(grid, "adaptive", "refined", coeffs)
         assert len(report.per_point) == 12
         assert report.max_rel_error == max(p[2] for p in report.per_point)
-        bare = error_scan(grid, "adaptive", "refined", coeffs, keep_per_point=False)
-        assert bare.per_point is None
-        assert bare.max_rel_error == report.max_rel_error
 
     def test_nan_error_is_the_maximum(self, coeffs):
         # (tau_m z)^2 overflows out here, so every node's error is NaN; a

@@ -9,7 +9,10 @@ import re
 import subprocess
 import sys
 
-from cef.cli import format_sci
+from dataclasses import fields
+
+from cef import GridSpec, QuadratureSpec, SeriesParams
+from cef.cli import _build_parser, _resolve_params, format_sci
 from cef.fixtures import reference_rows
 from conftest import rel_error
 
@@ -299,3 +302,24 @@ class TestParameterResolution:
     def test_invalid_params_from_flags(self):
         proc = run_cli("eval", "--x", "1", "--y", "1", "--tau-m", "-1")
         assert proc.returncode == 2
+
+    def test_flag_overrides_invalid_env_field(self):
+        proc = run_cli("eval", "--x", "1", "--y", "0.8", "--y-switch", "1",
+                       env_extra={"CEF_DEFAULT_PARAMS": "12,23,-1"})
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestDefaults:
+    def test_eval_resolves_to_series_params_defaults(self, monkeypatch):
+        monkeypatch.delenv("CEF_DEFAULT_PARAMS", raising=False)
+        parser = _build_parser()
+        args = parser.parse_args(["eval", "--x", "1", "--y", "1"])
+        assert _resolve_params(args, parser) == SeriesParams()
+
+    def test_scan_defaults_are_the_library_defaults(self):
+        args = _build_parser().parse_args(["scan"])
+        for spec in (GridSpec(), QuadratureSpec()):
+            for field in fields(spec):
+                if field.name != "spacing":
+                    assert getattr(args, field.name) == getattr(spec, field.name), field.name
+        assert not args.log and GridSpec().spacing == "linear"

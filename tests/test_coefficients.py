@@ -28,8 +28,6 @@ def test_default_params():
     assert p.tau_m == 12.0
     assert p.n_terms == 23
     assert p.y_switch == 1.0
-    assert p.h == math.pi / 12.0
-    assert p.h > 0
 
 
 @pytest.mark.parametrize("kwargs", [

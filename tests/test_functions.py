@@ -21,6 +21,13 @@ ERFC_ORACLE = {
     3.0: 2.209049699858544e-05,
 }
 
+# erfc on the left half-plane, mpmath: -3 + 0.5j at 40 digits; -26.5 + 0.1j
+# at 400, since at 40 its ~1.9e-307 imaginary part is lost to cancellation
+ERFC_LEFT = {
+    complex(-3.0, 0.5): complex(2.0000280653614766, 2.6284897222588233e-07),
+    complex(-26.5, 0.1): complex(2.0, 1.8538681101086333e-307),
+}
+
 # NaN and +-inf in either argument
 NON_FINITE = [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
               (1.0, math.inf), (1.0, -math.inf), (-1.0, math.nan)]
@@ -116,6 +123,23 @@ class TestErfcComplex:
             lhs = erfc_complex(z, coeffs) * cmath.exp(z * z)
             rhs = w_full_plane(1j * z, coeffs).value
             assert abs(lhs - rhs) <= 1e-13 * abs(rhs), z
+
+    def test_far_left_is_two_not_overflow(self, coeffs):
+        # w(iz) there needs the reflection 2 e^{z^2} - w(-iz), which
+        # overflows although erfc(z) itself is 2
+        for z in (-27, complex(-26.5, 0.1)):
+            got = erfc_complex(z, coeffs)
+            want = ERFC_LEFT.get(z, 2.0)
+            assert cmath.isfinite(got), z
+            assert rel_error(got, want) <= 1e-15, z
+
+    def test_left_half_plane_components(self, coeffs):
+        # the tiny imaginary part survived the reflection only to ~1e-10
+        z = complex(-3.0, 0.5)
+        got = erfc_complex(z, coeffs)
+        want = ERFC_LEFT[z]
+        assert rel_error(got.real, want.real) <= 1e-13
+        assert rel_error(got.imag, want.imag) <= 1e-13
 
 
 class TestErfcSeries:

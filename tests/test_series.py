@@ -45,6 +45,13 @@ def test_refined_matches_reference_rows(coeffs):
         assert err_re <= 1e-12 and err_im <= 1e-12, (x, y)
 
 
+def test_refined_matches_algorithm_680_column(coeffs):
+    for (x, y), row in ROWS.items():
+        err_re, err_im = component_rel_errors(w_refined(complex(x, y), coeffs),
+                                              row.reference)
+        assert err_re <= 1e-14 and err_im <= 1e-14, (x, y)
+
+
 def test_refined_pure_imaginary_argument_is_real(coeffs):
     for y in (0.5, 1.0, 5.0):
         assert abs(w_refined(complex(0.0, y), coeffs).imag) <= 1e-16
