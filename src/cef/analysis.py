@@ -2,7 +2,9 @@
 
 ``error_scan`` maps the relative error of one kernel against a reference
 (the quadrature oracle or the refined series) over a rectangular grid;
-this is how the small-y failure of the pole sum is made visible.
+this is how the small-y failure of the pole sum is made visible. Grid
+axes are numpy's ``linspace``/``logspace``, imported on first use; numpy's
+power is not libm's pow, so a pure-Python log axis would round differently.
 ``measure_throughput`` times a kernel over deterministic pseudo-random
 arguments and reports evaluations per second plus a checksum that both
 prevents dead-code elimination and allows cross-method comparisons.
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .coefficients import CoefficientTable
 from .errors import ConvergenceError
@@ -95,6 +95,7 @@ class GridSpec:
             raise ValueError("logarithmic spacing requires x_min > 0")
 
     def _axis(self, lo: float, hi: float, n: int) -> list[float]:
+        import numpy as np
         if self.spacing == "logarithmic":
             return [float(v) for v in np.logspace(math.log10(lo), math.log10(hi), n)]
         return [float(v) for v in np.linspace(lo, hi, n)]

@@ -76,6 +76,7 @@ class CoefficientTable:
 
     ``_poles``        (n^2 pi^2 for n = 1..N), the only per-term tuple
                       besides ``a``; loops pair it with ``a[1:]``;
+    ``_n_live``       how many of a_1..a_N have not underflowed to 0.0;
     ``_pole_sum(u)``  sum_n c_n / (n^2 pi^2 - u), the pole sum;
     ``_pole_sums(u)`` (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
                       quotient divided out once and added to both.
@@ -91,6 +92,7 @@ class CoefficientTable:
     params: SeriesParams
     a: tuple[float, ...]
     _poles: tuple[float, ...] = field(repr=False, compare=False)
+    _n_live: int = field(repr=False, compare=False)
     _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
     _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
                                                                     compare=False)
@@ -158,10 +160,12 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
     poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, n_max + 1))
     exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
     pole_sum, pole_sums = _compile_pole_sums(params, poles, exp_factors[1:])
+    a = tuple(prefactor * c for c in exp_factors)
     return CoefficientTable(
         params=params,
-        a=tuple(prefactor * c for c in exp_factors),
+        a=a,
         _poles=poles,
+        _n_live=n_max - a.count(0.0),
         _pole_sum=pole_sum,
         _pole_sums=pole_sums,
     )

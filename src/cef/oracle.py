@@ -15,16 +15,16 @@ results do not depend on the exact truncation point once the integrand has
 decayed below double precision (beyond tau ~ 53 it is < 1e-304).
 
 This is a correctness instrument, not a production path: clarity and a
-trustworthy error estimate over speed.
+trustworthy error estimate over speed. numpy is imported, and the 20-point
+rule built, on the first call, so ``import cef`` alone never loads numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .coefficients import CoefficientTable
 from .errors import ConvergenceError, DomainError
@@ -32,7 +32,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = ["QuadratureSpec", "w_quadrature", "w_finite_quadrature"]
 
 _SQRT_PI = math.sqrt(math.pi)
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 # exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
 # cannot change the double-precision result.
@@ -57,9 +56,18 @@ class QuadratureSpec:
                 f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
 
 
+@functools.cache
+def _gauss_legendre():
+    """The 20-point Gauss-Legendre rule, built once: a build costs ~1/4 of a w_quadrature."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(20)
+
+
 def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> complex:
     """Halve the panel width until two successive composite Gauss-Legendre
     estimates agree within spec.abs_tol."""
+    import numpy as np
+    nodes, weights = _gauss_legendre()
     previous = None
     while True:
         n_panels = math.ceil(upper / width)
@@ -69,8 +77,8 @@ def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> compl
                 f"abs_tol={spec.abs_tol:g}")
         half = 0.5 * width
         mids = width * np.arange(n_panels) + half
-        t = (mids[:, None] + half * _NODES[None, :]).ravel()
-        panels = f(t).reshape(n_panels, _NODES.size) @ _WEIGHTS
+        t = (mids[:, None] + half * nodes[None, :]).ravel()
+        panels = f(t).reshape(n_panels, nodes.size) @ weights
         # exactly rounded, so the result cannot depend on how many
         # negligible panels past the decay point join the sum
         current = half * complex(math.fsum(panels.real.tolist()),
@@ -92,6 +100,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
         raise DomainError(f"w_quadrature requires a finite z with Im z > 0, got z = {z!r}")
     x = z.real
     y = z.imag
+    import numpy as np
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(t * complex(-y, x) - 0.25 * t * t)
@@ -115,6 +124,7 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     x = z.real
     y = z.imag
     tau = coeffs.params.tau_m
+    import numpy as np
     a = np.asarray(coeffs.a)
     freqs = np.arange(a.size) * (math.pi / tau)
 

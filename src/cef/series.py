@@ -106,8 +106,8 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     (the lead term -i E(d) for n* = 0), E(d) = (e^{i d} - 1) / d
     = i (sin h / h) e^{i h} with h = d/2; sin(h)/h, not 2 sin(h)/d, so that
     a subnormal d, which halves inexactly, adds no rounding. Only for
-    |d| < 1 and |n*| <= N: beyond, no term cancels and sin h overflows at
-    large y. Elsewhere the loop is the plain one, term for term.
+    |d| < 1 and |n*| <= n_live: beyond, no term cancels and sin h overflows
+    at large y. Elsewhere the loop is the plain one, up to the last a_n > 0.
     """
     tau = coeffs.params.tau_m
     tz = tau * z
@@ -115,9 +115,9 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     e_itz = cmath.exp(1j * tz)
     even_num = e_itz - 1.0
     odd_num = -e_itz - 1.0
-    # nearest n* with |n*| <= N; beyond that, n* = 0 leaves |d| > 1
-    reach = (len(coeffs._poles) + 0.5) * math.pi
-    n_near = round(tz.real / math.pi) if abs(tz.real) < reach else 0
+    live = coeffs._n_live
+    # nearest n* with |n*| <= n_live; beyond that, n* = 0 leaves |d| > 1
+    n_near = round(tz.real / math.pi) if abs(tz.real) < (live + 0.5) * math.pi else 0
     d = tz - n_near * math.pi
     near = abs(d) < 1.0
     if near:
@@ -125,7 +125,7 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
         e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
     lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
-    terms = zip(coeffs._poles, coeffs.a[1:], cycle((odd_num, even_num)))
+    terms = zip(coeffs._poles, coeffs.a[1:live + 1], cycle((odd_num, even_num)))
     acc = 0j
     if near and n_near:
         for n2pi2, a_n, num in islice(terms, abs(n_near) - 1):

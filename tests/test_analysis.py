@@ -48,6 +48,26 @@ class TestGridSpec:
         assert math.isclose(xs[0], 0.01) and math.isclose(xs[-1], 15.0)
         assert len(xs) == 20
 
+    @pytest.mark.parametrize("grid", [
+        GridSpec(),
+        GridSpec(spacing="logarithmic"),
+        row_grid(1.0, nx=32),   # the x axis of perfbench's oracle_scan rows
+        GridSpec(x_min=0.3, x_max=0.3, y_min=2.0, y_max=2.0, nx=1, ny=1),
+        GridSpec(x_min=0.3, x_max=0.3, y_min=2.0, y_max=2.0, nx=1, ny=1,
+                 spacing="logarithmic"),
+    ], ids=repr)
+    def test_nodes_are_numpys_bit_for_bit(self, grid):
+        # numpy's power is not libm's pow: a pure-Python log axis differs in
+        # the last bit at many nodes, which would change every scan output
+        np = pytest.importorskip("numpy")
+        if grid.spacing == "logarithmic":
+            axis = lambda lo, hi, n: np.logspace(math.log10(lo), math.log10(hi), n)
+        else:
+            axis = np.linspace
+        for nodes, (lo, hi, n) in ((grid.x_nodes(), (grid.x_min, grid.x_max, grid.nx)),
+                                   (grid.y_nodes(), (grid.y_min, grid.y_max, grid.ny))):
+            assert [v.hex() for v in nodes] == [float(v).hex() for v in axis(lo, hi, n)]
+
 
 class TestErrorScan:
     def test_rejects_unknown_names(self, coeffs):

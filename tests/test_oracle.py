@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cef import (ConvergenceError, DomainError, QuadratureSpec,
+from cef import (ConvergenceError, DomainError, QuadratureSpec, oracle,
                  w_finite_quadrature, w_quadrature, w_refined)
 from cef.fixtures import reference_rows
 from conftest import rel_error
@@ -118,3 +118,22 @@ def test_defining_integral_grid_agreement(coeffs, qspec):
 def _log_nodes(lo, hi, n):
     step = (math.log10(hi) - math.log10(lo)) / (n - 1)
     return [10.0 ** (math.log10(lo) + step * k) for k in range(n)]
+
+
+def test_gauss_legendre_rule_is_built_once(coeffs, qspec, monkeypatch):
+    # a rule built per call would cost about a quarter of each w_quadrature
+    legendre = pytest.importorskip("numpy").polynomial.legendre
+    builds = []
+    real_leggauss = legendre.leggauss
+
+    def counting_leggauss(deg):
+        builds.append(deg)
+        return real_leggauss(deg)
+
+    monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
+    oracle._gauss_legendre.cache_clear()
+    first = w_quadrature(1 + 1j, qspec)
+    assert w_quadrature(1 + 1j, qspec) == first
+    w_quadrature(0.5 + 2j, qspec)
+    w_finite_quadrature(1 + 1j, coeffs, qspec)
+    assert builds == [20]

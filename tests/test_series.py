@@ -4,6 +4,7 @@ adaptive dispatch."""
 import cmath
 import math
 import random
+import timeit
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from cef import (DomainError, Path, SeriesParams, build_coefficients,
                  refining_part, w_adaptive, w_cr, w_refined)
 from cef.fixtures import reference_rows
+from cef.series import _refined
 from conftest import component_rel_errors, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
@@ -236,6 +238,59 @@ def test_refined_at_large_y_keeps_the_loop(coeffs):
         got = w_refined(z, coeffs)
         assert cmath.isfinite(got), z
         assert rel_error(got, want) <= 1e-15, z
+
+
+def loop_refined(z, table):
+    """_refined as the loop over every term n = 1..N, the ones whose a_n
+    has underflowed to 0.0 included: the reference for stopping early."""
+    tau = table.params.tau_m
+    n_terms = table.params.n_terms
+    tz = tau * z
+    tz2 = tz * tz
+    e_itz = cmath.exp(1j * tz)
+    n_near = round(tz.real / math.pi) if abs(tz.real) < (n_terms + 0.5) * math.pi else 0
+    d = tz - n_near * math.pi
+    near = abs(d) < 1.0
+    if near:
+        h = 0.5 * d
+        e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
+    lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
+    acc = 0j
+    for n in range(1, n_terms + 1):
+        a_n = table.a[n]
+        if near and n == abs(n_near):
+            acc -= a_n * e_d / (n_near * math.pi + tz)
+        else:
+            acc += a_n * ((-e_itz - 1.0) if n % 2 else (e_itz - 1.0)) \
+                / (table._poles[n - 1] - tz2)
+    return lead + 1j * (tau * tau * z / math.sqrt(math.pi)) * acc
+
+
+@pytest.mark.parametrize("n_terms", [23, 105, 1000, 20000])
+def test_refined_stops_at_last_nonzero_term(n_terms):
+    # a_n is 0.0 from n = 105 at tau_m = 12: those terms add signed zeros,
+    # including the removable points n* beyond 104
+    table = build_coefficients(SeriesParams(n_terms=n_terms))
+    tau = table.params.tau_m
+    rng = random.Random(29)
+    points = [complex(15.0 * rng.random(), 10.0 ** rng.uniform(-300.0, 1.0))
+              for _ in range(40)]
+    for n in (3, 104, 105, 106, 500, 999):
+        for delta in (0.0, 1e-9, -0.5):
+            for y in (0.0, 1e-300, 1e-8, 1e-3):
+                x = (n * math.pi + delta) / tau
+                points += [complex(x, y), complex(-x, y)]
+    for z in points:
+        got, want = _refined(z, table), loop_refined(z, table)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
+
+
+def test_refined_cost_does_not_grow_past_the_underflow():
+    short, long = (build_coefficients(SeriesParams(n_terms=n)) for n in (105, 20000))
+    z = 1 + 0.5j
+    best = [min(timeit.repeat(lambda: w_refined(z, table), number=200, repeat=5))
+            for table in (short, long)]
+    assert best[1] < 10 * best[0], best
 
 
 def test_concurrent_evaluation_against_shared_table(coeffs):
