@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .coefficients import CoefficientTable
+from .coefficients import CoefficientTable, _is_int, _is_real
 from .errors import ConvergenceError
 from .oracle import QuadratureSpec, w_quadrature
 from .series import Path, w_adaptive, w_cr, w_refined
@@ -80,6 +80,8 @@ class GridSpec:
             raise ValueError(f"spacing must be 'linear' or 'logarithmic', "
                              f"got {self.spacing!r}")
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not (all(map(_is_real, bounds)) and _is_int(self.nx) and _is_int(self.ny)):
+            raise ValueError(f"grid bounds must be reals and nx, ny integers, got {self!r}")
         if not all(math.isfinite(b) for b in bounds):
             raise ValueError(f"grid bounds must be finite, got x in "
                              f"[{self.x_min!r}, {self.x_max!r}], "

@@ -6,9 +6,10 @@ failure (domain, overflow, or quadrature non-convergence).
 
 Series parameters resolve in one place for every command: explicit flags
 beat the CEF_DEFAULT_PARAMS environment variable (format
-"tau_m,n_terms,y_switch"), which beats the SeriesParams defaults. Every
-other default is likewise read from the library type it configures
-(GridSpec, QuadratureSpec), so the CLI and the library cannot disagree.
+"tau_m,n_terms,y_switch"), which beats the SeriesParams defaults. The
+grid and quadrature flags of ``scan`` are the GridSpec and QuadratureSpec
+fields, named, typed and defaulted by them, so the CLI and the library
+cannot disagree.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 TABLE_CHECK_TOL = 1e-12
+# the series `cef table` reproduces, in column order; each is a ReferenceRow field
+TABLE_SERIES = {"refined": w_refined, "cr": w_cr}
 
 
 def format_sci(value: float) -> str:
@@ -100,38 +103,27 @@ def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable,
 def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
               parser: argparse.ArgumentParser) -> int:
     rows = reference_rows()
-    show_refined = args.method in (None, "refined")
-    show_cr = args.method in (None, "cr")
-
-    header = ["x", "y"]
-    if show_refined:
-        header += ["refined_re", "refined_im"]
-    if show_cr:
-        header += ["cr_re", "cr_im", "note"]
-    print("  ".join(header))
+    shown = [name for name in TABLE_SERIES if args.method in (None, name)]
+    note = ["note"] if "cr" in shown else []
+    print("  ".join(["x", "y", *(f"{name}_{part}" for name in shown
+                                 for part in ("re", "im")), *note]))
 
     failures = []
     for row in rows:
         z = complex(row.x, row.y)
-        computed_refined = w_refined(z, coeffs)
-        computed_cr = w_cr(z, coeffs)
         cells = [f"{row.x:<5g}", f"{row.y:<5g}"]
-        if show_refined:
-            cells += [format_sci(computed_refined.real), format_sci(computed_refined.imag)]
-        if show_cr:
-            cells += [format_sci(computed_cr.real), format_sci(computed_cr.imag),
-                      CR_STATUS_LABELS[row.cr_status]]
+        for name, kernel in TABLE_SERIES.items():
+            got, want = kernel(z, coeffs), getattr(row, name)
+            for part, g, w in (("re", got.real, want.real), ("im", got.imag, want.imag)):
+                if name in shown:
+                    cells.append(format_sci(g))
+                if args.check and (rel := abs(g - w) / abs(w)) > TABLE_CHECK_TOL:
+                    failures.append(
+                        f"({row.x:g}, {row.y:g}) {name}.{part}: computed "
+                        f"{format_sci(g)}, expected {format_sci(w)}, rel {rel:.3e}")
+        if note:
+            cells.append(CR_STATUS_LABELS[row.cr_status])
         print("  ".join(cells).rstrip())
-
-        if args.check:
-            for label, got, want in (("refined", computed_refined, row.refined),
-                                     ("cr", computed_cr, row.cr)):
-                for part, g, w in (("re", got.real, want.real), ("im", got.imag, want.imag)):
-                    rel = abs(g - w) / abs(w)
-                    if rel > TABLE_CHECK_TOL:
-                        failures.append(
-                            f"({row.x:g}, {row.y:g}) {label}.{part}: computed "
-                            f"{format_sci(g)}, expected {format_sci(w)}, rel {rel:.3e}")
 
     if args.check:
         if failures:
@@ -158,13 +150,10 @@ def _json_text(payload) -> str:
 
 def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
              parser: argparse.ArgumentParser) -> int:
+    given = vars(args) | {"spacing": "logarithmic" if args.log else "linear"}
     try:
-        grid = GridSpec(x_min=args.x_min, x_max=args.x_max,
-                        y_min=args.y_min, y_max=args.y_max,
-                        nx=args.nx, ny=args.ny,
-                        spacing="logarithmic" if args.log else "linear")
-        spec = QuadratureSpec(tau_max=args.tau_max, abs_tol=args.abs_tol,
-                              max_subdivisions=args.max_subdivisions)
+        grid, spec = (kind(**{field.name: given[field.name] for field in fields(kind)})
+                      for kind in (GridSpec, QuadratureSpec))
     except ValueError as exc:
         parser.error(str(exc))
     report = error_scan(grid, args.method, args.reference, coeffs, spec)
@@ -175,8 +164,7 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["x", "y", "rel_error"])
-        for x, y, err in report.per_point:
-            writer.writerow([repr(x), repr(y), repr(err)])
+        writer.writerows(map(repr, point) for point in report.per_point)
         text = buffer.getvalue()
 
     if args.out:
@@ -213,6 +201,15 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
     return EXIT_OK
 
 
+def _add_spec_flags(parser: argparse.ArgumentParser, spec: type) -> None:
+    """One --flag per field of ``spec``, typed and defaulted by the field, in
+    field order; GridSpec.spacing is left to --log."""
+    for field in fields(spec):
+        if field.name != "spacing":
+            parser.add_argument(f"--{field.name.replace('_', '-')}",
+                                type=type(field.default), default=field.default)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cef",
@@ -237,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", parents=[common],
                              help="reproduce the embedded reference table")
-    p_table.add_argument("--method", choices=["refined", "cr"], default=None,
+    p_table.add_argument("--method", choices=list(TABLE_SERIES), default=None,
                          help="print only one series (default: both)")
     p_table.add_argument("--check", action="store_true",
                          help="compare against embedded values, exit 1 on mismatch")
@@ -247,20 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="map relative error of a method over a grid")
     p_scan.add_argument("--method", choices=list(SCAN_METHODS), default="adaptive")
     p_scan.add_argument("--reference", choices=list(SCAN_REFERENCES), default="oracle")
-    p_scan.add_argument("--x-min", type=float, default=GridSpec.x_min)
-    p_scan.add_argument("--x-max", type=float, default=GridSpec.x_max)
-    p_scan.add_argument("--y-min", type=float, default=GridSpec.y_min)
-    p_scan.add_argument("--y-max", type=float, default=GridSpec.y_max)
-    p_scan.add_argument("--nx", type=int, default=GridSpec.nx)
-    p_scan.add_argument("--ny", type=int, default=GridSpec.ny)
+    _add_spec_flags(p_scan, GridSpec)
     p_scan.add_argument("--log", action="store_true",
                         help="logarithmic node spacing on both axes")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.add_argument("--out", default=None, help="write report here instead of stdout")
-    p_scan.add_argument("--tau-max", type=float, default=QuadratureSpec.tau_max)
-    p_scan.add_argument("--abs-tol", type=float, default=QuadratureSpec.abs_tol)
-    p_scan.add_argument("--max-subdivisions", type=int,
-                        default=QuadratureSpec.max_subdivisions)
+    _add_spec_flags(p_scan, QuadratureSpec)
     p_scan.set_defaults(run=cmd_scan)
 
     p_bench = sub.add_parser("bench", parents=[common],

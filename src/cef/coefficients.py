@@ -36,6 +36,11 @@ def _is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: object) -> bool:
+    """int, but not bool."""
+    return isinstance(value, int) and _is_real(value)
+
+
 @dataclass(frozen=True)
 class SeriesParams:
     """Parameters governing every series kernel.
@@ -56,8 +61,10 @@ class SeriesParams:
     def __post_init__(self) -> None:
         if not (_is_real(self.tau_m) and math.isfinite(self.tau_m) and self.tau_m > 0):
             raise ValueError(f"tau_m must be a finite positive real, got {self.tau_m!r}")
-        if not isinstance(self.n_terms, int) or isinstance(self.n_terms, bool) \
-                or self.n_terms < 1:
+        # build_coefficients divides by tau_m^2, which must neither vanish nor overflow
+        if not 0.0 < float(self.tau_m) * float(self.tau_m) < math.inf:
+            raise ValueError(f"tau_m must have a finite, nonzero square, got {self.tau_m!r}")
+        if not (_is_int(self.n_terms) and self.n_terms >= 1):
             raise ValueError(f"n_terms must be a positive integer, got {self.n_terms!r}")
         if not (_is_real(self.y_switch) and math.isfinite(self.y_switch)
                 and self.y_switch >= 0):

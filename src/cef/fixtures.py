@@ -65,38 +65,21 @@ class ReferenceRow(NamedTuple):
     cr_status: str  # 'accurate', 'reduced', 'insufficient', or 'failed'
 
 
-def _parse_value(token: str) -> tuple[float, str]:
-    status = "accurate"
-    if token[0] in _MARKERS:
-        status = _MARKERS[token[0]]
-        token = token[1:]
-    return float(token), status
-
-
-def _parse_table(text: str) -> list[tuple[float, float, float, float, float, str]]:
-    rows = []
-    for line in text.strip().splitlines():
-        x_tok, y_tok, refined_tok, cr_tok, ref_tok = line.split()
-        refined, _ = _parse_value(refined_tok)
-        cr, status = _parse_value(cr_tok)
-        ref, _ = _parse_value(ref_tok)
-        rows.append((float(x_tok), float(y_tok), refined, cr, ref, status))
-    return rows
+def _parse_line(line: str) -> tuple[float, float, list[float], str]:
+    """x, y, the three column values and the pole-sum status of one line."""
+    x, y, *values = line.split()
+    status = _MARKERS.get(values[1][0], "accurate")
+    return float(x), float(y), [float(v.lstrip("".join(_MARKERS))) for v in values], status
 
 
 def reference_rows() -> tuple[ReferenceRow, ...]:
     """The ten reference rows with real and imaginary parts combined."""
-    real_rows = _parse_table(_REAL_TABLE)
-    imag_rows = _parse_table(_IMAG_TABLE)
-    combined = []
-    for re_row, im_row in zip(real_rows, imag_rows):
-        assert re_row[0] == im_row[0] and re_row[1] == im_row[1]
-        assert re_row[5] == im_row[5], "status markers must match across tables"
-        combined.append(ReferenceRow(
-            x=re_row[0], y=re_row[1],
-            refined=complex(re_row[2], im_row[2]),
-            cr=complex(re_row[3], im_row[3]),
-            reference=complex(re_row[4], im_row[4]),
-            cr_status=re_row[5],
-        ))
-    return tuple(combined)
+    rows = []
+    for re_line, im_line in zip(_REAL_TABLE.splitlines(), _IMAG_TABLE.splitlines(),
+                                strict=True):
+        x, y, re_values, status = _parse_line(re_line)
+        im_x, im_y, im_values, im_status = _parse_line(im_line)
+        assert (x, y) == (im_x, im_y)
+        assert status == im_status, "status markers must match across tables"
+        rows.append(ReferenceRow(x, y, *map(complex, re_values, im_values), status))
+    return tuple(rows)

@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .coefficients import CoefficientTable
+from .coefficients import CoefficientTable, _is_int, _is_real
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["QuadratureSpec", "w_quadrature", "w_finite_quadrature"]
@@ -47,11 +47,13 @@ class QuadratureSpec:
     max_subdivisions: int = 2 ** 16
 
     def __post_init__(self) -> None:
+        if not (_is_real(self.tau_max) and _is_real(self.abs_tol)):
+            raise ValueError(f"tau_max and abs_tol must be reals, got {self!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
             raise ValueError(f"tau_max must be positive, got {self.tau_max!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
+        if not (_is_int(self.max_subdivisions) and self.max_subdivisions >= 1):
             raise ValueError(
                 f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
 

@@ -31,6 +31,14 @@ class TestGridSpec:
         {"x_min": 0.0, "x_max": 1.0, "y_min": 1.0, "y_max": math.inf, "nx": 3, "ny": 3},
         {"x_min": 0.1, "x_max": math.inf, "y_min": 1.0, "y_max": 2.0, "nx": 3, "ny": 3,
          "spacing": "logarithmic"},
+        # node counts must be int and no field may be a bool (True would become 1)
+        {"nx": 2.5},
+        {"ny": 3.0},
+        {"nx": True},
+        {"ny": False},
+        {"x_min": True, "x_max": 2.0},
+        {"y_min": True},
+        {"y_max": True},
     ])
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):

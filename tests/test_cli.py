@@ -1,5 +1,6 @@
 """Command-line interface, exercised through subprocesses."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,6 +12,9 @@ import sys
 
 from dataclasses import fields
 
+import pytest
+
+import cef
 from cef import GridSpec, QuadratureSpec, SeriesParams
 from cef.cli import _build_parser, _resolve_params, format_sci
 from cef.fixtures import reference_rows
@@ -23,10 +27,65 @@ W_LATTICE_1 = complex(0.933757118080976, 0.28227388511512774)
 
 SCI_RE = re.compile(r"^-?\d\.\d{15}E-?\d+$")
 
+# `cef table` stdout at the default parameters, captured verbatim: the
+# header, the column order and every printed digit are part of the CLI contract
+TABLE_STDOUT = {
+    (): """\
+x  y  refined_re  refined_im  cr_re  cr_im  note
+0.01   0.01   9.887176929549548E-1  1.108529605747723E-2  4.196286232960261E0  4.137187541585457E0  inaccurate
+0.1    0.1    8.884785624756437E-1  9.433165105728503E-2  7.590865094856969E-1  2.042540773419455E-1  inaccurate
+0.5    0.5    5.331567079121748E-1  2.304882313844584E-1  5.331626469616390E-1  2.304774733809672E-1  inaccurate (reduced precision)
+1      1      3.047442052569126E-1  2.082189382028317E-1  3.047442051814128E-1  2.082189382021633E-1  slightly reduced precision
+2.5    2.5    1.167371250446503E-1  1.079085859964814E-1  1.167371250446503E-1  1.079085859964814E-1
+5      5      5.696543988817698E-2  5.583874277539103E-2  5.696543988817697E-2  5.583874277539101E-2
+7.5    7.5    3.777752935845999E-2  3.744329372959512E-2  3.777752935846000E-2  3.744329372959514E-2
+10     10     2.827946745423245E-2  2.813843327633690E-2  2.827946745423246E-2  2.813843327633690E-2
+12.5   12.5   2.260351678541391E-2  2.253130329137736E-2  2.260351678541391E-2  2.253130329137735E-2
+15     15     1.882714532513675E-2  1.878535427799564E-2  1.882714532513676E-2  1.878535427799565E-2
+""",
+    ("--method", "cr"): """\
+x  y  cr_re  cr_im  note
+0.01   0.01   4.196286232960261E0  4.137187541585457E0  inaccurate
+0.1    0.1    7.590865094856969E-1  2.042540773419455E-1  inaccurate
+0.5    0.5    5.331626469616390E-1  2.304774733809672E-1  inaccurate (reduced precision)
+1      1      3.047442051814128E-1  2.082189382021633E-1  slightly reduced precision
+2.5    2.5    1.167371250446503E-1  1.079085859964814E-1
+5      5      5.696543988817697E-2  5.583874277539101E-2
+7.5    7.5    3.777752935846000E-2  3.744329372959514E-2
+10     10     2.827946745423246E-2  2.813843327633690E-2
+12.5   12.5   2.260351678541391E-2  2.253130329137735E-2
+15     15     1.882714532513676E-2  1.878535427799565E-2
+""",
+    ("--method", "refined"): """\
+x  y  refined_re  refined_im
+0.01   0.01   9.887176929549548E-1  1.108529605747723E-2
+0.1    0.1    8.884785624756437E-1  9.433165105728503E-2
+0.5    0.5    5.331567079121748E-1  2.304882313844584E-1
+1      1      3.047442052569126E-1  2.082189382028317E-1
+2.5    2.5    1.167371250446503E-1  1.079085859964814E-1
+5      5      5.696543988817698E-2  5.583874277539103E-2
+7.5    7.5    3.777752935845999E-2  3.744329372959512E-2
+10     10     2.827946745423245E-2  2.813843327633690E-2
+12.5   12.5   2.260351678541391E-2  2.253130329137736E-2
+15     15     1.882714532513675E-2  1.878535427799564E-2
+""",
+}
+
+# option strings of `cef scan`, in order; the grid and quadrature flags are
+# the GridSpec and QuadratureSpec fields
+SCAN_OPTIONS = [
+    "-h", "--help", "--tau-m", "--n-terms", "--y-switch", "--method", "--reference",
+    "--x-min", "--x-max", "--y-min", "--y-max", "--nx", "--ny", "--log", "--format",
+    "--out", "--tau-max", "--abs-tol", "--max-subdivisions",
+]
+
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("CEF_DEFAULT_PARAMS", None)
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cef.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "cef", *args],
@@ -165,6 +224,12 @@ class TestTable:
         cells = last_row.split()
         assert rel_error(float(cells[2]), ROWS[(15.0, 15.0)].refined.real) <= 1e-12
 
+    @pytest.mark.parametrize("args", list(TABLE_STDOUT), ids=repr)
+    def test_stdout_is_pinned(self, args):
+        proc = run_cli("table", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == TABLE_STDOUT[args]
+
     def test_check_fails_under_wrong_parameters(self):
         # a different expansion no longer reproduces the embedded values
         proc = run_cli("table", "--check", "--tau-m", "11", "--n-terms", "20")
@@ -302,6 +367,13 @@ class TestParameterResolution:
     def test_invalid_params_from_flags(self):
         proc = run_cli("eval", "--x", "1", "--y", "1", "--tau-m", "-1")
         assert proc.returncode == 2
+        # tau_m^2 underflows to 0.0 or overflows to inf
+        for args in (("eval", "--x", "1", "--y", "1", "--tau-m", "1e-300"),
+                     ("eval", "--x", "1", "--y", "1", "--tau-m", "1e155"),
+                     ("table", "--tau-m", "1e-200")):
+            proc = run_cli(*args)
+            assert proc.returncode == 2, args
+            assert "finite, nonzero square" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_flag_overrides_invalid_env_field(self):
         proc = run_cli("eval", "--x", "1", "--y", "0.8", "--y-switch", "1",
@@ -323,3 +395,11 @@ class TestDefaults:
                 if field.name != "spacing":
                     assert getattr(args, field.name) == getattr(spec, field.name), field.name
         assert not args.log and GridSpec().spacing == "linear"
+
+    def test_scan_option_strings_in_order(self):
+        parser = _build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        scan = commands.choices["scan"]
+        assert [flag for action in scan._actions
+                for flag in action.option_strings] == SCAN_OPTIONS

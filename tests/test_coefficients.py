@@ -44,10 +44,21 @@ def test_default_params():
     {"n_terms": True},
     {"y_switch": True},
     {"y_switch": False},
+    # build_coefficients divides by tau_m^2, which is 0.0 or inf here
+    {"tau_m": 1e-300},
+    {"tau_m": 1e-200},
+    {"tau_m": 1e155},
+    {"tau_m": 10 ** 155},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         SeriesParams(**kwargs)
+
+
+@pytest.mark.parametrize("tau_m", [1e-160, 1e154])
+def test_tau_m_with_finite_nonzero_square_accepted(tau_m):
+    table = build_coefficients(SeriesParams(tau_m=tau_m))
+    assert table.params.tau_m == tau_m
 
 
 def test_leading_coefficients_match_extended_precision(coeffs):

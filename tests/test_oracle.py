@@ -26,6 +26,11 @@ K_0_1 = 0.427583576155807  # e * erfc(1), mpmath
     {"abs_tol": 0.0},
     {"abs_tol": -1e-10},
     {"max_subdivisions": 0},
+    # no field may be a bool (True would become 1), and the panel budget is an int
+    {"max_subdivisions": True},
+    {"max_subdivisions": 16.0},
+    {"tau_max": True},
+    {"abs_tol": True},
 ])
 def test_invalid_spec_rejected(kwargs):
     with pytest.raises(ValueError):
