@@ -25,13 +25,10 @@ from dataclasses import dataclass
 from .coefficients import CoefficientTable, _is_int, _is_real
 from .errors import ConvergenceError
 from .oracle import QuadratureSpec, w_quadrature
-from .series import Path, w_adaptive, w_cr, w_refined
+from .series import _COMMON_ONLY, _REFINED, w_adaptive, w_cr, w_refined
 
 __all__ = ["GridSpec", "AccuracyReport", "BenchReport", "error_scan",
            "measure_throughput", "bench_points"]
-
-# reading an enum member off its class costs ~0.1 us on CPython 3.11
-_REFINED, _COMMON_ONLY = Path.REFINED, Path.COMMON_ONLY
 
 
 def _adaptive(z: complex, coeffs: CoefficientTable):

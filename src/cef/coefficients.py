@@ -32,8 +32,15 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _is_real(value: object) -> bool:
-    """int or float, but not bool (True would silently become 1.0)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """int or float, but not bool (True would silently become 1.0) and not
+    an int too large to convert to float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_int(value: object) -> bool:

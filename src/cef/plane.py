@@ -26,7 +26,8 @@ import math
 
 from .coefficients import CoefficientTable
 from .errors import DomainError
-from .series import EvaluationOutcome, Path, _refined, w_adaptive
+from .series import (_EXACT_SPECIAL_CASE, _REFINED, _SYMMETRY_EXTENDED, EvaluationOutcome,
+                     _new_outcome, _refined, w_adaptive)
 
 __all__ = ["w_full_plane"]
 
@@ -50,11 +51,11 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"w_full_plane requires a finite argument, got {z!r}")
     if z == 0:
-        return EvaluationOutcome(1.0 + 0.0j, Path.EXACT_SPECIAL_CASE)
+        return _new_outcome(EvaluationOutcome, (1.0 + 0.0j, _EXACT_SPECIAL_CASE))
     if y > 0.0 and x >= 0.0:
         return w_adaptive(z, coeffs)
     if y == 0.0 and x > 0.0:
-        return EvaluationOutcome(_refined(z, coeffs), Path.REFINED)
+        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     reflect = y < 0.0
     if reflect:
         x, y = -x, -y
@@ -69,4 +70,4 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
         value = value.conjugate()
     if reflect:
         value = 2.0 * cmath.exp(-z * z) - value
-    return EvaluationOutcome(value, Path.SYMMETRY_EXTENDED)
+    return _new_outcome(EvaluationOutcome, (value, _SYMMETRY_EXTENDED))

@@ -37,6 +37,11 @@ targeted here.
 The pole sum and the refining sum, which carry the timed paths, are the
 table's compiled straight-line functions ``_pole_sum`` and ``_pole_sums``
 (see CoefficientTable); the finite-interval form is one loop, ``_refined``.
+Every kernel returning an EvaluationOutcome builds it with
+``tuple.__new__(EvaluationOutcome, (value, path))`` and a module-level alias
+of the Path member, which on CPython 3.11 saves ~0.3 us per call against the
+NamedTuple constructor and a read off Path (less on 3.12 and later, where
+enum reads are cheaper).
 
 At the removable points tau_m z = n pi (n = 0 is the origin) a numerator
 and a denominator vanish together, and both forms lose ~eps/|tau_m z - n pi|.
@@ -86,6 +91,17 @@ class EvaluationOutcome(NamedTuple):
 
     value: complex
     path: Path
+
+
+# CPython 3.11: EvaluationOutcome(...) ~420 ns, _new_outcome(EvaluationOutcome,
+# (...)) ~240 ns; Path.X ~150 ns, its alias ~15 ns. plane and analysis use
+# these aliases too.
+_new_outcome = tuple.__new__
+_REFINED = Path.REFINED
+_COMMON_ONLY = Path.COMMON_ONLY
+_FULL_DECOMPOSITION = Path.FULL_DECOMPOSITION
+_SYMMETRY_EXTENDED = Path.SYMMETRY_EXTENDED
+_EXACT_SPECIAL_CASE = Path.EXACT_SPECIAL_CASE
 
 
 def _reject_outside_native_domain(z: complex) -> None:
@@ -198,12 +214,12 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     tz = params.tau_m * z
     tz2 = tz * tz
     if z.imag >= params.y_switch:
-        return EvaluationOutcome(1j / tz - 2j * tz * coeffs._pole_sum(tz2),
-                                 Path.COMMON_ONLY)
+        return _new_outcome(EvaluationOutcome,
+                            (1j / tz - 2j * tz * coeffs._pole_sum(tz2), _COMMON_ONLY))
     e_itz = cmath.exp(1j * tz)
     if tz.imag < _NEAR_POLE and abs(e_itz.imag) < _NEAR_POLE:
-        return EvaluationOutcome(_refined(z, coeffs), Path.REFINED)
+        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     common, alternating = coeffs._pole_sums(tz2)
     value = ((1j / tz - 2j * tz * common)
              + (-1j * e_itz * (1.0 / tz - 2.0 * tz * alternating)))
-    return EvaluationOutcome(value, Path.FULL_DECOMPOSITION)
+    return _new_outcome(EvaluationOutcome, (value, _FULL_DECOMPOSITION))
