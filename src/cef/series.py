@@ -94,8 +94,8 @@ class EvaluationOutcome(NamedTuple):
 
 
 # CPython 3.11: EvaluationOutcome(...) ~420 ns, _new_outcome(EvaluationOutcome,
-# (...)) ~240 ns; Path.X ~150 ns, its alias ~15 ns. plane and analysis use
-# these aliases too.
+# (...)) ~240 ns; Path.X ~150 ns, an alias ~15 ns. plane and analysis import
+# the aliases from here.
 _new_outcome = tuple.__new__
 _REFINED = Path.REFINED
 _COMMON_ONLY = Path.COMMON_ONLY

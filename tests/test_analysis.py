@@ -39,6 +39,10 @@ class TestGridSpec:
         {"x_min": True, "x_max": 2.0},
         {"y_min": True},
         {"y_max": True},
+        # an int too large for a float is rejected, not an OverflowError
+        {"x_max": 10 ** 400},
+        {"y_max": 10 ** 400},
+        {"nx": 10 ** 400},
     ])
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):

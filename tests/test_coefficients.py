@@ -49,6 +49,10 @@ def test_default_params():
     {"tau_m": 1e-200},
     {"tau_m": 1e155},
     {"tau_m": 10 ** 155},
+    # an int too large for a float is rejected, not an OverflowError
+    {"tau_m": 10 ** 400},
+    {"y_switch": 10 ** 400},
+    {"n_terms": 10 ** 400},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -31,6 +31,9 @@ K_0_1 = 0.427583576155807  # e * erfc(1), mpmath
     {"max_subdivisions": 16.0},
     {"tau_max": True},
     {"abs_tol": True},
+    # an int too large for a float is rejected, not an OverflowError
+    {"tau_max": 10 ** 400},
+    {"max_subdivisions": 10 ** 400},
 ])
 def test_invalid_spec_rejected(kwargs):
     with pytest.raises(ValueError):

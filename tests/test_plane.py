@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import pickle
 import random
 
 import pytest
 
 import cef.plane
-from cef import DomainError, Path, w_full_plane
+from cef import DomainError, EvaluationOutcome, Path, w_adaptive, w_full_plane
 from cef.fixtures import reference_rows
 from conftest import component_rel_errors, rel_error
 
@@ -39,6 +40,26 @@ def _ring(radius):
     s = radius * math.sqrt(0.5)
     return [complex(radius, 0.0), complex(s, s), complex(0.0, radius), complex(-s, s),
             complex(-radius, 0.0), complex(-s, -s), complex(0.0, -radius), complex(s, -s)]
+
+
+@pytest.mark.parametrize("kernel, z, path", [
+    (w_adaptive, 3.0 + 2.0j, Path.COMMON_ONLY),
+    (w_adaptive, 3.0 + 0.5j, Path.FULL_DECOMPOSITION),
+    (w_adaptive, complex(math.pi / 12.0, 1e-3), Path.REFINED),
+    (w_full_plane, 0j, Path.EXACT_SPECIAL_CASE),
+    (w_full_plane, 3.0 + 0j, Path.REFINED),
+    (w_full_plane, -3.0 - 0.5j, Path.SYMMETRY_EXTENDED),
+])
+def test_every_route_returns_the_public_outcome_type(kernel, z, path, coeffs):
+    outcome = kernel(z, coeffs)
+    assert type(outcome) is EvaluationOutcome
+    assert outcome._fields == ("value", "path")
+    assert outcome.path is path
+    assert outcome == EvaluationOutcome(outcome.value, outcome.path)
+    value, route = outcome
+    assert (value, route) == (outcome.value, outcome.path)
+    assert pickle.loads(pickle.dumps(outcome)) == outcome
+    assert repr(outcome).startswith("EvaluationOutcome(value=")
 
 
 def test_origin_is_exact(coeffs):
