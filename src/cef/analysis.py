@@ -134,9 +134,11 @@ def error_scan(grid: GridSpec, method: str, reference: str,
                coeffs: CoefficientTable, spec: QuadratureSpec | None = None
                ) -> AccuracyReport:
     """Relative error |method - reference| / max(|reference|, 1e-300) at
-    every grid node. A NaN error is the maximum, reported at its first
-    node. Oracle convergence failures are re-raised tagged with the
-    offending node."""
+    every grid node. A node where the method or the reference raises
+    OverflowError (the series formulas do once (tau_m z)^2 overflows) has
+    error NaN. A NaN error is the maximum, reported at its first node.
+    Oracle convergence failures are re-raised tagged with the offending
+    node."""
     if reference not in SCAN_REFERENCES:
         raise ValueError(f"unknown reference {reference!r}, expected one of {SCAN_REFERENCES}")
     if method not in SCAN_METHODS:
@@ -156,10 +158,15 @@ def error_scan(grid: GridSpec, method: str, reference: str,
             z = complex(x, y)
             try:
                 ref = r_fn(z)
+                value = evaluate(z, coeffs)[0]
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"reference failed to converge at x={x!r}, y={y!r}: {exc}") from exc
-            err = abs(evaluate(z, coeffs)[0] - ref) / max(abs(ref), _REL_ERROR_FLOOR)
+            except OverflowError:
+                # the series formulas raise once (tau_m z)^2 overflows
+                err = math.nan
+            else:
+                err = abs(value - ref) / max(abs(ref), _REL_ERROR_FLOOR)
             per_point.append((x, y, err))
             if err > max_err or (math.isnan(err) and not math.isnan(max_err)):
                 max_err = err

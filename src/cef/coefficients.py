@@ -12,10 +12,11 @@ whose coefficients have the closed form
 
 This module builds those coefficients once, eagerly, together with the
 poles n^2 pi^2 of the sum every kernel evaluates, so that evaluation is
-constant-time per call. The pole sums on the timed paths are compiled
-once per table into straight-line Python functions, one statement per term
-with the constants as complex literals, so a call pays no loop or tuple
-dispatch. A built table is immutable and safe to share between threads;
+constant-time per call. The sums every series route runs (the two pole
+sums and the refined series' accumulator) are compiled once per table
+into straight-line Python functions, one statement per term with the
+constants as complex literals, so a call pays no loop or tuple dispatch.
+A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
 """
@@ -93,12 +94,17 @@ class CoefficientTable:
     ``_n_live``       how many of a_1..a_N have not underflowed to 0.0;
     ``_pole_sum(u)``  sum_n c_n / (n^2 pi^2 - u), the pole sum;
     ``_pole_sums(u)`` (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
-                      quotient divided out once and added to both.
+                      quotient divided out once and added to both;
+    ``_refined_sum(u, odd_num, even_num, skip, star)``
+                      sum_n a_n num_n / (n^2 pi^2 - u) over the live terms,
+                      num_n = odd_num for odd n and even_num for even n,
+                      with the term n = skip replaced by -star (skip = 0
+                      replaces none): the refined series' accumulator.
 
-    The two sums are straight-line functions compiled by
+    The three sums are straight-line functions compiled by
     ``build_coefficients``; they accumulate in ascending n from 0j, exactly
-    as a loop over (n^2 pi^2, c_n) pairs would, and equal it bit for bit
-    (on CPython up to 3.13; see ``_compile_pole_sums``). The tuples are
+    as a loop over the same per-term constants would, and equal it bit for
+    bit (on CPython up to 3.13; see ``_compile_sums``). The tuples are
     plain tuples, so the table is deeply immutable. A table pickles as its
     parameters and is rebuilt on loading.
     """
@@ -110,6 +116,8 @@ class CoefficientTable:
     _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
     _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
                                                                     compare=False)
+    _refined_sum: Callable[[complex, complex, complex, int, complex], complex] = field(
+        repr=False, compare=False)
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so
@@ -117,12 +125,14 @@ class CoefficientTable:
         return build_coefficients, (self.params,)
 
 
-def _compile_pole_sums(params: SeriesParams, poles: tuple[float, ...],
-                       exp_factors: list[float]
-                       ) -> tuple[Callable[[complex], complex],
-                                  Callable[[complex], tuple[complex, complex]]]:
-    """Generate ``_pole_sum`` and ``_pole_sums`` from the poles n^2 pi^2
-    and the factors c_n of one table, n = 1..N in order.
+def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
+                  exp_factors: list[float], a: tuple[float, ...]
+                  ) -> tuple[Callable[[complex], complex],
+                             Callable[[complex], tuple[complex, complex]],
+                             Callable[[complex, complex, complex, int, complex], complex]]:
+    """Generate ``_pole_sum``, ``_pole_sums`` and ``_refined_sum`` from the
+    poles n^2 pi^2, the factors c_n and the coefficients a_n of one table,
+    n = 1..N in order, in one ``compile``.
 
     One statement per term, never one chained expression: a chained sum
     nests one level per term and exhausts the compiler's recursion limit
@@ -133,18 +143,24 @@ def _compile_pole_sums(params: SeriesParams, poles: tuple[float, ...],
     mixed float-complex arithmetic up to 3.13: the float was promoted to
     complex(x, 0.0). Python 3.14 applies mixed-mode rules instead, and a
     plain loop there can differ from these functions in the sign of a
-    zero imaginary part.)
+    zero imaginary part.) The skipped term of ``_refined_sum`` is added as
+    -star, which IEEE arithmetic rounds exactly as subtracting star.
 
-    c_n decreases strictly, so once it underflows to 0.0 every later
-    quotient is a signed zero, which leaves the 0j-seeded sums unchanged;
-    generation stops there.
+    c_n and a_n decrease strictly, so once one underflows to 0.0 every
+    later quotient is a signed zero, which leaves the 0j-seeded sums
+    unchanged; generation stops there.
     """
     plain = ["def _pole_sum(u):", "    acc = 0j"]
     fused = ["def _pole_sums(u):", "    common = 0j", "    alternating = 0j"]
-    for n, (n2pi2, c_n) in enumerate(zip(poles, exp_factors), start=1):
+    refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
+    for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
+        pole = repr(complex(n2pi2))
+        if a_n != 0.0:
+            num = "odd_num" if n % 2 else "even_num"
+            refined.append(f"    acc += -star if skip == {n} else "
+                           f"{complex(a_n)!r} * {num} / ({pole} - u)")
         if c_n == 0.0:
             break
-        pole = repr(complex(n2pi2))
         coeff = repr(complex(c_n))
         plain.append(f"    acc += {coeff} / ({pole} - u)")
         fused.append(f"    q = {coeff} / ({pole} - u)")
@@ -152,10 +168,11 @@ def _compile_pole_sums(params: SeriesParams, poles: tuple[float, ...],
         fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
     plain.append("    return acc")
     fused.append("    return common, alternating")
+    refined.append("    return acc")
     namespace: dict = {}
-    exec(compile("\n".join(plain + fused), f"<pole sums of {params!r}>", "exec"),
+    exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
          namespace)
-    return namespace["_pole_sum"], namespace["_pole_sums"]
+    return namespace["_pole_sum"], namespace["_pole_sums"], namespace["_refined_sum"]
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:
@@ -173,8 +190,8 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
 
     poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, n_max + 1))
     exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
-    pole_sum, pole_sums = _compile_pole_sums(params, poles, exp_factors[1:])
     a = tuple(prefactor * c for c in exp_factors)
+    pole_sum, pole_sums, refined_sum = _compile_sums(params, poles, exp_factors[1:], a)
     return CoefficientTable(
         params=params,
         a=a,
@@ -182,5 +199,6 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
         _n_live=n_max - a.count(0.0),
         _pole_sum=pole_sum,
         _pole_sums=pole_sums,
+        _refined_sum=refined_sum,
     )
 

@@ -16,7 +16,7 @@ import cmath
 
 from .coefficients import CoefficientTable
 from .errors import DomainError
-from .plane import w_full_plane
+from .plane import _REFLECTION_UNDERFLOW_LIMIT, w_full_plane
 from .series import w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
@@ -48,11 +48,20 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     where the cheap pole-sum route applies. The identity on the left half
     carries erfc -> 2 without the reflection's overflow or cancellation.
     OverflowError propagates from e^{-z^2} when |Im z|^2 - (Re z)^2
-    leaves the double range, as erfc itself does there.
+    leaves the double range, as erfc itself does there. Past |z| ~ 1.3e154,
+    where z * z is inf - inf, the result is 0 if e^{-z^2} underflows and
+    OverflowError otherwise (its phase 2xy is not a double there).
     """
     if z.real < 0.0:
         return 2.0 - erfc_complex(-z, coeffs)
-    return cmath.exp(-z * z) * w_full_plane(1j * z, coeffs).value
+    w = w_full_plane(1j * z, coeffs).value
+    zz = z * z
+    if not cmath.isfinite(zz):
+        x, y = z.real, abs(z.imag)
+        if (y - x) * (y + x) < _REFLECTION_UNDERFLOW_LIMIT:
+            return 0j
+        raise OverflowError(f"erfc_complex: exp(-z^2) overflowed at z = {z!r}")
+    return cmath.exp(-zz) * w
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
@@ -64,9 +73,19 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     the table's compiled pole sum at u = -(tau_m z)^2. Accurate only for
     larger Re z (it is the pole sum of w evaluated at iz, so the small-Im
     restriction of that series turns into a small-Re restriction here).
-    z = 0 is an explicit pole.
+    z = 0 is an explicit pole; a non-finite z raises DomainError, and
+    OverflowError is raised where (tau_m z)^2 or the value is not finite
+    (the latter for subnormal |z|, where 1/(tau_m z) overflows).
     """
     if z == 0:
         raise DomainError("erfc_cr_series has an explicit pole at z = 0")
     tz = coeffs.params.tau_m * z
-    return cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * coeffs._pole_sum(-(tz * tz)))
+    tz2 = tz * tz
+    if not cmath.isfinite(tz2):
+        if not cmath.isfinite(z):
+            raise DomainError(f"erfc_cr_series requires a finite argument, got z = {z!r}")
+        raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}")
+    value = cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * coeffs._pole_sum(-tz2))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"1/(tau_m z) overflowed at z = {z!r}")
+    return value

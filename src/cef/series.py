@@ -27,16 +27,22 @@ CoefficientTable:
     point: for large y it is negligible.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
-reports which route produced the value. All functions are pure and safe to
+reports which route produced the value. For y >= 28, and wherever
+(tau_m z)^2 overflows (|z| >~ 1.1e153 at tau_m = 12), it takes the
+Laplace continued fraction instead (Gautschi, SIAM J. Numer. Anal. 7,
+1970; Poppe & Wijers, ACM TOMS 16, 1990), cut at nu = 6 levels: six
+divisions, no square, within ~1e-14 of w(z) for |z| >= 28.
+The paper's formulas themselves never switch: once (tau_m z)^2 is not
+finite they raise OverflowError. All functions are pure and safe to
 call concurrently against a shared table, and all reject arguments that
 are not finite or not in the upper half-plane with DomainError. Summation
 runs in ascending n with plain double accumulation; the terms decay like
 e^{-n^2 h^2}, so compensated summation buys nothing at the tolerances
 targeted here.
 
-The pole sum and the refining sum, which carry the timed paths, are the
-table's compiled straight-line functions ``_pole_sum`` and ``_pole_sums``
-(see CoefficientTable); the finite-interval form is one loop, ``_refined``.
+The pole sum, the refining sum and the finite-interval form's sum are the
+table's compiled straight-line functions ``_pole_sum``, ``_pole_sums`` and
+``_refined_sum`` (see CoefficientTable), so no route runs a Python loop.
 Every kernel returning an EvaluationOutcome builds it with
 ``tuple.__new__(EvaluationOutcome, (value, path))`` and a module-level alias
 of the Path member, which on CPython 3.11 saves ~0.3 us per call against the
@@ -56,7 +62,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from itertools import cycle, islice
 from typing import NamedTuple
 
 from .coefficients import CoefficientTable
@@ -66,6 +71,12 @@ __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
            "w_adaptive"]
 
 _SQRT_PI = math.sqrt(math.pi)
+_I_OVER_SQRT_PI = 1j / _SQRT_PI
+
+# w_adaptive uses the continued fraction from this y up: with nu = 6 it is
+# within ~1e-14 of w(z) for |z| >= 28. The reference table and the boxes
+# the acceptance tests pin (y <= 15) stay on the series routes.
+_FAR_Y = 28.0
 
 # w_adaptive uses _refined where Im tau_m z and |Im e^{i tau_m z}| (that is,
 # ~|tau_m x - n pi|) are below this: outside, the compiled sums are within
@@ -81,6 +92,7 @@ class Path(enum.Enum):
     FULL_DECOMPOSITION = "full_decomposition"
     SYMMETRY_EXTENDED = "symmetry_extended"
     EXACT_SPECIAL_CASE = "exact_special_case"
+    CONTINUED_FRACTION = "continued_fraction"
 
     def __str__(self) -> str:  # CLI-friendly
         return self.value
@@ -102,20 +114,55 @@ _COMMON_ONLY = Path.COMMON_ONLY
 _FULL_DECOMPOSITION = Path.FULL_DECOMPOSITION
 _SYMMETRY_EXTENDED = Path.SYMMETRY_EXTENDED
 _EXACT_SPECIAL_CASE = Path.EXACT_SPECIAL_CASE
+_CONTINUED_FRACTION = Path.CONTINUED_FRACTION
 
 
 def _reject_outside_native_domain(z: complex) -> None:
-    """Raise for an argument that failed a kernel's guard,
-    ``z.imag > 0.0 and cmath.isfinite(z)``."""
+    """Raise DomainError for a non-finite z or Im z <= 0."""
     if not cmath.isfinite(z):
         raise DomainError(f"series kernels require a finite argument, got z = {z!r}")
-    raise DomainError(
-        f"series kernels require Im z > 0, got z = {z!r}; "
-        "use w_full_plane for other arguments")
+    if not z.imag > 0.0:
+        raise DomainError(
+            f"series kernels require Im z > 0, got z = {z!r}; "
+            "use w_full_plane for other arguments")
+
+
+def _reject(z: complex) -> None:
+    """Raise for an argument that failed a paper formula's guard,
+    ``z.imag > 0.0 and cmath.isfinite(tz2)`` with tz2 = (tau_m z)^2."""
+    _reject_outside_native_domain(z)
+    raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}; "
+                        "w_adaptive and w_full_plane evaluate w(z) there")
+
+
+def _overflowed(z: complex) -> None:
+    """Raise for a pole-sum value that left the doubles: 1/(tau_m z)
+    overflows for |tau_m z| below ~5.6e-309."""
+    raise OverflowError(f"1/(tau_m z) overflowed at z = {z!r}")
+
+
+def _continued_fraction(z: complex) -> complex:
+    """The Laplace continued fraction, unguarded, for large |z| with Im z >= 0:
+
+        w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
+
+    cut at nu = 6 levels and evaluated bottom-up. It forms no square, so it
+    stays finite up to the largest doubles. For |z| >= 28 (every point with
+    y >= 28, and the real axis there) it is within ~1e-14 of w(z); on the
+    real axis it omits e^{-x^2}, which is 0.0 wherever it is used.
+    """
+    t = z - 3.0 / z
+    t = z - 2.5 / t
+    t = z - 2.0 / t
+    t = z - 1.5 / t
+    t = z - 1.0 / t
+    t = z - 0.5 / t
+    return _I_OVER_SQRT_PI / t
 
 
 def _refined(z: complex, coeffs: CoefficientTable) -> complex:
-    """The finite-interval series, unguarded, for Im z >= 0.
+    """The finite-interval series, unguarded, for Im z >= 0 and a finite
+    (tau_m z)^2.
 
     With n* the nearest integer to Re tau_m z / pi and d = tau_m z - n* pi,
     the term that cancels is written as -a_|n*| E(d) / (n* pi + tau_m z)
@@ -123,32 +170,32 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     = i (sin h / h) e^{i h} with h = d/2; sin(h)/h, not 2 sin(h)/d, so that
     a subnormal d, which halves inexactly, adds no rounding. Only for
     |d| < 1 and |n*| <= n_live: beyond, no term cancels and sin h overflows
-    at large y. Elsewhere the loop is the plain one, up to the last a_n > 0.
+    at large y. The sum over the terms up to the last a_n > 0 is the
+    table's compiled ``_refined_sum``, which takes the closed-form term as
+    ``star`` in place of term |n*|.
     """
     tau = coeffs.params.tau_m
     tz = tau * z
-    tz2 = tz * tz
     e_itz = cmath.exp(1j * tz)
-    even_num = e_itz - 1.0
-    odd_num = -e_itz - 1.0
-    live = coeffs._n_live
     # nearest n* with |n*| <= n_live; beyond that, n* = 0 leaves |d| > 1
-    n_near = round(tz.real / math.pi) if abs(tz.real) < (live + 0.5) * math.pi else 0
+    n_near = (round(tz.real / math.pi)
+              if abs(tz.real) < (coeffs._n_live + 0.5) * math.pi else 0)
     d = tz - n_near * math.pi
-    near = abs(d) < 1.0
-    if near:
+    skip = 0
+    star = 0j
+    if abs(d) < 1.0:
         h = 0.5 * d
         e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
-    lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
+        if n_near:
+            lead = 1j * (1.0 - e_itz) / tz
+            skip = abs(n_near)
+            star = coeffs.a[skip] * e_d / (n_near * math.pi + tz)
+        else:
+            lead = -1j * e_d
+    else:
+        lead = 1j * (1.0 - e_itz) / tz
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
-    terms = zip(coeffs._poles, coeffs.a[1:live + 1], cycle((odd_num, even_num)))
-    acc = 0j
-    if near and n_near:
-        for n2pi2, a_n, num in islice(terms, abs(n_near) - 1):
-            acc += a_n * num / (n2pi2 - tz2)
-        acc -= next(terms)[1] * e_d / (n_near * math.pi + tz)
-    for n2pi2, a_n, num in terms:
-        acc += a_n * num / (n2pi2 - tz2)
+    acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
     return lead + 1j * (tau * tau * z / _SQRT_PI) * acc
 
 
@@ -157,9 +204,12 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
 
     Reproduces the reference tables to full double precision over
     x in [0, 15] and stays accurate as y -> 0, removable points included.
+    Raises OverflowError once (tau_m z)^2 is not finite (|z| >~ 1.5e153 at
+    tau_m = 12).
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        _reject_outside_native_domain(z)
+    tz = coeffs.params.tau_m * z
+    if not (z.imag > 0.0 and cmath.isfinite(tz * tz)):
+        _reject(z)
     return _refined(z, coeffs)
 
 
@@ -168,12 +218,17 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
 
     Noticeably faster than ``w_refined`` (no complex exponential, constant
     numerators) but only trustworthy for y around 1 and above; at small y
-    it is documented to fail outright.
+    it is documented to fail outright. Raises OverflowError once
+    (tau_m z)^2 is not finite, and once 1/(tau_m z) is (subnormal |z|).
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        _reject_outside_native_domain(z)
     tz = coeffs.params.tau_m * z
-    return 1j / tz - 2j * tz * coeffs._pole_sum(tz * tz)
+    tz2 = tz * tz
+    if not (z.imag > 0.0 and cmath.isfinite(tz2)):
+        _reject(z)
+    value = 1j / tz - 2j * tz * coeffs._pole_sum(tz2)
+    if not cmath.isfinite(value):
+        _overflowed(z)
+    return value
 
 
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
@@ -184,13 +239,25 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
     The alternating sum comes from the same compiled pass ``w_adaptive``
     uses, so ``w_cr(z) + refining_part(z)`` equals its full route bit for
-    bit.
+    bit. Raises OverflowError once (tau_m z)^2 is not finite, and once
+    1/(tau_m z) is (subnormal |z|).
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        _reject_outside_native_domain(z)
     tz = coeffs.params.tau_m * z
-    _, alternating = coeffs._pole_sums(tz * tz)
-    return -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)
+    tz2 = tz * tz
+    if not (z.imag > 0.0 and cmath.isfinite(tz2)):
+        _reject(z)
+    _, alternating = coeffs._pole_sums(tz2)
+    value = -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)
+    if not cmath.isfinite(value):
+        _overflowed(z)
+    return value
+
+
+def _far(z: complex) -> EvaluationOutcome:
+    """``w_adaptive`` for an argument that missed its guard: DomainError
+    for a non-finite z or Im z <= 0, else the continued fraction."""
+    _reject_outside_native_domain(z)
+    return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
 
 def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -206,13 +273,16 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     c_n / (n^2 pi^2 - tau_m^2 z^2) is divided out once, not twice.
     Where Im tau_m z and |Im e^{i tau_m z}| are below _NEAR_POLE, next to a
     removable point, ``_refined`` answers instead, as ``Path.REFINED``.
-    Non-finite arguments raise DomainError.
+    For y >= _FAR_Y, and wherever (tau_m z)^2 overflows, the continued
+    fraction answers, as ``Path.CONTINUED_FRACTION``; the guard that sends
+    points there is the one that rejects y <= 0 and non-finite z with
+    DomainError, so the other routes pay nothing for it.
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        _reject_outside_native_domain(z)
     params = coeffs.params
     tz = params.tau_m * z
     tz2 = tz * tz
+    if not (0.0 < z.imag < _FAR_Y and cmath.isfinite(tz2)):
+        return _far(z)
     if z.imag >= params.y_switch:
         return _new_outcome(EvaluationOutcome,
                             (1j / tz - 2j * tz * coeffs._pole_sum(tz2), _COMMON_ONLY))

@@ -185,11 +185,17 @@ class TestEval:
         assert proc.returncode == 3
         assert "requires finite x and y" in proc.stderr
         assert "(nan+1j)" in proc.stderr
-        proc = run_cli("eval", "--x", "1e300", "--y", "1e300")  # tau_m z squared overflows
+        # tau_m z squared overflows in the pole sum
+        proc = run_cli("eval", "--x", "1e300", "--y", "1e300", "--method", "cr")
         assert proc.returncode == 3
         assert "(1e+300+1e+300j)" in proc.stderr
         assert "overflowed" in proc.stderr
         assert "unpack" not in proc.stderr
+
+    def test_far_field_takes_the_continued_fraction(self):
+        proc = run_cli("eval", "--x", "1e300", "--y", "1e300")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "continued_fraction"
 
     def test_usage_error_exit_code(self):
         proc = run_cli("eval", "--x", "1")

@@ -3,6 +3,7 @@ adaptive dispatch."""
 
 import cmath
 import math
+import pickle
 import random
 import timeit
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,7 @@ from cef import (DomainError, Path, SeriesParams, build_coefficients,
                  refining_part, w_adaptive, w_cr, w_refined)
 from cef.fixtures import reference_rows
 from cef.series import _refined
-from conftest import component_rel_errors, rel_error
+from conftest import component_rel_errors, mp_w, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
 
@@ -162,10 +163,13 @@ class TestAdaptiveDispatch:
             assert rel_error(outcome.value, complex(wofz(z))) <= 2e-14, z
 
     def test_near_pole_dispatch_survives_overflowing_tau_x(self, coeffs):
-        # tau_m x = +-inf makes e^{i tau_m z} NaN; such points keep the
-        # full route (and its NaN, a large-|z| defect) instead of raising
+        # tau_m x = +-inf would make e^{i tau_m z} NaN; an overflowing
+        # (tau_m z)^2 sends such points to the continued fraction instead
         for x in (1e308, -1e308):
-            assert w_adaptive(complex(x, 1e-3), coeffs).path is Path.FULL_DECOMPOSITION
+            z = complex(x, 1e-3)
+            outcome = w_adaptive(z, coeffs)
+            assert outcome.path is Path.CONTINUED_FRACTION
+            assert rel_error(outcome.value, mp_w(z)) <= 1e-15, z
 
     def test_boundary_is_common_only(self, coeffs):
         outcome = w_adaptive(1.0 + 1.0j, coeffs)
@@ -283,6 +287,38 @@ def test_refined_stops_at_last_nonzero_term(n_terms):
     for z in points:
         got, want = _refined(z, table), loop_refined(z, table)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
+
+
+# the tables test_compiled_sums_equal_loops_bitwise checks the pole sums
+# on: at tau_m = 0.1 every a_n has underflowed, so no term is live
+REFINED_SUM_PARAMS = [SeriesParams(), SeriesParams(tau_m=6.7, n_terms=40, y_switch=0.5),
+                      SeriesParams(tau_m=20.0, n_terms=35, y_switch=2.0),
+                      SeriesParams(n_terms=1), SeriesParams(tau_m=0.1)]
+
+
+@pytest.mark.parametrize("params", REFINED_SUM_PARAMS, ids=repr)
+def test_compiled_refined_sum_equals_loop_bitwise(params):
+    # the compiled _refined_sum against the loop over every term, next to
+    # each removable point tau_m x = n pi (where the closed-form term
+    # replaces one term), on the real axis and scattered, before and after
+    # a pickle round trip. Bit-identity is claimed for CPython up to 3.13
+    # only, as for the pole sums (see coefficients._compile_sums)
+    table = build_coefficients(params)
+    restored = pickle.loads(pickle.dumps(table))
+    tau = params.tau_m
+    rng = random.Random(31)
+    points = [complex(rng.uniform(-15.0, 15.0), 15.0 * rng.random()) for _ in range(300)]
+    points += [complex(x, 0.0) for x in (0.5, 3.0, 8.0, 1e4, 1e100)]
+    points += [complex(0.0, y) for y in (1e-300, 0.3, 7.0, 200.0)]
+    for n in range(params.n_terms + 2):
+        for delta in (0.0, 1e-12, -1e-6, 0.4, -0.7):
+            for y in (0.0, 1e-300, 1e-12, 1e-4, 0.5):
+                x = (n * math.pi + delta) / tau
+                points += [complex(x, y), complex(-x, y)]
+    for z in points:
+        want = loop_refined(z, table)
+        for got in (_refined(z, table), _refined(z, restored)):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
 
 
 def test_refined_cost_does_not_grow_past_the_underflow():
