@@ -17,7 +17,7 @@ import cmath
 from .coefficients import CoefficientTable
 from .errors import DomainError
 from .plane import _REFLECTION_UNDERFLOW_LIMIT, w_full_plane
-from .series import w_adaptive
+from .series import _overflowed, w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 
@@ -73,9 +73,10 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     the table's compiled pole sum at u = -(tau_m z)^2. Accurate only for
     larger Re z (it is the pole sum of w evaluated at iz, so the small-Im
     restriction of that series turns into a small-Re restriction here).
-    z = 0 is an explicit pole; a non-finite z raises DomainError, and
-    OverflowError is raised where (tau_m z)^2 or the value is not finite
-    (the latter for subnormal |z|, where 1/(tau_m z) overflows).
+    z = 0 and z = +-i n pi / tau_m (n = 1..N, where a denominator
+    vanishes) are explicit poles; they and a non-finite z raise
+    DomainError. OverflowError is raised where (tau_m z)^2 or the value is
+    not finite (the latter for subnormal |z|, where 1/(tau_m z) overflows).
     """
     if z == 0:
         raise DomainError("erfc_cr_series has an explicit pole at z = 0")
@@ -85,7 +86,11 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
         if not cmath.isfinite(z):
             raise DomainError(f"erfc_cr_series requires a finite argument, got z = {z!r}")
         raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}")
-    value = cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * coeffs._pole_sum(-tz2))
+    try:
+        pole_sum = coeffs._pole_sum(-tz2)
+    except ZeroDivisionError:
+        raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
+    value = cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * pole_sum)
     if not cmath.isfinite(value):
-        raise OverflowError(f"1/(tau_m z) overflowed at z = {z!r}")
+        _overflowed(z)
     return value

@@ -86,15 +86,15 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
         if exponent > _REFLECTION_OVERFLOW_LIMIT:
             raise OverflowError(f"2 exp(-z^2) overflows double precision at z = {z!r} "
                                 f"(y^2 - x^2 > {_REFLECTION_OVERFLOW_LIMIT:g})")
-        if exponent >= _REFLECTION_UNDERFLOW_LIMIT and x * y > _HALF_MAX:
-            raise OverflowError(f"the phase 2xy of exp(-z^2) overflows double "
-                                f"precision at z = {z!r}")
     value = w_full_plane(complex(x, y), coeffs).value
     if mirror:
         value = value.conjugate()
     if reflect:
-        if exponent >= _REFLECTION_UNDERFLOW_LIMIT:
+        if exponent < _REFLECTION_UNDERFLOW_LIMIT:
+            value = -value
+        elif x * y <= _HALF_MAX:
             value = 2.0 * cmath.exp(-z * z) - value
         else:
-            value = -value
+            raise OverflowError(f"the phase 2xy of exp(-z^2) overflows double "
+                                f"precision at z = {z!r}")
     return _new_outcome(EvaluationOutcome, (value, _SYMMETRY_EXTENDED))

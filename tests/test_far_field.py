@@ -5,6 +5,7 @@ errors of the paper's formulas out there. References are mpmath
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -41,6 +42,24 @@ def test_both_sides_of_y_28(x, coeffs):
         outcome = w_adaptive(z, coeffs)
         assert outcome.path is path, z
         assert_close(outcome.value, z, 1e-14)
+
+
+def test_continued_fraction_region_against_wofz(coeffs):
+    # 4000 seeded points with y log-uniform over [28, 1e300] and x of
+    # either sign log-uniform over [1e-3, 1e300], 5% with y at exactly 28
+    np = pytest.importorskip("numpy")
+    wofz = pytest.importorskip("scipy.special").wofz
+    rng = random.Random(28)
+    points = []
+    for i in range(4000):
+        y = 28.0 if i % 20 == 0 else 28.0 * 10.0 ** rng.uniform(0.0, 298.0)
+        points.append(complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 300.0), y))
+    want = wofz(np.array(points))
+    for z, ref in zip(points, want.tolist()):
+        outcome = w_adaptive(z, coeffs)
+        assert outcome.path is Path.CONTINUED_FRACTION, z
+        if cmath.isfinite(ref) and ref:
+            assert rel_error(outcome.value, ref) <= 1e-14, z
 
 
 @pytest.mark.parametrize("radius", [30.0, 1e3, 1e155, 1e300])

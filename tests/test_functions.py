@@ -147,6 +147,15 @@ class TestErfcSeries:
         with pytest.raises(DomainError):
             erfc_cr_series(0j, coeffs)
 
+    def test_poles_on_the_imaginary_axis(self, coeffs):
+        # tau_m z = +-i n pi zeroes the denominator n^2 pi^2 + (tau_m z)^2
+        # (for n = 1, 2 the rounded z squares back to the rounded pole)
+        tau = coeffs.params.tau_m
+        for n in (1, 2):
+            for z in (1j * n * math.pi / tau, -1j * n * math.pi / tau):
+                with pytest.raises(DomainError, match="pole"):
+                    erfc_cr_series(z, coeffs)
+
     def test_accurate_at_larger_argument(self, coeffs):
         assert rel_error(erfc_cr_series(3.0 + 0j, coeffs).real, ERFC_ORACLE[3.0]) <= 1e-11
 
