@@ -39,7 +39,7 @@ def mp_w(z: complex, dps: int = 40) -> complex:
     for Im z >= 0, summed until a term drops below 10^-dps; what that
     leaves out is below e^{-600} of |w| there. For Im z < 0 it is
     2 e^{-z^2} - w(-z). The two forms agree to the last bit of a double
-    at |z| = 25..1000 in all directions.
+    at |z| = 25..1000 in every direction of the closed upper half-plane.
     """
     import mpmath
     with mpmath.workdps(dps):
