@@ -43,7 +43,6 @@ _REFLECTION_OVERFLOW_LIMIT = 700.0
 _REFLECTION_UNDERFLOW_LIMIT = -746.0
 # 2xy, the phase of e^{-z^2}, overflows once x * y exceeds this
 _HALF_MAX = sys.float_info.max / 2.0
-_INF = math.inf
 
 
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -72,7 +71,7 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
         return w_adaptive(z, coeffs)
     if y == 0.0 and x > 0.0:
         tx = coeffs.params.tau_m * x
-        if tx * tx < _INF:
+        if tx * tx < math.inf:
             return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
         return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
     reflect = y < 0.0

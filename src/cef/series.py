@@ -181,19 +181,16 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     n_near = (round(tz.real / math.pi)
               if abs(tz.real) < (coeffs._n_live + 0.5) * math.pi else 0)
     d = tz - n_near * math.pi
+    near = abs(d) < 1.0
     skip = 0
     star = 0j
-    if abs(d) < 1.0:
+    if near:
         h = 0.5 * d
         e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
         if n_near:
-            lead = 1j * (1.0 - e_itz) / tz
             skip = abs(n_near)
             star = coeffs.a[skip] * e_d / (n_near * math.pi + tz)
-        else:
-            lead = -1j * e_d
-    else:
-        lead = 1j * (1.0 - e_itz) / tz
+    lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
     acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
     return lead + 1j * (tau * tau * z / _SQRT_PI) * acc
@@ -204,7 +201,7 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
 
     Reproduces the reference tables to full double precision over
     x in [0, 15] and stays accurate as y -> 0, removable points included.
-    Raises OverflowError once (tau_m z)^2 is not finite (|z| >~ 1.5e153 at
+    Raises OverflowError once (tau_m z)^2 is not finite (|z| >~ 1.1e153 at
     tau_m = 12).
     """
     tz = coeffs.params.tau_m * z
@@ -276,7 +273,7 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     For y >= _FAR_Y, and wherever (tau_m z)^2 overflows, the continued
     fraction answers, as ``Path.CONTINUED_FRACTION``; the guard that sends
     points there is the one that rejects y <= 0 and non-finite z with
-    DomainError, so the other routes pay nothing for it.
+    DomainError, so the other routes pay one comparison for it.
     """
     params = coeffs.params
     tz = params.tau_m * z
