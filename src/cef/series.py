@@ -278,9 +278,10 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     params = coeffs.params
     tz = params.tau_m * z
     tz2 = tz * tz
-    if not (0.0 < z.imag < _FAR_Y and cmath.isfinite(tz2)):
+    y = z.imag
+    if not (0.0 < y < _FAR_Y and cmath.isfinite(tz2)):
         return _far(z)
-    if z.imag >= params.y_switch:
+    if y >= params.y_switch:
         return _new_outcome(EvaluationOutcome,
                             (1j / tz - 2j * tz * coeffs._pole_sum(tz2), _COMMON_ONLY))
     e_itz = cmath.exp(1j * tz)
