@@ -32,7 +32,6 @@ from .errors import ConvergenceError, DomainError
 from .fixtures import CR_STATUS_LABELS, reference_rows
 from .oracle import QuadratureSpec
 from .plane import w_full_plane
-from .series import w_cr, w_refined
 
 __all__ = ["main", "format_sci"]
 
@@ -40,12 +39,11 @@ ENV_PARAMS = "CEF_DEFAULT_PARAMS"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 TABLE_CHECK_TOL = 1e-12
-# the series `cef table` reproduces, in column order; each is a ReferenceRow field
-TABLE_SERIES = {"refined": w_refined, "cr": w_cr}
+# the series `cef table` reproduces, in column order: ReferenceRow fields, METHODS names
+TABLE_SERIES = ("refined", "cr")
 
 
 def format_sci(value: float) -> str:
@@ -112,8 +110,8 @@ def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
     for row in rows:
         z = complex(row.x, row.y)
         cells = [f"{row.x:<5g}", f"{row.y:<5g}"]
-        for name, kernel in TABLE_SERIES.items():
-            got, want = kernel(z, coeffs), getattr(row, name)
+        for name in TABLE_SERIES:
+            got, want = METHODS[name][0](z, coeffs)[0], getattr(row, name)
             for part, g, w in (("re", got.real, want.real), ("im", got.imag, want.imag)):
                 if name in shown:
                     cells.append(format_sci(g))

@@ -10,12 +10,12 @@ whose coefficients have the closed form
 
     a_n = (2 sqrt(pi) / tau_m) exp(-n^2 pi^2 / tau_m^2).
 
-This module builds those coefficients once, eagerly, together with the
-poles n^2 pi^2 of the sum every kernel evaluates, so that evaluation is
-constant-time per call. The sums every series route runs (the two pole
+This module builds those coefficients once, eagerly, so that evaluation
+is constant-time per call. The sums every series route runs (the two pole
 sums and the refined series' accumulator) are compiled once per table
 into straight-line Python functions, one statement per term with the
-constants as complex literals, so a call pays no loop or tuple dispatch.
+poles n^2 pi^2 and the other constants as complex literals, so a call
+pays no loop or tuple dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
@@ -84,14 +84,11 @@ class SeriesParams:
 @dataclass(frozen=True)
 class CoefficientTable:
     """Precomputed coefficients a_0..a_N bound to the parameters that
-    produced them, plus the poles and compiled sums used by the kernels.
+    produced them, plus the compiled sums the kernels call.
 
-    The derived members are implementation details. With
+    The sums are implementation details. With
     c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
 
-    ``_poles``        (n^2 pi^2 for n = 1..N), the only per-term tuple
-                      besides ``a``; loops pair it with ``a[1:]``;
-    ``_n_live``       how many of a_1..a_N have not underflowed to 0.0;
     ``_pole_sum(u)``  sum_n c_n / (n^2 pi^2 - u), the pole sum;
     ``_pole_sums(u)`` (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
                       quotient divided out once and added to both;
@@ -104,15 +101,13 @@ class CoefficientTable:
     The three sums are straight-line functions compiled by
     ``build_coefficients``; they accumulate in ascending n from 0j, exactly
     as a loop over the same per-term constants would, and equal it bit for
-    bit (on CPython up to 3.13; see ``_compile_sums``). The tuples are
-    plain tuples, so the table is deeply immutable. A table pickles as its
+    bit (on CPython up to 3.13; see ``_compile_sums``). ``a`` is a plain
+    tuple, so the table is deeply immutable. A table pickles as its
     parameters and is rebuilt on loading.
     """
 
     params: SeriesParams
     a: tuple[float, ...]
-    _poles: tuple[float, ...] = field(repr=False, compare=False)
-    _n_live: int = field(repr=False, compare=False)
     _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
     _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
                                                                     compare=False)
@@ -184,21 +179,11 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
     Invalid parameters raise ValueError (via SeriesParams validation).
     """
     tau = params.tau_m
-    n_max = params.n_terms
     prefactor = 2.0 * _SQRT_PI / tau
     tau_sq = tau * tau
 
-    poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, n_max + 1))
+    poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, params.n_terms + 1))
     exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
     a = tuple(prefactor * c for c in exp_factors)
-    pole_sum, pole_sums, refined_sum = _compile_sums(params, poles, exp_factors[1:], a)
-    return CoefficientTable(
-        params=params,
-        a=a,
-        _poles=poles,
-        _n_live=n_max - a.count(0.0),
-        _pole_sum=pole_sum,
-        _pole_sums=pole_sums,
-        _refined_sum=refined_sum,
-    )
+    return CoefficientTable(params, a, *_compile_sums(params, poles, exp_factors[1:], a))
 

@@ -9,11 +9,12 @@ Faddeeva symmetries apply:
 ``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
 
-On the real axis the refined series is its own y -> 0+ limit:
-``series._refined`` writes the term at the nearest removable point
-tau_m x = n pi in closed form, so only z = 0 (exactly 1) is special. Past
-the x where (tau_m x)^2 overflows (~1.1e153 at tau_m = 12) the axis takes
-the continued fraction, as ``w_adaptive`` does off the axis.
+The positive real axis goes to ``series._edge``, which owns the rule for
+every point the compiled sums do not take: the refined series, its own
+y -> 0+ limit there (it writes the term at the nearest removable point
+tau_m x = n pi in closed form), and the continued fraction past the x
+where (tau_m x)^2 overflows (~1.1e153 at tau_m = 12). Only z = 0
+(exactly 1) is special.
 
 Accuracy in the lower half-plane is limited by cancellation in
 2 e^{-z^2} - w(-z) near zeros of w, and by the rounding of -z^2 in
@@ -31,9 +32,8 @@ import sys
 
 from .coefficients import CoefficientTable
 from .errors import DomainError
-from .series import (_CONTINUED_FRACTION, _EXACT_SPECIAL_CASE, _REFINED, _SYMMETRY_EXTENDED,
-                     EvaluationOutcome, _continued_fraction, _new_outcome, _refined,
-                     w_adaptive)
+from .series import (_EXACT_SPECIAL_CASE, _SYMMETRY_EXTENDED, EvaluationOutcome, _edge,
+                     _new_outcome, w_adaptive)
 
 __all__ = ["w_full_plane"]
 
@@ -49,9 +49,10 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """Evaluate w(z) for any finite complex z.
 
     z = 0 returns exactly 1. The closed upper-right quadrant is evaluated
-    directly, its real axis by the refined series at y = 0 (its y -> 0+
-    limit), reported as ``Path.REFINED``, or by the continued fraction
-    where (tau_m x)^2 overflows, reported as ``Path.CONTINUED_FRACTION``.
+    directly, its real axis by ``series._edge``: the refined series at
+    y = 0 (its y -> 0+ limit), reported as ``Path.REFINED``, or the
+    continued fraction where (tau_m x)^2 overflows, reported as
+    ``Path.CONTINUED_FRACTION``.
     Any other z is reflected if y < 0, mirrored if x < 0, evaluated there
     by one nested call and unfolded. The reflection term 2 e^{-z^2} is
     dropped where y^2 - x^2 < -746, because it is 0.0 there; that also
@@ -70,10 +71,7 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     if y > 0.0 and x >= 0.0:
         return w_adaptive(z, coeffs)
     if y == 0.0 and x > 0.0:
-        tx = coeffs.params.tau_m * x
-        if tx * tx < math.inf:
-            return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
-        return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
+        return _edge(z, coeffs)
     reflect = y < 0.0
     if reflect:
         x, y = -x, -y

@@ -27,11 +27,13 @@ CoefficientTable:
     point: for large y it is negligible.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
-reports which route produced the value. For y >= 28, and wherever
-(tau_m z)^2 overflows (|z| >~ 1.1e153 at tau_m = 12), it takes the
-Laplace continued fraction instead (Gautschi, SIAM J. Numer. Anal. 7,
-1970; Poppe & Wijers, ACM TOMS 16, 1990), cut at nu = 6 levels: six
-divisions, no square, within ~1e-14 of w(z) for |z| >= 28.
+reports which route produced the value. Where the compiled sums stop is
+decided here alone, by ``_edge``, for ``w_adaptive`` and the real axis of
+``w_full_plane``: the Laplace continued fraction (Gautschi, SIAM J. Numer.
+Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990) for y >= 28 and wherever
+(tau_m z)^2 overflows (|z| >~ 1.1e153 at tau_m = 12), cut at nu = 6
+levels: six divisions, no square, within ~1e-14 of w(z) for |z| >= 28;
+``_refined`` for y <= 1e-146, where 1/(tau_m z) could overflow.
 The paper's formulas themselves never switch: once (tau_m z)^2 is not
 finite they raise OverflowError. All functions are pure and safe to
 call concurrently against a shared table, and all reject arguments that
@@ -77,6 +79,11 @@ _I_OVER_SQRT_PI = 1j / _SQRT_PI
 # within ~1e-14 of w(z) for |z| >= 28. The reference table and the boxes
 # the acceptance tests pin (y <= 15) stay on the series routes.
 _FAR_Y = 28.0
+
+# ... and _refined up to this y: above it tau_m y > 1/DBL_MAX (~5.6e-309)
+# for every tau_m SeriesParams accepts (down to ~1.6e-162, where tau_m^2
+# rounds to 0.0), so no compiled route forms an overflowing 1/(tau_m z)
+_TINY_Y = 1e-146
 
 # w_adaptive uses _refined where Im tau_m z and |Im e^{i tau_m z}| (that is,
 # ~|tau_m x - n pi|) are below this: outside, the compiled sums are within
@@ -169,17 +176,17 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     (the lead term -i E(d) for n* = 0), E(d) = (e^{i d} - 1) / d
     = i (sin h / h) e^{i h} with h = d/2; sin(h)/h, not 2 sin(h)/d, so that
     a subnormal d, which halves inexactly, adds no rounding. Only for
-    |d| < 1 and |n*| <= n_live: beyond, no term cancels and sin h overflows
+    |d| < 1 and |n*| <= N: beyond, no term cancels and sin h overflows
     at large y. The sum over the terms up to the last a_n > 0 is the
     table's compiled ``_refined_sum``, which takes the closed-form term as
-    ``star`` in place of term |n*|.
+    ``star`` in place of term |n*| (past the last a_n > 0, both are zeros).
     """
     tau = coeffs.params.tau_m
     tz = tau * z
     e_itz = cmath.exp(1j * tz)
-    # nearest n* with |n*| <= n_live; beyond that, n* = 0 leaves |d| > 1
+    # nearest n* with |n*| <= N; beyond that, n* = 0 leaves |d| > 1
     n_near = (round(tz.real / math.pi)
-              if abs(tz.real) < (coeffs._n_live + 0.5) * math.pi else 0)
+              if abs(tz.real) < (coeffs.params.n_terms + 0.5) * math.pi else 0)
     d = tz - n_near * math.pi
     near = abs(d) < 1.0
     skip = 0
@@ -250,10 +257,14 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     return value
 
 
-def _far(z: complex) -> EvaluationOutcome:
-    """``w_adaptive`` for an argument that missed its guard: DomainError
-    for a non-finite z or Im z <= 0, else the continued fraction."""
-    _reject_outside_native_domain(z)
+def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
+    """w(z) for a finite z with Im z >= 0 that the compiled sums do not
+    take: the continued fraction where y >= _FAR_Y or (tau_m z)^2
+    overflows, else ``_refined``. ``w_adaptive`` sends the points that
+    miss its guard here, ``w_full_plane`` the positive real axis."""
+    tz = coeffs.params.tau_m * z
+    if z.imag < _FAR_Y and cmath.isfinite(tz * tz):
+        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
 
@@ -270,17 +281,19 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     c_n / (n^2 pi^2 - tau_m^2 z^2) is divided out once, not twice.
     Where Im tau_m z and |Im e^{i tau_m z}| are below _NEAR_POLE, next to a
     removable point, ``_refined`` answers instead, as ``Path.REFINED``.
-    For y >= _FAR_Y, and wherever (tau_m z)^2 overflows, the continued
-    fraction answers, as ``Path.CONTINUED_FRACTION``; the guard that sends
-    points there is the one that rejects y <= 0 and non-finite z with
-    DomainError, so the other routes pay one comparison for it.
+    The compiled routes take only _TINY_Y < y < _FAR_Y with a finite
+    (tau_m z)^2. Every other point misses that one guard, is checked for
+    DomainError (y <= 0 or non-finite z) and goes to ``_edge``: the
+    continued fraction for y >= _FAR_Y or an overflowing (tau_m z)^2, as
+    ``Path.CONTINUED_FRACTION``, else ``_refined``, as ``Path.REFINED``.
     """
     params = coeffs.params
     tz = params.tau_m * z
     tz2 = tz * tz
     y = z.imag
-    if not (0.0 < y < _FAR_Y and cmath.isfinite(tz2)):
-        return _far(z)
+    if not (_TINY_Y < y < _FAR_Y and cmath.isfinite(tz2)):
+        _reject_outside_native_domain(z)
+        return _edge(z, coeffs)
     if y >= params.y_switch:
         return _new_outcome(EvaluationOutcome,
                             (1j / tz - 2j * tz * coeffs._pole_sum(tz2), _COMMON_ONLY))

@@ -198,9 +198,17 @@ def test_compiled_sums_equal_loops_bitwise(params):
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
+    # each live pole n^2 pi^2 of the loops is a complex literal of the
+    # compiled sums: of _pole_sum where c_n > 0, of _refined_sum where a_n > 0
     table = build_coefficients(params)
-    assert table._poles == tuple(n2pi2 for n2pi2, _ in loop_terms(params))
-    assert len(table._poles) == len(table.a) - 1
+    pole_literals, refined_literals = (
+        {c for c in fn.__code__.co_consts if isinstance(c, complex)}
+        for fn in (table._pole_sum, table._refined_sum))
+    for n, (n2pi2, c_n) in enumerate(loop_terms(params), start=1):
+        if c_n:
+            assert complex(n2pi2) in pole_literals, n
+        if table.a[n]:
+            assert complex(n2pi2) in refined_literals, n
 
 
 @pytest.mark.parametrize("params, live_terms", [

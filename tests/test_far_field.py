@@ -9,8 +9,9 @@ import random
 
 import pytest
 
-from cef import (DomainError, Path, erfc_complex, erfc_cr_series, imag_l, refining_part,
-                 voigt_k, w_adaptive, w_cr, w_full_plane, w_refined)
+from cef import (DomainError, Path, SeriesParams, build_coefficients, erfc_complex,
+                 erfc_cr_series, imag_l, refining_part, voigt_k, w_adaptive, w_cr,
+                 w_full_plane, w_refined)
 from conftest import mp_w, rel_error
 
 EPS = 2.0 ** -52
@@ -79,7 +80,13 @@ def test_four_quadrants(radius, coeffs):
         assert_close(outcome.value, z, 4.0 * radius * radius * EPS if live else 1e-14)
 
 
-@pytest.mark.parametrize("x", [1e4, 1e8, 1e15, 1.5e153, 2e153, 1e160, 1e300])
+# the last x with a finite (tau_m x)^2 at tau_m = 12, and the next float
+LAST_FINITE_SQUARE_X = 1.1173173274952162e153
+FIRST_OVERFLOWING_SQUARE_X = 1.1173173274952164e153
+
+
+@pytest.mark.parametrize("x", [1e4, 1e8, 1e15, LAST_FINITE_SQUARE_X,
+                               FIRST_OVERFLOWING_SQUARE_X, 1.5e153, 2e153, 1e160, 1e300])
 def test_real_axis(x, coeffs):
     # the refined series at y = 0 while (tau_m x)^2 is finite, the
     # continued fraction past that (1.5e153 is already past it)
@@ -90,8 +97,11 @@ def test_real_axis(x, coeffs):
     assert plus.path is path
     assert minus.path is Path.SYMMETRY_EXTENDED
     assert minus.value == plus.value.conjugate()
-    assert_close(plus.value, complex(x, 0.0), 1e-15)
-    assert_close(minus.value, complex(-x, 0.0), 1e-15)
+    # next to the overflow, u = (tau_m x)^2 ~ DBL_MAX makes the refined
+    # series' terms a_n num_n / (n^2 pi^2 - u) subnormal: 1.6e-15 there
+    bound = 2e-15 if x == LAST_FINITE_SQUARE_X else 1e-15
+    assert_close(plus.value, complex(x, 0.0), bound)
+    assert_close(minus.value, complex(-x, 0.0), bound)
 
 
 def test_cases_that_were_wrong(coeffs):
@@ -184,9 +194,11 @@ def sweep_points():
 def test_no_nan_for_any_finite_argument(coeffs):
     # every kernel and derived function either returns a finite value or
     # raises a named error: DomainError (a ValueError) or OverflowError
+    pole_sum_only = build_coefficients(SeriesParams(y_switch=0.0))
     kernels = {
         "w_cr": w_cr, "w_refined": w_refined, "refining_part": refining_part,
         "w_adaptive": lambda z, c: w_adaptive(z, c).value,
+        "w_adaptive at y_switch = 0": lambda z, c: w_adaptive(z, pole_sum_only).value,
         "w_full_plane": lambda z, c: w_full_plane(z, c).value,
         "voigt_k": lambda z, c: voigt_k(z.real, z.imag, c),
         "imag_l": lambda z, c: imag_l(z.real, z.imag, c),

@@ -192,11 +192,26 @@ class TestAdaptiveDispatch:
         for z in random_upper_half_points(seed=13, count=2_000):
             outcome = w_adaptive(z, coeffs)
             assert (outcome.path is Path.COMMON_ONLY) == (z.imag >= 1.0)
+        # the compiled routes start just above y = 1e-146, where 1/(tau_m z)
+        # is finite for every valid tau_m; at and below it _refined answers
+        for y, path in ((1e-146, Path.REFINED),
+                        (math.nextafter(1e-146, 1.0), Path.FULL_DECOMPOSITION)):
+            outcome = w_adaptive(complex(1.0, y), coeffs)
+            assert outcome.path is path, y
+            assert rel_error(outcome.value, mp_w(complex(1.0, y))) <= 1e-15, y
 
     def test_custom_switch_threshold(self):
         table = build_coefficients(SeriesParams(y_switch=0.5))
         assert w_adaptive(1 + 0.49j, table).path is Path.FULL_DECOMPOSITION
         assert w_adaptive(1 + 0.5j, table).path is Path.COMMON_ONLY
+        # at y_switch = 0 the pole sum's 1/(tau_m z) would overflow to inf
+        # for subnormal |z|; those points take the refined series
+        table = build_coefficients(SeriesParams(y_switch=0.0))
+        for z in (1e-320j, 1e-310j, complex(1e-310, 1e-310)):
+            outcome = w_adaptive(z, table)
+            assert outcome.path is Path.REFINED, z
+            assert cmath.isfinite(outcome.value), z
+            assert rel_error(outcome.value, mp_w(z)) <= 1e-15, z
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300])
@@ -266,7 +281,7 @@ def loop_refined(z, table):
             acc -= a_n * e_d / (n_near * math.pi + tz)
         else:
             acc += a_n * ((-e_itz - 1.0) if n % 2 else (e_itz - 1.0)) \
-                / (table._poles[n - 1] - tz2)
+                / ((n * n) * (math.pi * math.pi) - tz2)
     return lead + 1j * (tau * tau * z / math.sqrt(math.pi)) * acc
 
 
