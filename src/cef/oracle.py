@@ -12,7 +12,10 @@ two successive levels agree within the requested absolute tolerance. The
 initial panel width shrinks like pi/(4 x) so the oscillatory factor
 e^{i x tau} never outruns the rule. Panels are anchored at tau = 0, so
 results do not depend on the exact truncation point once the integrand has
-decayed below double precision (beyond tau ~ 53 it is < 1e-304).
+decayed below double precision. ``w_quadrature`` stops at the point T past
+which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
+for y -> 0 at the default abs_tol, and smaller for larger y), never past
+tau ~ 53, where exp(-tau^2/4) < 1e-304.
 
 This is a correctness instrument, not a production path: clarity and a
 trustworthy error estimate over speed. numpy is imported, and the 20-point
@@ -40,7 +43,13 @@ _DECAY_CUTOFF = 52.9
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation point, target absolute tolerance, and panel budget."""
+    """Truncation point, target absolute tolerance, and panel budget.
+
+    ``max_subdivisions`` bounds the panels of one refinement level, and
+    ``w_quadrature`` lays panels only up to its tail cutoff T (see
+    ``_tail_cutoff``), so the budget counts the panels up to T, not up to
+    tau_max. ``tau_max`` changes a ``w_quadrature`` result only below T.
+    """
 
     tau_max: float = 50.0
     abs_tol: float = 1e-14
@@ -60,9 +69,27 @@ class QuadratureSpec:
 
 @functools.cache
 def _gauss_legendre():
-    """The 20-point Gauss-Legendre rule, built once: a build costs ~1/4 of a w_quadrature."""
+    """The 20-point Gauss-Legendre rule, built once: a build (~0.4 ms on a
+    2-vCPU Xeon VM) costs about twice a mean w_quadrature over x in
+    [0.01, 15], y in [1e-4, 15]."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
+
+
+def _tail_cutoff(y: float, abs_tol: float) -> float:
+    """The T past which (1/sqrt(pi)) * integral_T^inf e^{-tau^2/4 - y tau}
+    dtau, which bounds the omitted tail of w, is at most abs_tol * 2^-52.
+
+    g(tau) = tau^2/4 + y tau is convex with g'(tau) = tau/2 + y, so the tail
+    is at most e^{-g(T)} / (sqrt(pi) g'(T)). T solves g(T) = L, so the
+    bound is e^{-L} / (sqrt(pi) sqrt(y^2 + L)) <= e^{-L} / sqrt(pi) <=
+    abs_tol * 2^-52 with L = max(1, ln(2^52 / (sqrt(pi) abs_tol))), taken
+    from logarithms so that no factor underflows. 2L / (hypot(y, sqrt(L)) + y)
+    is 2 (sqrt(y^2 + L) - y) without the cancellation at large y or the
+    overflow of y^2.
+    """
+    big_l = max(1.0, 52.0 * math.log(2.0) - math.log(_SQRT_PI) - math.log(abs_tol))
+    return 2.0 * big_l / (math.hypot(y, math.sqrt(big_l)) + y)
 
 
 def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> complex:
@@ -93,7 +120,8 @@ def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> compl
 
 def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     """w(z) for Im z > 0 by direct numerical integration of the defining
-    integral, truncated at spec.tau_max.
+    integral, truncated at spec.tau_max or where the tail drops below
+    abs_tol * 2^-52, whichever comes first.
 
     Raises DomainError for Im z <= 0 or non-finite z and ConvergenceError
     when the panel budget runs out before the tolerance is met.
@@ -107,7 +135,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(t * complex(-y, x) - 0.25 * t * t)
 
-    upper = min(spec.tau_max, _DECAY_CUTOFF)
+    upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
     width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
     return _refine_panels(integrand, upper, width, spec) / _SQRT_PI
 

@@ -95,6 +95,74 @@ def test_subdivision_budget_enforced():
         w_quadrature(15.0 + 0.5j, QuadratureSpec(max_subdivisions=4))
 
 
+def _untruncated(z, spec):
+    # w_quadrature as it was before the tail cutoff: the same integrand and
+    # panel width, integrated out to min(tau_max, _DECAY_CUTOFF)
+    np = pytest.importorskip("numpy")
+    x, y = z.real, z.imag
+
+    def integrand(t):
+        return np.exp(t * complex(-y, x) - 0.25 * t * t)
+
+    upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
+    width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
+    return oracle._refine_panels(integrand, upper, width, spec) / math.sqrt(math.pi)
+
+
+def test_tail_cutoff_changes_no_bit(qspec):
+    # the panels kept are the panels integrated before; the ones dropped
+    # are ~1e-30 against results ~1e-2, below every last bit on the box
+    # that perfbench's oracle_scan samples
+    for x in _log_nodes(0.01, 15.0, 10):
+        for y in _log_nodes(1e-4, 15.0, 10):
+            z = complex(x, y)
+            assert w_quadrature(z, qspec) == _untruncated(z, qspec), z
+
+
+@pytest.mark.parametrize("abs_tol", [1e-14, 1e-6])
+@pytest.mark.parametrize("y", [1e-4, 1.0, 15.0, 100.0])
+def test_omitted_tail_is_below_tolerance(y, abs_tol):
+    mpmath = pytest.importorskip("mpmath")
+    cutoff = oracle._tail_cutoff(y, abs_tol)
+    with mpmath.workdps(40):
+        tail = mpmath.quad(lambda t: mpmath.exp(-t * t / 4 - y * t),
+                           [cutoff, mpmath.inf]) / mpmath.sqrt(mpmath.pi)
+    assert 0 < tail <= abs_tol * 2.0 ** -52
+
+
+@pytest.mark.parametrize("z, abs_tol", [
+    # the cutoff passes 52.9 here, so _DECAY_CUTOFF (and tau_max) stop it
+    (1 + 1j, 5e-324),
+    (2.5 + 2.5j, 5e-324),
+    # L is clamped to 1 and the cutoff is about 0.83
+    (1 + 1j, 1e300),
+    (0.5 + 1e-300j, 1e-14),
+    (3 + 1e6j, 1e-14),
+    (1 + 1e200j, 1e-14),
+])
+def test_cutoff_edge_cases_return_finite_values(z, abs_tol):
+    # 2 (sqrt(y^2 + L) - y) would cancel at y = 1e6 and overflow at 1e200
+    cutoff = oracle._tail_cutoff(z.imag, abs_tol)
+    assert math.isfinite(cutoff) and cutoff > 0.0
+    assert math.isfinite(abs(w_quadrature(z, QuadratureSpec(abs_tol=abs_tol))))
+
+
+def test_tiny_tolerance_keeps_the_old_truncation_point():
+    spec = QuadratureSpec(abs_tol=5e-324)
+    assert oracle._tail_cutoff(1.0, spec.abs_tol) > oracle._DECAY_CUTOFF
+    assert w_quadrature(1 + 1j, spec) == _untruncated(1 + 1j, spec)
+
+
+def test_panel_budget_counts_panels_up_to_the_cutoff(qspec):
+    # 1910 panels to tau = 50 at the converged level, about a third of
+    # that up to the cutoff near tau = 15.5
+    z = 15.0 + 0.5j
+    budget = QuadratureSpec(max_subdivisions=1000)
+    with pytest.raises(ConvergenceError):
+        _untruncated(z, budget)
+    assert w_quadrature(z, budget) == w_quadrature(z, qspec)
+
+
 def test_finite_form_reproduces_refined_series(coeffs, qspec):
     # the refined series is the closed-form antiderivative of this
     # integral, so agreement validates the analytic integration step
@@ -129,7 +197,7 @@ def _log_nodes(lo, hi, n):
 
 
 def test_gauss_legendre_rule_is_built_once(coeffs, qspec, monkeypatch):
-    # a rule built per call would cost about a quarter of each w_quadrature
+    # a rule built per call would more than double the cost of each w_quadrature
     legendre = pytest.importorskip("numpy").polynomial.legendre
     builds = []
     real_leggauss = legendre.leggauss
