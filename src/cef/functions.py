@@ -17,7 +17,7 @@ import cmath
 from .coefficients import CoefficientTable
 from .errors import DomainError
 from .plane import _REFLECTION_UNDERFLOW_LIMIT, w_full_plane
-from .series import _overflowed, w_adaptive
+from .series import _finite, _scaled, w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 
@@ -80,17 +80,9 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     """
     if z == 0:
         raise DomainError("erfc_cr_series has an explicit pole at z = 0")
-    tz = coeffs.params.tau_m * z
-    tz2 = tz * tz
-    if not cmath.isfinite(tz2):
-        if not cmath.isfinite(z):
-            raise DomainError(f"erfc_cr_series requires a finite argument, got z = {z!r}")
-        raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}")
+    tz, tz2 = _scaled(z, coeffs)
     try:
         pole_sum = coeffs._pole_sum(-tz2)
     except ZeroDivisionError:
         raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
-    value = cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * pole_sum)
-    if not cmath.isfinite(value):
-        _overflowed(z)
-    return value
+    return _finite(cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * pole_sum), z)

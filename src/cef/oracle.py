@@ -10,7 +10,9 @@ replaced by its cosine expansion and integrated over [0, tau_m]. Both are
 computed by composite Gauss-Legendre panels, halving the panel width until
 two successive levels agree within the requested absolute tolerance. The
 initial panel width shrinks like pi/(4 x) so the oscillatory factor
-e^{i x tau} never outruns the rule. Panels are anchored at tau = 0, so
+e^{i x tau} never outruns the rule, and for ``w_quadrature`` like 4 pi / y
+above y = 16, so that the first panel's nodes see the decay e^{-y tau}:
+two levels that both miss that peak agree on a wrong value. Panels are anchored at tau = 0, so
 results do not depend on the exact truncation point once the integrand has
 decayed below double precision. ``w_quadrature`` stops at the point T past
 which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
@@ -24,13 +26,12 @@ rule built, on the first call, so ``import cef`` alone never loads numpy.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 from .coefficients import CoefficientTable, _is_int, _is_real
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, _require_upper_half_plane
 
 __all__ = ["QuadratureSpec", "w_quadrature", "w_finite_quadrature"]
 
@@ -123,11 +124,11 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     integral, truncated at spec.tau_max or where the tail drops below
     abs_tol * 2^-52, whichever comes first.
 
-    Raises DomainError for Im z <= 0 or non-finite z and ConvergenceError
-    when the panel budget runs out before the tolerance is met.
+    Raises DomainError for Im z <= 0 or non-finite z (the series kernels'
+    rule, ``errors._require_upper_half_plane``) and ConvergenceError when
+    the panel budget runs out before the tolerance is met.
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        raise DomainError(f"w_quadrature requires a finite z with Im z > 0, got z = {z!r}")
+    _require_upper_half_plane(z, "w_quadrature")
     x = z.real
     y = z.imag
     import numpy as np
@@ -136,7 +137,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
         return np.exp(t * complex(-y, x) - 0.25 * t * t)
 
     upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
-    width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
+    width = math.pi / (4.0 * max(1.0, abs(x), y / 16.0))
     return _refine_panels(integrand, upper, width, spec) / _SQRT_PI
 
 
@@ -148,9 +149,7 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     integral, so the two must agree; this cross-check validates the
     analytic integration step independently of the closed form.
     """
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        raise DomainError(
-            f"w_finite_quadrature requires a finite z with Im z > 0, got z = {z!r}")
+    _require_upper_half_plane(z, "w_finite_quadrature")
     x = z.real
     y = z.imag
     tau = coeffs.params.tau_m

@@ -31,7 +31,7 @@ import math
 import sys
 
 from .coefficients import CoefficientTable
-from .errors import DomainError
+from .errors import _require_upper_half_plane
 from .series import (_EXACT_SPECIAL_CASE, _SYMMETRY_EXTENDED, EvaluationOutcome, _edge,
                      _new_outcome, w_adaptive)
 
@@ -65,7 +65,7 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     x = z.real
     y = z.imag
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"w_full_plane requires a finite argument, got {z!r}")
+        _require_upper_half_plane(z, "w_full_plane")
     if z == 0:
         return _new_outcome(EvaluationOutcome, (1.0 + 0.0j, _EXACT_SPECIAL_CASE))
     if y > 0.0 and x >= 0.0:

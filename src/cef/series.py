@@ -34,13 +34,14 @@ Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990) for y >= 28 and wherever
 (tau_m z)^2 overflows (|z| >~ 1.1e153 at tau_m = 12), cut at nu = 6
 levels: six divisions, no square, within ~1e-14 of w(z) for |z| >= 28;
 ``_refined`` for y <= 1e-146, where 1/(tau_m z) could overflow.
-The paper's formulas themselves never switch: once (tau_m z)^2 is not
-finite they raise OverflowError. All functions are pure and safe to
-call concurrently against a shared table, and all reject arguments that
-are not finite or not in the upper half-plane with DomainError. Summation
-runs in ascending n with plain double accumulation; the terms decay like
-e^{-n^2 h^2}, so compensated summation buys nothing at the tolerances
-targeted here.
+The paper's formulas themselves never switch. Each of their argument
+rules raises from one function, the domain rule first: DomainError from
+``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is
+not finite from ``_scaled`` and where a pole-sum value is not from
+``_finite``. All functions are pure and safe to call concurrently against
+a shared table. Summation runs in ascending n with plain double
+accumulation; the terms decay like e^{-n^2 h^2}, so compensated summation
+buys nothing at the tolerances targeted here.
 
 The pole sum, the refining sum and the finite-interval form's sum are the
 table's compiled straight-line functions ``_pole_sum``, ``_pole_sums`` and
@@ -67,7 +68,7 @@ import math
 from typing import NamedTuple
 
 from .coefficients import CoefficientTable
-from .errors import DomainError
+from .errors import DomainError, _require_upper_half_plane
 
 __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
            "w_adaptive"]
@@ -124,28 +125,25 @@ _EXACT_SPECIAL_CASE = Path.EXACT_SPECIAL_CASE
 _CONTINUED_FRACTION = Path.CONTINUED_FRACTION
 
 
-def _reject_outside_native_domain(z: complex) -> None:
-    """Raise DomainError for a non-finite z or Im z <= 0."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"series kernels require a finite argument, got z = {z!r}")
-    if not z.imag > 0.0:
-        raise DomainError(
-            f"series kernels require Im z > 0, got z = {z!r}; "
-            "use w_full_plane for other arguments")
+def _scaled(z: complex, coeffs: CoefficientTable) -> tuple[complex, complex]:
+    """tau_m z and (tau_m z)^2 for a paper formula: DomainError for a
+    non-finite z, else OverflowError naming z where the square is not."""
+    tz = coeffs.params.tau_m * z
+    tz2 = tz * tz
+    if not cmath.isfinite(tz2):
+        if not cmath.isfinite(z):
+            raise DomainError(f"the paper formulas require a finite argument, got z = {z!r}")
+        raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}; "
+                            "w_adaptive and w_full_plane evaluate w(z) there")
+    return tz, tz2
 
 
-def _reject(z: complex) -> None:
-    """Raise for an argument that failed a paper formula's guard,
-    ``z.imag > 0.0 and cmath.isfinite(tz2)`` with tz2 = (tau_m z)^2."""
-    _reject_outside_native_domain(z)
-    raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}; "
-                        "w_adaptive and w_full_plane evaluate w(z) there")
-
-
-def _overflowed(z: complex) -> None:
-    """Raise for a pole-sum value that left the doubles: 1/(tau_m z)
-    overflows for |tau_m z| below ~5.6e-309."""
-    raise OverflowError(f"1/(tau_m z) overflowed at z = {z!r}")
+def _finite(value: complex, z: complex) -> complex:
+    """A pole-sum value, or OverflowError where it left the doubles:
+    1/(tau_m z) overflows for |tau_m z| below ~5.6e-309."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"1/(tau_m z) overflowed at z = {z!r}")
+    return value
 
 
 def _continued_fraction(z: complex) -> complex:
@@ -211,9 +209,8 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
     Raises OverflowError once (tau_m z)^2 is not finite (|z| >~ 1.1e153 at
     tau_m = 12).
     """
-    tz = coeffs.params.tau_m * z
-    if not (z.imag > 0.0 and cmath.isfinite(tz * tz)):
-        _reject(z)
+    _require_upper_half_plane(z, "w_refined")
+    _scaled(z, coeffs)
     return _refined(z, coeffs)
 
 
@@ -225,14 +222,9 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
     it is documented to fail outright. Raises OverflowError once
     (tau_m z)^2 is not finite, and once 1/(tau_m z) is (subnormal |z|).
     """
-    tz = coeffs.params.tau_m * z
-    tz2 = tz * tz
-    if not (z.imag > 0.0 and cmath.isfinite(tz2)):
-        _reject(z)
-    value = 1j / tz - 2j * tz * coeffs._pole_sum(tz2)
-    if not cmath.isfinite(value):
-        _overflowed(z)
-    return value
+    _require_upper_half_plane(z, "w_cr")
+    tz, tz2 = _scaled(z, coeffs)
+    return _finite(1j / tz - 2j * tz * coeffs._pole_sum(tz2), z)
 
 
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
@@ -246,15 +238,10 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     bit. Raises OverflowError once (tau_m z)^2 is not finite, and once
     1/(tau_m z) is (subnormal |z|).
     """
-    tz = coeffs.params.tau_m * z
-    tz2 = tz * tz
-    if not (z.imag > 0.0 and cmath.isfinite(tz2)):
-        _reject(z)
+    _require_upper_half_plane(z, "refining_part")
+    tz, tz2 = _scaled(z, coeffs)
     _, alternating = coeffs._pole_sums(tz2)
-    value = -1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating)
-    if not cmath.isfinite(value):
-        _overflowed(z)
-    return value
+    return _finite(-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating), z)
 
 
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -292,7 +279,7 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     tz2 = tz * tz
     y = z.imag
     if not (_TINY_Y < y < _FAR_Y and cmath.isfinite(tz2)):
-        _reject_outside_native_domain(z)
+        _require_upper_half_plane(z, "w_adaptive")
         return _edge(z, coeffs)
     if y >= params.y_switch:
         return _new_outcome(EvaluationOutcome,

@@ -156,6 +156,11 @@ class TestErfcSeries:
                 with pytest.raises(DomainError, match="pole"):
                     erfc_cr_series(z, coeffs)
 
+    def test_overflow_rule_holds_in_the_lower_half_plane(self, coeffs):
+        # the whole plane is erfc's domain, so (tau_m z)^2 decides here
+        with pytest.raises(OverflowError, match="overflowed"):
+            erfc_cr_series(1e200 - 1j, coeffs)
+
     def test_accurate_at_larger_argument(self, coeffs):
         assert rel_error(erfc_cr_series(3.0 + 0j, coeffs).real, ERFC_ORACLE[3.0]) <= 1e-11
 

@@ -49,9 +49,9 @@ def test_domain_errors(coeffs, qspec):
         w_finite_quadrature(1.0 + 0j, coeffs, qspec)
     # non-finite z is rejected up front, before any panel work
     for z in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(1.0, math.inf)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="finite"):
             w_quadrature(z, qspec)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="finite"):
             w_finite_quadrature(z, coeffs, qspec)
 
 
@@ -141,11 +141,21 @@ def test_omitted_tail_is_below_tolerance(y, abs_tol):
 ])
 def test_cutoff_edge_cases_return_finite_values(z, abs_tol):
     # 2 (sqrt(y^2 + L) - y) would cancel at y = 1e6 and overflow at 1e200.
-    # Only finiteness is checked: from y ~ 2e4 on, the nodes of the first
-    # panel miss the e^{-y tau} peak, so the value itself is not accurate.
+    # Only finiteness is checked here; test_large_y_matches_wofz checks
+    # the values at large y.
     cutoff = oracle._tail_cutoff(z.imag, abs_tol)
     assert math.isfinite(cutoff) and cutoff > 0.0
     assert math.isfinite(abs(w_quadrature(z, QuadratureSpec(abs_tol=abs_tol))))
+
+
+@pytest.mark.parametrize("y", [2e4, 5e4, 1e5, 1e6, 1e100, 1e200])
+@pytest.mark.parametrize("x", [0.0, 3.0, 100.0])
+def test_large_y_matches_wofz(x, y, qspec):
+    # a first panel pi/4 wide put every node where e^{-y tau} < 1e-29 from
+    # y ~ 2e4 on, and two levels that both missed the peak agreed
+    wofz = pytest.importorskip("scipy.special").wofz
+    z = complex(x, y)
+    assert rel_error(w_quadrature(z, qspec), complex(wofz(z))) <= 1e-13
 
 
 def test_tiny_tolerance_stops_at_the_decay_cutoff():
