@@ -151,8 +151,9 @@ def test_cutoff_edge_cases_return_finite_values(z, abs_tol):
 @pytest.mark.parametrize("y", [2e4, 5e4, 1e5, 1e6, 1e100, 1e200])
 @pytest.mark.parametrize("x", [0.0, 3.0, 100.0])
 def test_large_y_matches_wofz(x, y, qspec):
-    # a first panel pi/4 wide put every node where e^{-y tau} < 1e-29 from
-    # y ~ 2e4 on, and two levels that both missed the peak agreed
+    # the first panel must shrink with y: at pi/4 wide every node sits where
+    # e^{-y tau} < 1e-29 from y ~ 2e4 on, and two levels that both miss the
+    # peak agree
     wofz = pytest.importorskip("scipy.special").wofz
     z = complex(x, y)
     assert rel_error(w_quadrature(z, qspec), complex(wofz(z))) <= 1e-13
