@@ -7,16 +7,14 @@ erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and from erfc(z) = 2 - erfc(-z)
 for Re z < 0. The direct pole-sum approximation of erfc
 (``erfc_cr_series``) is retained for validation; it evaluates the same
 compiled pole sum as ``w_cr`` and, like it, is only accurate at larger
-Re z.
+Re z. Both take e^{-z^2} and its range rules from ``plane._exp_neg_square``.
 """
 
 from __future__ import annotations
 
-import cmath
-
 from .coefficients import CoefficientTable
 from .errors import DomainError
-from .plane import _REFLECTION_UNDERFLOW_LIMIT, w_full_plane
+from .plane import _exp_neg_square, w_full_plane
 from .series import _finite, _scaled, w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
@@ -47,21 +45,13 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     so w_full_plane never reflects, and large Re z maps to large Im iz,
     where the cheap pole-sum route applies. The identity on the left half
     carries erfc -> 2 without the reflection's overflow or cancellation.
-    OverflowError propagates from e^{-z^2} when |Im z|^2 - (Re z)^2
-    leaves the double range, as erfc itself does there. Past |z| ~ 1.3e154,
-    where z * z is inf - inf, the result is 0 if e^{-z^2} underflows and
-    OverflowError otherwise (its phase 2xy is not a double there).
+    e^{-z^2} comes from ``plane._exp_neg_square``: the result is 0 where it
+    underflows, and OverflowError propagates where it leaves the double
+    range, as erfc itself does there.
     """
     if z.real < 0.0:
         return 2.0 - erfc_complex(-z, coeffs)
-    w = w_full_plane(1j * z, coeffs).value
-    zz = z * z
-    if not cmath.isfinite(zz):
-        x, y = z.real, abs(z.imag)
-        if (y - x) * (y + x) < _REFLECTION_UNDERFLOW_LIMIT:
-            return 0j
-        raise OverflowError(f"erfc_complex: exp(-z^2) overflowed at z = {z!r}")
-    return cmath.exp(-zz) * w
+    return w_full_plane(1j * z, coeffs).value * _exp_neg_square(z)
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
@@ -85,4 +75,4 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
         pole_sum = coeffs._pole_sum(-tz2)
     except ZeroDivisionError:
         raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
-    return _finite(cmath.exp(-z * z) * (1.0 / tz + 2.0 * tz * pole_sum), z)
+    return _finite(_exp_neg_square(z) * (1.0 / tz + 2.0 * tz * pole_sum), z)

@@ -154,14 +154,15 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     y = z.imag
     tau = coeffs.params.tau_m
     import numpy as np
-    a = np.asarray(coeffs.a)
+    # a_n is 0.0 from n = 105 at tau_m = 12: only the live terms count
+    a = np.trim_zeros(np.asarray(coeffs.a), "b")
     freqs = np.arange(a.size) * (math.pi / tau)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         kernel = np.cos(t[:, None] * freqs[None, :]) @ a - 0.5 * a[0]
         return kernel * np.exp(-y * t) * (np.cos(x * t) + 1j * np.sin(x * t))
 
-    # the kernel itself carries frequencies up to N pi / tau_m
+    # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
     width = min(0.5, math.pi / (4.0 * bandwidth))
     return _refine_panels(integrand, tau, width, spec) / _SQRT_PI

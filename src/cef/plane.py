@@ -16,19 +16,17 @@ tau_m x = n pi in closed form), and the continued fraction past the x
 where (tau_m x)^2 overflows (~1.1e153 at tau_m = 12). Only z = 0
 (exactly 1) is special.
 
-Accuracy in the lower half-plane is limited by cancellation in
+e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
+``functions``, is formed in one place, ``_exp_neg_square``, with its range
+rules. Accuracy in the lower half-plane is limited by cancellation in
 2 e^{-z^2} - w(-z) near zeros of w, and by the rounding of -z^2 in
-e^{-z^2}, which grows with |z|^2 near the diagonal |y| = |x|. The
-reflection term overflows once y^2 - x^2 grows past the double exponent
-range, which is reported as OverflowError rather than returning
-infinities; where it underflows it is left out.
+e^{-z^2}, which grows with |z|^2 near the diagonal |y| = |x|.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from .coefficients import CoefficientTable
 from .errors import _require_upper_half_plane
@@ -37,12 +35,28 @@ from .series import (_EXACT_SPECIAL_CASE, _SYMMETRY_EXTENDED, EvaluationOutcome,
 
 __all__ = ["w_full_plane"]
 
-# 2 e^{-z^2} has magnitude 2 e^{y^2 - x^2}; doubles top out near e^{709.8}
+# e^{-z^2} has magnitude e^{y^2 - x^2}; doubles top out near e^{709.8}
 # and e^{-745.2} rounds to 0.0 (the least subnormal is e^{-744.4})
 _REFLECTION_OVERFLOW_LIMIT = 700.0
-_REFLECTION_UNDERFLOW_LIMIT = -746.0
-# 2xy, the phase of e^{-z^2}, overflows once x * y exceeds this
-_HALF_MAX = sys.float_info.max / 2.0
+_UNDERFLOW_LIMIT = -746.0
+
+
+def _exp_neg_square(z: complex) -> complex:
+    """e^{-z^2} for finite z. 0j where y^2 - x^2 < -746, tested as
+    (y - x)(y + x): e^{-z^2} is 0.0 there and z * z may be inf - inf.
+    OverflowError where z * z is not finite otherwise (on y = +-x past
+    ~9.5e153 its phase 2xy is not a double), and from cmath.exp where
+    y^2 - x^2 > ~709.78.
+    """
+    x = z.real
+    y = z.imag
+    if (y - x) * (y + x) < _UNDERFLOW_LIMIT:
+        return 0j
+    neg_square = -z * z
+    if not cmath.isfinite(neg_square):
+        raise OverflowError(f"exp(-z^2) overflowed at z = {z!r}: z^2 or its phase 2xy "
+                            f"is not a double")
+    return cmath.exp(neg_square)
 
 
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -54,9 +68,8 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     continued fraction where (tau_m x)^2 overflows, reported as
     ``Path.CONTINUED_FRACTION``.
     Any other z is reflected if y < 0, mirrored if x < 0, evaluated there
-    by one nested call and unfolded. The reflection term 2 e^{-z^2} is
-    dropped where y^2 - x^2 < -746, because it is 0.0 there; that also
-    keeps z * z (inf - inf = NaN past |z| ~ 1.3e154) out of the result.
+    by one nested call and unfolded, the reflection with 2 e^{-z^2} from
+    ``_exp_neg_square``, which is 0 where y^2 - x^2 < -746.
     Raises DomainError on NaN/Inf input and OverflowError when the
     reflection term leaves the double range: y < 0 and y^2 - x^2 > 700,
     tested as (y - x)(y + x) on the folded point, never inf - inf, or
@@ -78,20 +91,14 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     mirror = x < 0.0
     if mirror:
         x = -x
-    if reflect:
-        exponent = (y - x) * (y + x)
-        if exponent > _REFLECTION_OVERFLOW_LIMIT:
-            raise OverflowError(f"2 exp(-z^2) overflows double precision at z = {z!r} "
-                                f"(y^2 - x^2 > {_REFLECTION_OVERFLOW_LIMIT:g})")
+    if reflect and (y - x) * (y + x) > _REFLECTION_OVERFLOW_LIMIT:
+        raise OverflowError(f"2 exp(-z^2) overflows double precision at z = {z!r} "
+                            f"(y^2 - x^2 > {_REFLECTION_OVERFLOW_LIMIT:g})")
     value = w_full_plane(complex(x, y), coeffs).value
     if mirror:
         value = value.conjugate()
     if reflect:
-        if exponent < _REFLECTION_UNDERFLOW_LIMIT:
-            value = -value
-        elif x * y <= _HALF_MAX:
-            value = 2.0 * cmath.exp(-z * z) - value
-        else:
-            raise OverflowError(f"the phase 2xy of exp(-z^2) overflows double "
-                                f"precision at z = {z!r}")
+        # not 2 e - value: where e is 0 that turns a -0.0 part of -value
+        # into +0.0
+        value = -(value - 2.0 * _exp_neg_square(z))
     return _new_outcome(EvaluationOutcome, (value, _SYMMETRY_EXTENDED))

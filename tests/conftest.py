@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cef import QuadratureSpec, SeriesParams, build_coefficients
+from cef import QuadratureSpec, SeriesParams, build_coefficients, measure_throughput
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,19 @@ def rel_error(got: complex, want: complex) -> float:
 def component_rel_errors(got: complex, want: complex) -> tuple[float, float]:
     return (abs(got.real - want.real) / abs(want.real),
             abs(got.imag - want.imag) / abs(want.imag))
+
+
+def interleaved_throughputs(method_a, method_b, coeffs, total=1_000_000, batches=4):
+    """Points/s of two bench methods over ``total`` points each, timed in
+    alternating batches so that CPU frequency drift over the run hits both
+    measurements evenly."""
+    per_batch = total // batches
+    wall = {method_a: 0.0, method_b: 0.0}
+    for batch in range(batches):
+        for method in (method_a, method_b):
+            report = measure_throughput(method, per_batch, 42 + batch, coeffs)
+            wall[method] += report.wall_time
+    return total / wall[method_a], total / wall[method_b]
 
 
 def ulp_diff(a: float, b: float) -> float:

@@ -11,12 +11,12 @@ from contextlib import contextmanager
 import pytest
 
 from cef import (GridSpec, bench_points, erfc_complex, erfc_cr_series,
-                 error_scan, measure_throughput, refining_part, w_adaptive,
+                 error_scan, refining_part, w_adaptive,
                  w_cr, w_finite_quadrature, w_full_plane, w_quadrature,
                  w_refined)
 from cef.series import Path
 from cef.fixtures import reference_rows
-from conftest import component_rel_errors, rel_error
+from conftest import component_rel_errors, interleaved_throughputs, rel_error
 
 ROWS = reference_rows()
 
@@ -109,22 +109,9 @@ def test_criterion_6_adaptive_dispatch(coeffs):
         assert boundary.value == w_cr(complex(3.0, 1.0), coeffs)
 
 
-def _interleaved_wall_times(method_a, method_b, coeffs, total=1_000_000, batches=4):
-    # alternate batches of the two methods so CPU frequency drift over the
-    # run hits both measurements evenly; each method still sees `total`
-    # points overall
-    per_batch = total // batches
-    wall = {method_a: 0.0, method_b: 0.0}
-    for batch in range(batches):
-        for method in (method_a, method_b):
-            report = measure_throughput(method, per_batch, 42 + batch, coeffs)
-            wall[method] += report.wall_time
-    return total / wall[method_a], total / wall[method_b]
-
-
 def test_criterion_7_acceleration(coeffs):
     with criterion(7, "common-only throughput >= 1.2x full decomposition on 1e6 points"):
-        fast, slow = _interleaved_wall_times("adaptive_high_y", "adaptive_low_y", coeffs)
+        fast, slow = interleaved_throughputs("adaptive_high_y", "adaptive_low_y", coeffs)
         ratio = fast / slow
         print(f"  common-only vs full decomposition: {ratio:.2f}x")
         assert ratio >= 1.2
@@ -179,7 +166,7 @@ def test_criterion_7_companion_pole_sum_vs_refined(coeffs):
     # against the refined series on identical points
     with criterion(7, "companion: cr >= 1.2x refined on shared points"):
         assert bench_points("full", 10, 42) == bench_points("full", 10, 42)
-        fast, slow = _interleaved_wall_times("cr", "refined", coeffs)
+        fast, slow = interleaved_throughputs("cr", "refined", coeffs)
         ratio = fast / slow
         print(f"  pole sum vs refined: {ratio:.2f}x")
         assert ratio >= 1.2

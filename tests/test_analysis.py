@@ -7,7 +7,7 @@ import pytest
 from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, analysis,
                  bench_points, error_scan, measure_throughput, w_adaptive, w_refined)
 from cef.cli import _evaluate
-from conftest import rel_error
+from conftest import interleaved_throughputs, rel_error
 
 
 def row_grid(y, nx=20):
@@ -187,9 +187,8 @@ class TestBench:
         assert rel_error(report.checksum, manual) <= 1e-12
 
     def test_pole_sum_outruns_refined_series(self, coeffs):
-        fast = measure_throughput("cr", 100_000, 42, coeffs)
-        slow = measure_throughput("refined", 100_000, 42, coeffs)
-        assert fast.throughput >= 1.2 * slow.throughput
+        fast, slow = interleaved_throughputs("cr", "refined", coeffs, total=100_000, batches=10)
+        assert fast >= 1.2 * slow
 
 
 class TestMethodRegistry:

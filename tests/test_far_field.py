@@ -124,13 +124,19 @@ def test_cases_that_were_wrong(coeffs):
     assert_close(outcome.value, z, 1e-15)
 
 
+def bits(value: complex) -> tuple[str, str]:
+    """Both parts of a complex, signs of zero included."""
+    return value.real.hex(), value.imag.hex()
+
+
 def test_reflection_term_left_out_where_it_underflows(coeffs):
-    # y^2 - x^2 < -746: 2 e^{-z^2} is 0.0, and z * z would be inf - inf
+    # y^2 - x^2 < -746: 2 e^{-z^2} is 0.0, and z * z would be inf - inf;
+    # at 1e200 - 1e-200j the real part of -w(-z) is -0.0
     for z in (complex(1e200, -1e100), complex(-1e200, -1e199), complex(3e154, -2e154),
-              complex(-40.0, -10.0)):
+              complex(-40.0, -10.0), complex(1e200, -1e-200)):
         outcome = w_full_plane(z, coeffs)
         assert outcome.path is Path.SYMMETRY_EXTENDED
-        assert outcome.value == -w_full_plane(-z, coeffs).value, z
+        assert bits(outcome.value) == bits(-w_full_plane(-z, coeffs).value), z
         assert_close(outcome.value, z, 1e-14)
 
 
@@ -177,6 +183,19 @@ def test_erfc_complex_at_large_arguments(coeffs):
     for z in (complex(1e200, 1e201), complex(1e200, -1e200)):
         with pytest.raises(OverflowError):
             erfc_complex(z, coeffs)
+
+
+def test_erfc_is_finite_where_the_fold_overflows(coeffs):
+    # 700 < y^2 - x^2 < 709.78: e^{-z^2} w(iz) is a double, so the fold's
+    # overflow rule at 700 belongs to 2 e^{-z^2} - w, not to e^{-z^2}
+    mpmath = pytest.importorskip("mpmath")
+    for z in (complex(1.0, 26.570660511172846), complex(0.5, 26.6), complex(3.0, 26.7)):
+        with mpmath.workdps(40):
+            want = complex(mpmath.erfc(mpmath.mpc(z.real, z.imag)))
+        assert rel_error(erfc_complex(z, coeffs), want) <= 1e-13, z
+        assert must_overflow(z.conjugate())
+        with pytest.raises(OverflowError):
+            w_full_plane(z.conjugate(), coeffs)
 
 
 def sweep_points():

@@ -1,0 +1,61 @@
+"""Leftovers the interpreter does not report: a module-level import that its
+module never uses, and a module-level private name that nothing in the
+package uses. Both are read from the source with ``ast``."""
+
+import ast
+import pathlib
+
+import cef
+
+PACKAGE = pathlib.Path(cef.__file__).parent
+TREES = {path.name: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken and the entries of ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        used = used_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def module_level_private_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_module_level_private_name_is_used():
+    used = set().union(*(used_names(tree) for tree in TREES.values()))
+    unused = [f"{name}: {private}" for name, tree in TREES.items()
+              for private in sorted(module_level_private_names(tree) - used)]
+    assert not unused, unused

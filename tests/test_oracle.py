@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from cef import (ConvergenceError, DomainError, QuadratureSpec, oracle,
-                 w_finite_quadrature, w_quadrature, w_refined)
+from cef import (ConvergenceError, DomainError, QuadratureSpec, SeriesParams,
+                 build_coefficients, oracle, w_finite_quadrature, w_quadrature, w_refined)
 from cef.fixtures import reference_rows
 from conftest import rel_error
 
@@ -181,6 +181,14 @@ def test_finite_form_reproduces_refined_series(coeffs, qspec):
     for z, tol in ((1 + 1j, 1e-11), (0.1 + 0.1j, 1e-10), (5 + 5j, 1e-11)):
         got = w_finite_quadrature(z, coeffs, qspec)
         assert rel_error(got, w_refined(z, coeffs)) <= tol, z
+
+
+def test_finite_form_ignores_underflowed_terms(qspec):
+    # a_n is 0.0 from n = 105 at tau_m = 12: the terms past it change no
+    # bit and must not widen the kernel's cos matrix (~235 MB at N = 300)
+    z = 1 + 1j
+    live = w_finite_quadrature(z, build_coefficients(SeriesParams(n_terms=105)), qspec)
+    assert w_finite_quadrature(z, build_coefficients(SeriesParams(n_terms=300)), qspec) == live
 
 
 def test_finite_form_grid_agreement(coeffs, qspec):

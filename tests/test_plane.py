@@ -104,6 +104,16 @@ def test_negative_x_by_conjugation(coeffs):
     assert err_re <= 1e-12 and err_im <= 1e-12
 
 
+def test_conjugation_symmetry_keeps_the_sign_of_zero_below_the_axis(coeffs):
+    # w(-conj z) = conj w(z) at z = +0 - iy: Im w is +0.0 there and -0.0 at
+    # -0 - iy, as the limits from x > 0 and x < 0 are
+    for y in (0.5, 2.0, 20.0):
+        plus = w_full_plane(complex(0.0, -y), coeffs).value
+        minus = w_full_plane(complex(-0.0, -y), coeffs).value
+        assert minus.real == plus.real, y
+        assert (math.copysign(1.0, plus.imag), math.copysign(1.0, minus.imag)) == (1.0, -1.0), y
+
+
 def test_conjugation_symmetry_is_exact(coeffs):
     rng = random.Random(23)
     for _ in range(1_000):
