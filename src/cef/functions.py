@@ -12,10 +12,12 @@ Re z. Both take e^{-z^2} and its range rules from ``plane._exp_neg_square``.
 
 from __future__ import annotations
 
+import math
+
 from .coefficients import CoefficientTable
 from .errors import DomainError
 from .plane import _exp_neg_square, w_full_plane
-from .series import _finite, _scaled, w_adaptive
+from .series import _FAR_ABS, _continued_fraction, _finite, _scaled, w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 
@@ -23,18 +25,26 @@ __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
-    Evenness in x is enforced structurally by evaluating at |x|. y <= 0 and
-    non-finite arguments raise DomainError from ``w_adaptive``.
+    Evenness in x is enforced structurally by evaluating at |x|. The
+    continued fraction answers where |z| >= 10 (``series._FAR_ABS``),
+    ``w_adaptive`` elsewhere; y <= 0 and non-finite arguments go to
+    ``w_adaptive``, which raises DomainError.
     """
-    return w_adaptive(complex(abs(x), y), coeffs).value.real
+    z = complex(abs(x), y)
+    if y > 0.0 and _FAR_ABS <= abs(z) < math.inf:
+        return _continued_fraction(z).real
+    return w_adaptive(z, coeffs).value.real
 
 
 def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
-    """L(x, y) = Im w(x + iy), y > 0. Odd in x by construction; domain
-    errors as for ``voigt_k``."""
+    """L(x, y) = Im w(x + iy), y > 0. Odd in x by construction; routes and
+    domain errors as for ``voigt_k``."""
     if x < 0.0:
-        return -w_adaptive(complex(-x, y), coeffs).value.imag
-    return w_adaptive(complex(x, y), coeffs).value.imag
+        return -imag_l(-x, y, coeffs)
+    z = complex(x, y)
+    if y > 0.0 and _FAR_ABS <= abs(z) < math.inf:
+        return _continued_fraction(z).imag
+    return w_adaptive(z, coeffs).value.imag
 
 
 def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:

@@ -9,11 +9,11 @@ Faddeeva symmetries apply:
 ``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
 
-The positive real axis goes to ``series._edge``, which owns the rule for
-every point the compiled sums do not take: the refined series, its own
-y -> 0+ limit there (it writes the term at the nearest removable point
-tau_m x = n pi in closed form), and the continued fraction past the x
-where (tau_m x)^2 overflows (~1.1e153 at tau_m = 12). Only z = 0
+The positive real axis and every point of the quadrant with |z| >= 10 go
+to ``series._edge``, which owns the rule for every point the compiled sums
+do not take: the continued fraction at |z| >= 10, and the refined series,
+its own y -> 0+ limit, on the real axis closer in (it writes the term at
+the nearest removable point tau_m x = n pi in closed form). Only z = 0
 (exactly 1) is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
@@ -30,8 +30,8 @@ import math
 
 from .coefficients import CoefficientTable
 from .errors import _require_upper_half_plane
-from .series import (_EXACT_SPECIAL_CASE, _SYMMETRY_EXTENDED, EvaluationOutcome, _edge,
-                     _new_outcome, w_adaptive)
+from .series import (_EXACT_SPECIAL_CASE, _FAR_ABS, _SYMMETRY_EXTENDED, EvaluationOutcome,
+                     _edge, _new_outcome, w_adaptive)
 
 __all__ = ["w_full_plane"]
 
@@ -63,10 +63,11 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """Evaluate w(z) for any finite complex z.
 
     z = 0 returns exactly 1. The closed upper-right quadrant is evaluated
-    directly, its real axis by ``series._edge``: the refined series at
-    y = 0 (its y -> 0+ limit), reported as ``Path.REFINED``, or the
-    continued fraction where (tau_m x)^2 overflows, reported as
-    ``Path.CONTINUED_FRACTION``.
+    directly: by ``w_adaptive`` where y > 0 and |z| < 10, elsewhere by
+    ``series._edge``, that is by the continued fraction where |z| >= 10,
+    reported as ``Path.CONTINUED_FRACTION``, and on the real axis closer
+    in by the refined series at y = 0 (its y -> 0+ limit), reported as
+    ``Path.REFINED``.
     Any other z is reflected if y < 0, mirrored if x < 0, evaluated there
     by one nested call and unfolded, the reflection with 2 e^{-z^2} from
     ``_exp_neg_square``, which is 0 where y^2 - x^2 < -746.
@@ -81,10 +82,10 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
         _require_upper_half_plane(z, "w_full_plane")
     if z == 0:
         return _new_outcome(EvaluationOutcome, (1.0 + 0.0j, _EXACT_SPECIAL_CASE))
-    if y > 0.0 and x >= 0.0:
+    if y >= 0.0 and x >= 0.0:
+        if y == 0.0 or abs(z) >= _FAR_ABS:
+            return _edge(z, coeffs)
         return w_adaptive(z, coeffs)
-    if y == 0.0 and x > 0.0:
-        return _edge(z, coeffs)
     reflect = y < 0.0
     if reflect:
         x, y = -x, -y

@@ -28,12 +28,16 @@ CoefficientTable:
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop is
-decided here alone, by ``_edge``, for ``w_adaptive`` and the real axis of
-``w_full_plane``: the Laplace continued fraction (Gautschi, SIAM J. Numer.
-Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990) for y >= 28 and wherever
-(tau_m z)^2 overflows (|z| >~ 1.1e153 at tau_m = 12), cut at nu = 6
-levels: six divisions, no square, within ~1e-14 of w(z) for |z| >= 28;
-``_refined`` for y <= 1e-146, where 1/(tau_m z) could overflow.
+decided here alone, by ``_edge``, for ``w_adaptive`` and the closed upper
+right quadrant of ``w_full_plane``: the Laplace continued fraction
+(Gautschi, SIAM J. Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16,
+1990) wherever |z| >= 10, cut at nu = 10 levels: ten divisions, no square,
+within ~1e-15 of w(z) there (with e^{-x^2} added to its real part where
+y < 1e-20, the only place it shows), and wherever (tau_m z)^2 overflows
+(|z| >~ 1.1e153 at tau_m = 12, so at |z| >= 10 too); ``_refined``
+elsewhere, which for ``w_adaptive`` is y <= 1e-146, where 1/(tau_m z)
+could overflow. ``voigt_k`` and ``imag_l`` take the continued fraction
+at |z| >= 10 by the same threshold, ``_FAR_ABS``.
 The paper's formulas themselves never switch. Each of their argument
 rules raises from one function, the domain rule first: DomainError from
 ``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is
@@ -76,10 +80,23 @@ __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
 _SQRT_PI = math.sqrt(math.pi)
 _I_OVER_SQRT_PI = 1j / _SQRT_PI
 
-# w_adaptive uses the continued fraction from this y up: with nu = 6 it is
-# within ~1e-14 of w(z) for |z| >= 28. The reference table and the boxes
-# the acceptance tests pin (y <= 15) stay on the series routes.
+# w_adaptive's compiled sums stop at this y; from it up, |z| >= 10 and the
+# continued fraction answers. The reference table and the boxes the
+# acceptance tests pin (y <= 15) stay on the series routes.
 _FAR_Y = 28.0
+
+# The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 10 it is
+# within 3.5e-16 of scipy.special.wofz on 400 angles of the quadrant at
+# |z| = 10 and 4.7e-16 at 12, 15, 28 and 100; at |z| = 9 it is 1.2e-14 off,
+# and no depth reaches 1e-14 on every angle at |z| = 6-8
+_FAR_ABS = 10.0
+
+# ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
+# the real axis at |z| >= 10, Re w ~ y / (sqrt(pi) x^2) and e^{-x^2} falls
+# faster than that as x grows, so x = 10 bounds the term's share:
+# e^{-100} / (5.7e-3 y) is one ulp (2.2e-16) at y = 2.9e-26 and below
+# 6.5e-22 of Re w for y >= 1e-20, so it is not formed there
+_STOKES_Y = 1e-20
 
 # ... and _refined up to this y: above it tau_m y > 1/DBL_MAX (~5.6e-309)
 # for every tau_m SeriesParams accepts (down to ~1.6e-162, where tau_m^2
@@ -147,22 +164,31 @@ def _finite(value: complex, z: complex) -> complex:
 
 
 def _continued_fraction(z: complex) -> complex:
-    """The Laplace continued fraction, unguarded, for large |z| with Im z >= 0:
+    """The Laplace continued fraction, unguarded, for |z| >= _FAR_ABS with
+    Im z >= 0:
 
         w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
 
-    cut at nu = 6 levels and evaluated bottom-up. It forms no square, so it
-    stays finite up to the largest doubles. For |z| >= 28 (every point with
-    y >= 28, and the real axis there) it is within ~1e-14 of w(z); on the
-    real axis it omits e^{-x^2}, which is 0.0 wherever it is used.
+    cut at nu = 10 levels and evaluated bottom-up. It forms no square, so it
+    stays finite up to the largest doubles, and it is within ~1e-15 of w(z)
+    at |z| >= 10. It omits e^{-z^2}, which only Re w at tiny y sees: below
+    _STOKES_Y it adds e^{-x^2} (exactly Re w on the real axis).
     """
-    t = z - 3.0 / z
+    t = z - 5.0 / z
+    t = z - 4.5 / t
+    t = z - 4.0 / t
+    t = z - 3.5 / t
+    t = z - 3.0 / t
     t = z - 2.5 / t
     t = z - 2.0 / t
     t = z - 1.5 / t
     t = z - 1.0 / t
     t = z - 0.5 / t
-    return _I_OVER_SQRT_PI / t
+    value = _I_OVER_SQRT_PI / t
+    if z.imag < _STOKES_Y:
+        x = z.real
+        return complex(value.real + math.exp(-x * x), value.imag)
+    return value
 
 
 def _refined(z: complex, coeffs: CoefficientTable) -> complex:
@@ -178,6 +204,12 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     at large y. The sum over the terms up to the last a_n > 0 is the
     table's compiled ``_refined_sum``, which takes the closed-form term as
     ``star`` in place of term |n*| (past the last a_n > 0, both are zeros).
+
+    On the imaginary axis w is real and its zero Im takes the sign of x,
+    the limit from that side. The arithmetic cannot carry that sign: there
+    -i E(d) has Im -0.0 whatever the sign of x (Re E(d) is +0.0 and
+    Re(-1j) is -0.0), and products with i add +0.0 to -0.0, which rounds
+    to +0.0. So x = +-0 sets it explicitly.
     """
     tau = coeffs.params.tau_m
     tz = tau * z
@@ -198,7 +230,8 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
     acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
-    return lead + 1j * (tau * tau * z / _SQRT_PI) * acc
+    value = lead + 1j * (tau * tau * z / _SQRT_PI) * acc
+    return complex(value.real, z.real) if z.real == 0.0 else value
 
 
 def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
@@ -246,11 +279,13 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
 
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """w(z) for a finite z with Im z >= 0 that the compiled sums do not
-    take: the continued fraction where y >= _FAR_Y or (tau_m z)^2
-    overflows, else ``_refined``. ``w_adaptive`` sends the points that
-    miss its guard here, ``w_full_plane`` the positive real axis."""
+    take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
+    overflows (only a tau_m far above the paper's makes it overflow at
+    |z| < 10), else ``_refined``. ``w_adaptive`` sends the points that miss
+    its guard here, ``w_full_plane`` its positive real axis and every
+    point of its upper right quadrant at |z| >= _FAR_ABS."""
     tz = coeffs.params.tau_m * z
-    if z.imag < _FAR_Y and cmath.isfinite(tz * tz):
+    if abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
@@ -271,8 +306,9 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     The compiled routes take only _TINY_Y < y < _FAR_Y with a finite
     (tau_m z)^2. Every other point misses that one guard, is checked for
     DomainError (y <= 0 or non-finite z) and goes to ``_edge``: the
-    continued fraction for y >= _FAR_Y or an overflowing (tau_m z)^2, as
-    ``Path.CONTINUED_FRACTION``, else ``_refined``, as ``Path.REFINED``.
+    continued fraction where |z| >= _FAR_ABS (every y >= _FAR_Y among them)
+    or (tau_m z)^2 overflows, as ``Path.CONTINUED_FRACTION``, else
+    ``_refined``, as ``Path.REFINED``.
     """
     params = coeffs.params
     tz = params.tau_m * z

@@ -88,20 +88,16 @@ FIRST_OVERFLOWING_SQUARE_X = 1.1173173274952164e153
 @pytest.mark.parametrize("x", [1e4, 1e8, 1e15, LAST_FINITE_SQUARE_X,
                                FIRST_OVERFLOWING_SQUARE_X, 1.5e153, 2e153, 1e160, 1e300])
 def test_real_axis(x, coeffs):
-    # the refined series at y = 0 while (tau_m x)^2 is finite, the
-    # continued fraction past that (1.5e153 is already past it)
-    tau = coeffs.params.tau_m
-    path = Path.REFINED if math.isfinite(tau * x * (tau * x)) else Path.CONTINUED_FRACTION
+    # the continued fraction from x = 10 on, on both sides of the overflow
+    # of (tau_m x)^2, so the refined series' loss next to it (its terms
+    # a_n num_n / (n^2 pi^2 - u) go subnormal as u -> DBL_MAX) never shows
     plus = w_full_plane(complex(x, 0.0), coeffs)
     minus = w_full_plane(complex(-x, 0.0), coeffs)
-    assert plus.path is path
+    assert plus.path is Path.CONTINUED_FRACTION
     assert minus.path is Path.SYMMETRY_EXTENDED
     assert minus.value == plus.value.conjugate()
-    # next to the overflow, u = (tau_m x)^2 ~ DBL_MAX makes the refined
-    # series' terms a_n num_n / (n^2 pi^2 - u) subnormal: 1.6e-15 there
-    bound = 2e-15 if x == LAST_FINITE_SQUARE_X else 1e-15
-    assert_close(plus.value, complex(x, 0.0), bound)
-    assert_close(minus.value, complex(-x, 0.0), bound)
+    assert_close(plus.value, complex(x, 0.0), 1e-15)
+    assert_close(minus.value, complex(-x, 0.0), 1e-15)
 
 
 def test_cases_that_were_wrong(coeffs):
