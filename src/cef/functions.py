@@ -53,7 +53,8 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
 
     For Re z >= 0 the w argument iz lies in the closed upper half-plane,
     so w_full_plane never reflects, and large Re z maps to large Im iz,
-    where the cheap pole-sum route applies. The identity on the left half
+    where the cheap pole-sum route applies, or from |z| = 10 on the
+    continued fraction. The identity on the left half
     carries erfc -> 2 without the reflection's overflow or cancellation.
     e^{-z^2} comes from ``plane._exp_neg_square``: the result is 0 where it
     underflows, and OverflowError propagates where it leaves the double

@@ -73,11 +73,82 @@ def test_four_quadrants(radius, coeffs):
                 w_full_plane(z, coeffs)
             continue
         outcome = w_full_plane(z, coeffs)
-        if z.imag >= 28.0 and z.real >= 0.0:
+        if z.imag >= 0.0 and z.real >= 0.0:
             assert outcome.path is Path.CONTINUED_FRACTION, z
         # where 2 e^{-z^2} is live, the rounding of -z^2 (~eps |z|^2) shows
         live = z.imag < 0.0 and radius * radius * EPS > 1e-14 and abs(z.real) < abs(z.imag)
         assert_close(outcome.value, z, 4.0 * radius * radius * EPS if live else 1e-14)
+
+
+def just_outside_and_inside(angle: float) -> tuple[complex, complex]:
+    """The first point with |z| >= 10 on the ray at ``angle`` (from below
+    in x), and the point a few ulps in from it with |z| < 10."""
+    x, y = 10.0 * math.cos(angle), 10.0 * math.sin(angle)
+    while abs(complex(x, y)) < 10.0:
+        x = math.nextafter(x, math.inf)
+    inner_x, inner_y = x, y
+    while abs(complex(inner_x, inner_y)) >= 10.0:
+        inner_x, inner_y = math.nextafter(inner_x, 0.0), math.nextafter(inner_y, 0.0)
+    return complex(x, y), complex(inner_x, inner_y)
+
+
+def test_both_sides_of_radius_10(coeffs):
+    # 400 angles over the closed upper right quadrant, both axes included:
+    # the continued fraction just outside |z| = 10, the series routes just
+    # inside, agreeing within 1e-14; voigt_k and imag_l take the same
+    # route as w_full_plane on both sides, to the bit
+    for k in range(400):
+        outside, inside = just_outside_and_inside(k * (math.pi / 2.0) / 399)
+        far, near = w_full_plane(outside, coeffs), w_full_plane(inside, coeffs)
+        assert far.path is Path.CONTINUED_FRACTION, outside
+        assert near.path is not Path.CONTINUED_FRACTION, inside
+        assert rel_error(far.value, near.value) <= 1e-14, (outside, inside)
+        if inside.imag > 0.0:
+            assert voigt_k(outside.real, outside.imag, coeffs) == far.value.real
+            assert imag_l(-outside.real, outside.imag, coeffs) == -far.value.imag
+            assert voigt_k(-inside.real, inside.imag, coeffs) == near.value.real
+            assert imag_l(inside.real, inside.imag, coeffs) == near.value.imag
+
+
+def wing_points(count: int) -> list[tuple[float, float]]:
+    """(x, y) with |x| log-uniform over [10, 1e3] of either sign and y
+    log-uniform over [1e-300, 1)."""
+    rng = random.Random(16)
+    return [(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(1.0, 3.0),
+             10.0 ** rng.uniform(-300.0, 0.0)) for _ in range(count)]
+
+
+def test_voigt_wings_against_wofz(coeffs):
+    # Re w at tiny y is e^{-x^2} plus ~y / (sqrt(pi) x^2): without its
+    # e^{-x^2} term the continued fraction is 160% off at (10, 1e-15) and
+    # ~1e287 off at y ~ 1e-300, where e^{-x^2} alone is Re w
+    wofz = pytest.importorskip("scipy.special").wofz
+    points = wing_points(4000) + [(x, y) for x in (10.0, -10.0, 27.0)
+                                  for y in (1e-300, 1e-45, 1e-26, 1e-20, 1e-15)]
+    for x, y in points:
+        want = complex(wofz(complex(x, y)))
+        assert abs(voigt_k(x, y, coeffs) - want.real) <= 1e-14 * abs(want.real), (x, y)
+        assert abs(imag_l(x, y, coeffs) - want.imag) <= 1e-14 * abs(want.imag), (x, y)
+
+
+@pytest.mark.parametrize("x", [10.0, -12.5, 24.9, -30.0, 1000.0])
+def test_voigt_wings_against_mpmath(x, coeffs):
+    # 60 digits, and y >= 1e-30 only: there 60 and 100 digits agree on
+    # Re w to the last bit of a double
+    for y in (1e-30, 1e-24, 1e-20, 1e-15, 1e-6, 0.5):
+        want = mp_w(complex(x, y), 60)
+        assert abs(voigt_k(x, y, coeffs) - want.real) <= 1e-14 * abs(want.real), y
+        assert abs(imag_l(x, y, coeffs) - want.imag) <= 1e-14 * abs(want.imag), y
+
+
+@pytest.mark.parametrize("fn", [voigt_k, imag_l])
+def test_domain_rule_holds_past_radius_10(fn, coeffs):
+    # |x| >= 10 takes the continued fraction without w_adaptive, whose
+    # domain check these arguments must still reach
+    for x in (12.0, -12.0, 1e200):
+        for y in (0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fn(x, y, coeffs)
 
 
 # the last x with a finite (tau_m x)^2 at tau_m = 12, and the next float

@@ -106,8 +106,10 @@ def test_negative_x_by_conjugation(coeffs):
 
 def test_conjugation_symmetry_keeps_the_sign_of_zero_below_the_axis(coeffs):
     # w(-conj z) = conj w(z) at z = +0 - iy: Im w is +0.0 there and -0.0 at
-    # -0 - iy, as the limits from x > 0 and x < 0 are
-    for y in (0.5, 2.0, 20.0):
+    # -0 - iy, as the limits from x > 0 and x < 0 are; below y ~ 0.0045
+    # the folded point takes the refined route, from 10 on the continued
+    # fraction
+    for y in (5e-324, 1e-300, 1e-10, 0.001, 0.004, 0.5, 2.0, 20.0):
         plus = w_full_plane(complex(0.0, -y), coeffs).value
         minus = w_full_plane(complex(-0.0, -y), coeffs).value
         assert minus.real == plus.real, y
@@ -221,28 +223,29 @@ def test_negative_real_axis_removable_points(coeffs):
 
 def test_one_evaluation_per_point(coeffs, monkeypatch):
     # a single fold: one series evaluation in every quadrant, reached
-    # through at most one nested call that does not fold again
+    # through at most one nested call that does not fold again; at
+    # |z| >= 10 that evaluation is the continued fraction, never w_adaptive
     calls = []
-    adaptive, full_plane = cef.plane.w_adaptive, cef.plane.w_full_plane
+    adaptive, full_plane, edge = cef.plane.w_adaptive, cef.plane.w_full_plane, cef.plane._edge
 
-    def counting_adaptive(z, table):
-        calls.append(("w_adaptive", z))
-        return adaptive(z, table)
+    def counting(name, fn):
+        def counted(z, table):
+            calls.append((name, z))
+            return fn(z, table)
+        return counted
 
-    def counting_full_plane(z, table):
-        calls.append(("w_full_plane", z))
-        return full_plane(z, table)
-
-    monkeypatch.setattr(cef.plane, "w_adaptive", counting_adaptive)
-    monkeypatch.setattr(cef.plane, "w_full_plane", counting_full_plane)
-    folded = 1.5 + 0.5j
-    calls.clear()
-    full_plane(folded, coeffs)
-    assert calls == [("w_adaptive", folded)]
-    for z in (-1.5 + 0.5j, -1.5 - 0.5j, 1.5 - 0.5j):
+    monkeypatch.setattr(cef.plane, "w_adaptive", counting("w_adaptive", adaptive))
+    monkeypatch.setattr(cef.plane, "w_full_plane", counting("w_full_plane", full_plane))
+    monkeypatch.setattr(cef.plane, "_edge", counting("_edge", edge))
+    for folded, route, path in ((1.5 + 0.5j, "w_adaptive", Path.FULL_DECOMPOSITION),
+                                (12.0 + 0.5j, "_edge", Path.CONTINUED_FRACTION)):
         calls.clear()
-        full_plane(z, coeffs)
-        assert calls == [("w_full_plane", folded), ("w_adaptive", folded)], z
+        assert full_plane(folded, coeffs).path is path
+        assert calls == [(route, folded)]
+        for z in (-folded.conjugate(), -folded, folded.conjugate()):
+            calls.clear()
+            full_plane(z, coeffs)
+            assert calls == [("w_full_plane", folded), (route, folded)], z
 
 
 def test_reflection_overflow_is_reported(coeffs):
