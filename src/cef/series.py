@@ -78,7 +78,8 @@ __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
            "w_adaptive"]
 
 _SQRT_PI = math.sqrt(math.pi)
-_I_OVER_SQRT_PI = 1j / _SQRT_PI
+# i/sqrt(pi) halved: _continued_fraction divides it by t / 2, see there
+_HALF_I_OVER_SQRT_PI = 0.5j / _SQRT_PI
 
 # w_adaptive's compiled sums stop at this y; from it up, |z| >= 10 and the
 # continued fraction answers. The reference table and the boxes the
@@ -170,8 +171,8 @@ def _continued_fraction(z: complex) -> complex:
         w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
 
     cut at nu = 10 levels and evaluated bottom-up. It forms no square, so it
-    stays finite up to the largest doubles, and it is within ~1e-15 of w(z)
-    at |z| >= 10. It omits e^{-z^2}, which only Re w at tiny y sees: below
+    holds up to the largest doubles (where w itself is subnormal, with the
+    precision that leaves), and it is within ~1e-15 of w(z) at |z| >= 10. It omits e^{-z^2}, which only Re w at tiny y sees: below
     _STOKES_Y it adds e^{-x^2} (exactly Re w on the real axis).
     """
     t = z - 5.0 / z
@@ -184,7 +185,11 @@ def _continued_fraction(z: complex) -> complex:
     t = z - 1.5 / t
     t = z - 1.0 / t
     t = z - 0.5 / t
-    value = _I_OVER_SQRT_PI / t
+    # halved on both sides: CPython's complex division forms a divisor
+    # near |t.real| + |t.imag|, which overflows to inf (and the value to 0)
+    # past t ~ 1e308 (1+i) otherwise; the halving is exact, so elsewhere
+    # the value is i/sqrt(pi) / t bit for bit
+    value = _HALF_I_OVER_SQRT_PI / (0.5 * t)
     if z.imag < _STOKES_Y:
         x = z.real
         return complex(value.real + math.exp(-x * x), value.imag)
@@ -277,15 +282,28 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     return _finite(-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating), z)
 
 
+def _is_far(z: complex) -> bool:
+    """True where the continued fraction answers: a finite z with
+    Im z >= 0 and |z| >= _FAR_ABS. abs(z) runs only when both parts are
+    below _FAR_ABS, where with Im z >= 0 it cannot overflow (it raises
+    OverflowError past |z| ~ 1.8e308, at 1.5e308 + 1.5e308j); a NaN or
+    infinite part gives False."""
+    x = z.real
+    y = z.imag
+    if x < _FAR_ABS and y < _FAR_ABS:
+        return abs(z) >= _FAR_ABS
+    return x < math.inf and y < math.inf
+
+
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """w(z) for a finite z with Im z >= 0 that the compiled sums do not
-    take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
+    take: the continued fraction where ``_is_far(z)`` or (tau_m z)^2
     overflows (only a tau_m far above the paper's makes it overflow at
     |z| < 10), else ``_refined``. ``w_adaptive`` sends the points that miss
     its guard here, ``w_full_plane`` its positive real axis and every
     point of its upper right quadrant at |z| >= _FAR_ABS."""
     tz = coeffs.params.tau_m * z
-    if abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
+    if not _is_far(z) and cmath.isfinite(tz * tz):
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 

@@ -80,6 +80,23 @@ def test_four_quadrants(radius, coeffs):
         assert_close(outcome.value, z, 4.0 * radius * radius * EPS if live else 1e-14)
 
 
+@pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1.5e308 + 1.5e308j,
+                               1.7976931348623157e308 + 1.7976931348623157e308j])
+def test_largest_doubles(z, coeffs):
+    # |z| is past the largest double, so abs(z) raises OverflowError: the
+    # |z| >= 10 test must not take it there. w is subnormal, ~2e-309, and
+    # the continued fraction must not flush it to 0
+    want = mp_w(z)
+    outcome = w_adaptive(z, coeffs)
+    assert outcome.path is Path.CONTINUED_FRACTION
+    assert rel_error(outcome.value, want) <= 1e-14, outcome
+    plane = w_full_plane(z, coeffs)
+    assert plane.path is (Path.CONTINUED_FRACTION if z.real > 0.0 else Path.SYMMETRY_EXTENDED)
+    assert plane.value == outcome.value
+    assert voigt_k(z.real, z.imag, coeffs) == outcome.value.real
+    assert imag_l(z.real, z.imag, coeffs) == outcome.value.imag
+
+
 def just_outside_and_inside(angle: float) -> tuple[complex, complex]:
     """The first point with |z| >= 10 on the ray at ``angle`` (from below
     in x), and the point a few ulps in from it with |z| < 10."""
