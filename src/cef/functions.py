@@ -12,10 +12,12 @@ Re z. Both take e^{-z^2} and its range rules from ``plane._exp_neg_square``.
 
 from __future__ import annotations
 
+import cmath
+
 from .coefficients import CoefficientTable
 from .errors import DomainError
 from .plane import _exp_neg_square, w_full_plane
-from .series import _continued_fraction, _finite, _is_far, _scaled, w_adaptive
+from .series import _FAR_ABS, _continued_fraction, _finite, _scaled, w_adaptive
 
 __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 
@@ -24,12 +26,12 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
     Evenness in x is enforced structurally by evaluating at |x|. The
-    continued fraction answers where |z| >= 10 (``series._is_far``),
+    continued fraction answers where |z| >= 10 (``series._FAR_ABS``),
     ``w_adaptive`` elsewhere; y <= 0 and non-finite arguments go to
     ``w_adaptive``, which raises DomainError.
     """
     z = complex(abs(x), y)
-    if y > 0.0 and _is_far(z):
+    if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
         return _continued_fraction(z).real
     return w_adaptive(z, coeffs).value.real
 
@@ -40,7 +42,7 @@ def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
     if x < 0.0:
         return -imag_l(-x, y, coeffs)
     z = complex(x, y)
-    if y > 0.0 and _is_far(z):
+    if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
         return _continued_fraction(z).imag
     return w_adaptive(z, coeffs).value.imag
 

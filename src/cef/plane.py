@@ -30,8 +30,8 @@ import math
 
 from .coefficients import CoefficientTable
 from .errors import _require_upper_half_plane
-from .series import (_EXACT_SPECIAL_CASE, _SYMMETRY_EXTENDED, EvaluationOutcome, _edge,
-                     _is_far, _new_outcome, w_adaptive)
+from .series import (_EXACT_SPECIAL_CASE, _FAR_ABS, _SYMMETRY_EXTENDED, EvaluationOutcome,
+                     _edge, _new_outcome, w_adaptive)
 
 __all__ = ["w_full_plane"]
 
@@ -83,7 +83,7 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     if z == 0:
         return _new_outcome(EvaluationOutcome, (1.0 + 0.0j, _EXACT_SPECIAL_CASE))
     if y >= 0.0 and x >= 0.0:
-        if y == 0.0 or _is_far(z):
+        if y == 0.0 or y >= _FAR_ABS or abs(z) >= _FAR_ABS:
             return _edge(z, coeffs)
         return w_adaptive(z, coeffs)
     reflect = y < 0.0

@@ -37,7 +37,7 @@ y < 1e-20, the only place it shows), and wherever (tau_m z)^2 overflows
 (|z| >~ 1.1e153 at tau_m = 12, so at |z| >= 10 too); ``_refined``
 elsewhere, which for ``w_adaptive`` is y <= 1e-146, where 1/(tau_m z)
 could overflow. ``voigt_k`` and ``imag_l`` take the continued fraction
-at |z| >= 10 by the same threshold, ``_FAR_ABS``.
+at |z| >= 10 by the same test, on ``_FAR_ABS``.
 The paper's formulas themselves never switch. Each of their argument
 rules raises from one function, the domain rule first: DomainError from
 ``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is
@@ -89,7 +89,14 @@ _FAR_Y = 28.0
 # The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 10 it is
 # within 3.5e-16 of scipy.special.wofz on 400 angles of the quadrant at
 # |z| = 10 and 4.7e-16 at 12, 15, 28 and 100; at |z| = 9 it is 1.2e-14 off,
-# and no depth reaches 1e-14 on every angle at |z| = 6-8
+# and no depth reaches 1e-14 on every angle at |z| = 6-8.
+# For a finite z with y >= 0 the test is `y >= _FAR_ABS or abs(z) >=
+# _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
+# 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot. _edge,
+# plane.w_full_plane, functions.voigt_k and functions.imag_l write it
+# inline: as a shared function it cost ~120 ns a call, and full_plane 5.9%
+# of its points/s. tests/test_far_field.py pins all four to the same
+# boundary and to the largest doubles.
 _FAR_ABS = 10.0
 
 # ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
@@ -282,28 +289,15 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     return _finite(-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating), z)
 
 
-def _is_far(z: complex) -> bool:
-    """True where the continued fraction answers: a finite z with
-    Im z >= 0 and |z| >= _FAR_ABS. abs(z) runs only when both parts are
-    below _FAR_ABS, where with Im z >= 0 it cannot overflow (it raises
-    OverflowError past |z| ~ 1.8e308, at 1.5e308 + 1.5e308j); a NaN or
-    infinite part gives False."""
-    x = z.real
-    y = z.imag
-    if x < _FAR_ABS and y < _FAR_ABS:
-        return abs(z) >= _FAR_ABS
-    return x < math.inf and y < math.inf
-
-
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """w(z) for a finite z with Im z >= 0 that the compiled sums do not
-    take: the continued fraction where ``_is_far(z)`` or (tau_m z)^2
+    take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
     overflows (only a tau_m far above the paper's makes it overflow at
     |z| < 10), else ``_refined``. ``w_adaptive`` sends the points that miss
     its guard here, ``w_full_plane`` its positive real axis and every
     point of its upper right quadrant at |z| >= _FAR_ABS."""
     tz = coeffs.params.tau_m * z
-    if not _is_far(z) and cmath.isfinite(tz * tz):
+    if z.imag < _FAR_ABS and abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
