@@ -94,9 +94,9 @@ _FAR_Y = 28.0
 # _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
 # 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot. _edge,
 # plane.w_full_plane, functions.voigt_k and functions.imag_l write it
-# inline: as a shared function it cost ~120 ns a call, and full_plane 5.9%
-# of its points/s. tests/test_far_field.py pins all four to the same
-# boundary and to the largest doubles.
+# inline: as a shared function it cost ~120 ns a call (CPython 3.11, 2-vCPU
+# Xeon VM), and full_plane 5.9% of its points/s. tests/test_far_field.py
+# pins all four to the same boundary and to the largest doubles.
 _FAR_ABS = 10.0
 
 # ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
