@@ -39,6 +39,7 @@ ENV_PARAMS = "CEF_DEFAULT_PARAMS"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 TABLE_CHECK_TOL = 1e-12
@@ -166,8 +167,11 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
         text = buffer.getvalue()
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            parser.exit(EXIT_USAGE, f"error: cannot write the report: {exc}\n")
     else:
         sys.stdout.write(text)
     ax, ay = report.argmax_point

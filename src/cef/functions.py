@@ -4,10 +4,11 @@ and the complementary error function for complex argument.
 K(x, y) = Re w(x + iy) is the Voigt line-shape function; L(x, y) =
 Im w(x + iy) is its odd-in-x companion. erfc follows from the identity
 erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and from erfc(z) = 2 - erfc(-z)
-for Re z < 0. The direct pole-sum approximation of erfc
-(``erfc_cr_series``) is retained for validation; it evaluates the same
-compiled pole sum as ``w_cr`` and, like it, is only accurate at larger
-Re z. Both take e^{-z^2} and its range rules from ``plane._exp_neg_square``.
+for Re z < 0; L and erfc take w from ``w_full_plane``. The direct
+pole-sum approximation of erfc (``erfc_cr_series``), kept for validation,
+evaluates the same compiled pole sum as ``w_cr`` and, like it, is only
+accurate at larger Re z. Both erfc functions take e^{-z^2} and its range
+rules from ``plane._exp_neg_square``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import cmath
 
 from .coefficients import CoefficientTable
-from .errors import DomainError
+from .errors import DomainError, _require_upper_half_plane
 from .plane import _exp_neg_square, w_full_plane
 from .series import _FAR_ABS, _continued_fraction, _finite, _scaled, w_adaptive
 
@@ -25,10 +26,16 @@ __all__ = ["voigt_k", "imag_l", "erfc_complex", "erfc_cr_series"]
 def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
-    Evenness in x is enforced structurally by evaluating at |x|. The
-    continued fraction answers where |z| >= 10 (``series._FAR_ABS``),
-    ``w_adaptive`` elsewhere; y <= 0 and non-finite arguments go to
-    ``w_adaptive``, which raises DomainError.
+    Evaluated at |x|, so even in x by construction. The continued fraction
+    answers where |z| >= 10 (``series._FAR_ABS``, tested inline: a shared
+    test made a line-shape batch 2.4% slower), ``w_adaptive`` elsewhere,
+    which raises DomainError for y <= 0 and non-finite arguments.
+
+    Worst relative error against scipy.special.wofz, by region: 2.6e-13 at
+    |x| < 3 for y < 1 (1.6e-10 just above y_switch = 1, the pole sum);
+    2.1e-15 at |x| >= 10. At 3 <= |x| < 10 the error is ~eps |w|, so it
+    grows as Re w falls to e^{-x^2}: 3.7e-11 for y in [1e-4, 1), 2.9e-7
+    in [1e-8, 1e-4), ~24 at (9.53, 1.5e-16), ~3e26 below y ~ 1e-16.
     """
     z = complex(abs(x), y)
     if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
@@ -37,14 +44,12 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
 
 
 def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
-    """L(x, y) = Im w(x + iy), y > 0. Odd in x by construction; routes and
-    domain errors as for ``voigt_k``."""
-    if x < 0.0:
-        return -imag_l(-x, y, coeffs)
+    """L(x, y) = Im w(x + iy), y > 0: the imaginary part of ``w_full_plane``,
+    whose exact conjugation for x < 0 makes it odd in x. DomainError for
+    y <= 0 and non-finite arguments."""
     z = complex(x, y)
-    if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
-        return _continued_fraction(z).imag
-    return w_adaptive(z, coeffs).value.imag
+    _require_upper_half_plane(z, "imag_l")
+    return w_full_plane(z, coeffs).value.imag
 
 
 def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
@@ -74,16 +79,15 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     the table's compiled pole sum at u = -(tau_m z)^2. Accurate only for
     larger Re z (it is the pole sum of w evaluated at iz, so the small-Im
     restriction of that series turns into a small-Re restriction here).
-    z = 0 and z = +-i n pi / tau_m (n = 1..N, where a denominator
-    vanishes) are explicit poles; they and a non-finite z raise
-    DomainError. OverflowError is raised where (tau_m z)^2 or the value is
-    not finite (the latter for subnormal |z|, where 1/(tau_m z) overflows).
+    Its poles, z = 0 (of 1/(tau_m z)) and z = +-i n pi / tau_m (n = 1..N,
+    of the sum), raise DomainError through one ZeroDivisionError handler;
+    a non-finite z raises it too. OverflowError is raised where (tau_m z)^2
+    or the value is not finite (the latter for subnormal |z|, where
+    1/(tau_m z) overflows).
     """
-    if z == 0:
-        raise DomainError("erfc_cr_series has an explicit pole at z = 0")
     tz, tz2 = _scaled(z, coeffs)
     try:
-        pole_sum = coeffs._pole_sum(-tz2)
+        series = 1.0 / tz + 2.0 * tz * coeffs._pole_sum(-tz2)
     except ZeroDivisionError:
         raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
-    return _finite(_exp_neg_square(z) * (1.0 / tz + 2.0 * tz * pole_sum), z)
+    return _finite(_exp_neg_square(z) * series, z)

@@ -9,12 +9,9 @@ Faddeeva symmetries apply:
 ``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
 
-The positive real axis and every point of the quadrant with |z| >= 10 go
-to ``series._edge``, which owns the rule for every point the compiled sums
-do not take: the continued fraction at |z| >= 10, and the refined series,
-its own y -> 0+ limit, on the real axis closer in (it writes the term at
-the nearest removable point tau_m x = n pi in closed form). Only z = 0
-(exactly 1) is special.
+In the quadrant, the positive real axis and every point with |z| >= 10
+go to ``series._edge``, the rest to ``w_adaptive``; only z = 0 (exactly
+1) is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
 ``functions``, is formed in one place, ``_exp_neg_square``, with its range

@@ -27,17 +27,15 @@ CoefficientTable:
     point: for large y it is negligible.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
-reports which route produced the value. Where the compiled sums stop is
-decided here alone, by ``_edge``, for ``w_adaptive`` and the closed upper
-right quadrant of ``w_full_plane``: the Laplace continued fraction
-(Gautschi, SIAM J. Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16,
-1990) wherever |z| >= 10, cut at nu = 10 levels: ten divisions, no square,
-within ~1e-15 of w(z) there (with e^{-x^2} added to its real part where
-y < 1e-20, the only place it shows), and wherever (tau_m z)^2 overflows
-(|z| >~ 1.1e153 at tau_m = 12, so at |z| >= 10 too); ``_refined``
-elsewhere, which for ``w_adaptive`` is y <= 1e-146, where 1/(tau_m z)
-could overflow. ``voigt_k`` and ``imag_l`` take the continued fraction
-at |z| >= 10 by the same test, on ``_FAR_ABS``.
+reports which route produced the value. Where the compiled sums stop,
+``_edge`` decides for ``w_adaptive`` and the closed upper right quadrant
+of ``w_full_plane``: the Laplace continued fraction (Gautschi, SIAM J.
+Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990), see
+``_continued_fraction``, wherever |z| >= 10 or (tau_m z)^2 overflows
+(|z| >~ 1.1e153 at tau_m = 12), else ``_refined``, which for
+``w_adaptive`` is y <= 1e-146, where 1/(tau_m z) could overflow.
+``w_full_plane`` and ``voigt_k`` make the |z| >= 10 test themselves
+too (see ``_FAR_ABS``).
 The paper's formulas themselves never switch. Each of their argument
 rules raises from one function, the domain rule first: DomainError from
 ``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is
@@ -50,11 +48,6 @@ buys nothing at the tolerances targeted here.
 The pole sum, the refining sum and the finite-interval form's sum are the
 table's compiled straight-line functions ``_pole_sum``, ``_pole_sums`` and
 ``_refined_sum`` (see CoefficientTable), so no route runs a Python loop.
-Every kernel returning an EvaluationOutcome builds it with
-``tuple.__new__(EvaluationOutcome, (value, path))`` and a module-level alias
-of the Path member, which on CPython 3.11 saves ~0.3 us per call against the
-NamedTuple constructor and a read off Path (less on 3.12 and later, where
-enum reads are cheaper).
 
 At the removable points tau_m z = n pi (n = 0 is the origin) a numerator
 and a denominator vanish together, and both forms lose ~eps/|tau_m z - n pi|.
@@ -93,10 +86,10 @@ _FAR_Y = 28.0
 # For a finite z with y >= 0 the test is `y >= _FAR_ABS or abs(z) >=
 # _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
 # 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot. _edge,
-# plane.w_full_plane, functions.voigt_k and functions.imag_l write it
-# inline: as a shared function it cost ~120 ns a call (CPython 3.11, 2-vCPU
-# Xeon VM), and full_plane 5.9% of its points/s. tests/test_far_field.py
-# pins all four to the same boundary and to the largest doubles.
+# plane.w_full_plane and functions.voigt_k write it inline: as a shared
+# function it cost ~120 ns a call (CPython 3.11, 2-vCPU Xeon VM), full_plane
+# 5.9% of its points/s and voigt_profiles-shaped batches 2.4% of their time.
+# tests/test_far_field.py pins the three to one boundary and the largest doubles.
 _FAR_ABS = 10.0
 
 # ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
@@ -138,9 +131,9 @@ class EvaluationOutcome(NamedTuple):
     path: Path
 
 
-# CPython 3.11: EvaluationOutcome(...) ~420 ns, _new_outcome(EvaluationOutcome,
-# (...)) ~240 ns; Path.X ~150 ns, an alias ~15 ns. plane and analysis import
-# the aliases from here.
+# Every kernel builds its outcome with these. CPython 3.11: EvaluationOutcome(...)
+# ~420 ns, _new_outcome(EvaluationOutcome, (...)) ~240 ns; Path.X ~150 ns, an
+# alias ~15 ns (less on 3.12 and later). plane and analysis import the aliases.
 _new_outcome = tuple.__new__
 _REFINED = Path.REFINED
 _COMMON_ONLY = Path.COMMON_ONLY
@@ -179,8 +172,9 @@ def _continued_fraction(z: complex) -> complex:
 
     cut at nu = 10 levels and evaluated bottom-up. It forms no square, so it
     holds up to the largest doubles (where w itself is subnormal, with the
-    precision that leaves), and it is within ~1e-15 of w(z) at |z| >= 10. It omits e^{-z^2}, which only Re w at tiny y sees: below
-    _STOKES_Y it adds e^{-x^2} (exactly Re w on the real axis).
+    precision that leaves), and it is within ~1e-15 of w(z) at |z| >= 10.
+    It omits e^{-z^2}, which only Re w at tiny y sees: below _STOKES_Y it
+    adds e^{-x^2} (exactly Re w on the real axis).
     """
     t = z - 5.0 / z
     t = z - 4.5 / t

@@ -302,6 +302,26 @@ class TestScan:
             assert proc.returncode == 2, flag
             assert "grid bounds must be finite" in proc.stderr
 
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing" / "r.csv"
+        proc = run_cli("scan", "--method", "cr", "--reference", "refined",
+                       "--nx", "1", "--ny", "1", "--out", str(out))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert str(out) in lines[0]
+        assert not out.parent.exists()
+
+    def test_failed_scan_leaves_existing_report(self, tmp_path):
+        out = tmp_path / "r.csv"
+        out.write_text("kept\n")
+        proc = run_cli("scan", "--method", "cr", "--reference", "oracle",
+                       "--x-min", "1", "--x-max", "1", "--y-min", "1", "--y-max", "1",
+                       "--nx", "1", "--ny", "1", "--max-subdivisions", "4",
+                       "--out", str(out))
+        assert proc.returncode == 3
+        assert out.read_text() == "kept\n"
+
     def test_oracle_starvation_exit_code(self):
         proc = run_cli("scan", "--method", "cr", "--reference", "oracle",
                        "--x-min", "1", "--x-max", "1", "--y-min", "1", "--y-max", "1",

@@ -144,8 +144,17 @@ class TestErfcComplex:
 
 class TestErfcSeries:
     def test_pole_at_zero(self, coeffs):
-        with pytest.raises(DomainError):
-            erfc_cr_series(0j, coeffs)
+        # 1/(tau_m z) divides by zero at every signed zero
+        for z in (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                  complex(-0.0, -0.0)):
+            with pytest.raises(DomainError, match="pole"):
+                erfc_cr_series(z, coeffs)
+
+    def test_non_finite_argument(self, coeffs):
+        for z in (complex(math.nan), complex(math.inf), complex(math.inf, 1.0),
+                  complex(1.0, -math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                erfc_cr_series(z, coeffs)
 
     def test_poles_on_the_imaginary_axis(self, coeffs):
         # tau_m z = +-i n pi zeroes the denominator n^2 pi^2 + (tau_m z)^2

@@ -1,6 +1,7 @@
 """Leftovers the interpreter does not report: a module-level import that its
-module never uses, and a module-level private name that nothing in the
-package uses. Both are read from the source with ``ast``."""
+module never uses, a module-level private name that nothing in the
+package uses, both read from the source with ``ast``, and a source line
+longer than MAX_LINE characters."""
 
 import ast
 import pathlib
@@ -8,8 +9,9 @@ import pathlib
 import cef
 
 PACKAGE = pathlib.Path(cef.__file__).parent
-TREES = {path.name: ast.parse(path.read_text(), str(path))
-         for path in sorted(PACKAGE.glob("*.py"))}
+MAX_LINE = 99
+SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -59,3 +61,10 @@ def test_every_module_level_private_name_is_used():
     unused = [f"{name}: {private}" for name, tree in TREES.items()
               for private in sorted(module_level_private_names(tree) - used)]
     assert not unused, unused
+
+
+def test_no_line_is_longer_than_max_line():
+    long_lines = [f"{name}:{number}: {len(line)}" for name, text in SOURCES.items()
+                  for number, line in enumerate(text.splitlines(), 1)
+                  if len(line) > MAX_LINE]
+    assert not long_lines, long_lines
