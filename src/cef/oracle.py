@@ -19,6 +19,15 @@ which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
 for y -> 0 at the default abs_tol, and smaller for larger y), never past
 tau ~ 53, where exp(-tau^2/4) < 1e-304.
 
+Both integrands are a real envelope times e^{i x tau} (e^{-tau^2/4 - y tau}
+here, the cosine kernel times e^{-y tau} for the finite form), and the
+phase of a node is a per-panel factor times a per-node one, so a level
+takes one real exponential per node instead of a complex one. The per-panel
+angle is split so that its leading part is exact: rounded as one product,
+its error is shared by the 20 nodes of a panel, and it reached 8.9e-14
+relative at x = 1000 against 30-digit mpmath, where the split form stays
+within 3e-15.
+
 This is a correctness instrument, not a production path: clarity and a
 trustworthy error estimate over speed. numpy is imported, and the 20-point
 rule built, on the first call, so ``import cef`` alone never loads numpy.
@@ -40,6 +49,9 @@ _SQRT_PI = math.sqrt(math.pi)
 # exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
 # cannot change the double-precision result.
 _DECAY_CUTOFF = 52.9
+
+# 2^27 + 1: Veltkamp's constant, splitting a double into two 26-bit halves
+_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -71,8 +83,8 @@ class QuadratureSpec:
 @functools.cache
 def _gauss_legendre():
     """The 20-point Gauss-Legendre rule, built once: a build (~0.4 ms on a
-    2-vCPU Xeon VM) costs about twice a mean w_quadrature over x in
-    [0.01, 15], y in [1e-4, 15]."""
+    2-vCPU Xeon VM) costs about four mean w_quadrature calls over x in
+    [0.01, 15], y in [1e-4, 15] (~0.1 ms each on the same VM)."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
 
@@ -93,9 +105,52 @@ def _tail_cutoff(y: float, abs_tol: float) -> float:
     return 2.0 * big_l / (math.hypot(y, math.sqrt(big_l)) + y)
 
 
-def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> complex:
-    """Halve the panel width until two successive composite Gauss-Legendre
-    estimates agree within spec.abs_tol."""
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's
+    two-product), for |a| and |b| in [0.5, 1), where no step can overflow
+    or underflow."""
+    a_hi = _SPLITTER * a
+    a_hi -= a_hi - a
+    b_hi = _SPLITTER * b
+    b_hi -= b_hi - b
+    a_lo = a - a_hi
+    b_lo = b - b_hi
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _phase_split(x: float, width: float, n_panels: int) -> tuple[float, float]:
+    """(c_hi, c_lo) with c_hi + c_lo = x * width to about 2^-53 of c_lo,
+    where c_hi is x * width cut to 26 bits (fewer past 2^26 panels), so
+    that c_hi * (k + 1/2) is exact for every k < n_panels unless x * width
+    is subnormal. Below 2^26 panels the split does not depend on n_panels,
+    so a panel's phase does not depend on how far its level is laid out.
+    The cut is toward zero, not a floor, so -x gives exactly (-c_hi, -c_lo).
+    """
+    mx, ex = math.frexp(x)
+    mw, ew = math.frexp(width)
+    p, e = _two_product(mx, mw)
+    bits = 53 - max(27, (2 * n_panels - 1).bit_length())
+    mp, ep = math.frexp(p)
+    hi = math.ldexp(math.trunc(math.ldexp(mp, bits)), ep - bits)
+    return math.ldexp(hi, ex + ew), math.ldexp((p - hi) + e, ex + ew)
+
+
+def _refine_panels(envelope, x: float, upper: float, width: float,
+                   spec: QuadratureSpec) -> complex:
+    """Integrate envelope(tau) * e^{i x tau} over [0, upper], halving the
+    panel width until two successive composite Gauss-Legendre estimates
+    agree within spec.abs_tol.
+
+    ``envelope`` maps an array of tau to real values of the same shape. On
+    a level of width w the node tau_kj = (k + 1/2) w + (w/2) xi_j has the
+    phase e^{i x tau_kj} = E_k F_j, so panel k is
+    (w/2) E_k sum_j envelope(tau_kj) omega_j F_j: one real matrix product
+    over the level and 2 n_panels + 20 complex exponentials, not 20 n_panels.
+    E_k = e^{i c_hi (k + 1/2)} e^{i c_lo (k + 1/2)} from ``_phase_split``,
+    whose first angle is exact, so no rounding of x (k + 1/2) w is shared
+    by the 20 nodes of a panel.
+    """
     import numpy as np
     nodes, weights = _gauss_legendre()
     previous = None
@@ -106,9 +161,13 @@ def _refine_panels(f, upper: float, width: float, spec: QuadratureSpec) -> compl
                 f"needed more than {spec.max_subdivisions} panels to reach "
                 f"abs_tol={spec.abs_tol:g}")
         half = 0.5 * width
-        mids = width * np.arange(n_panels) + half
-        t = (mids[:, None] + half * nodes[None, :]).ravel()
-        panels = f(t).reshape(n_panels, nodes.size) @ weights
+        k = np.arange(n_panels) + 0.5
+        t = (width * k)[:, None] + half * nodes
+        # omega_j F_j as a (20, 2) real matrix: columns real, imaginary
+        node_phases = np.exp(1j * (x * half * nodes)) * weights
+        sums = (envelope(t) @ node_phases.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        c_hi, c_lo = _phase_split(x, width, n_panels)
+        panels = np.exp(1j * (c_hi * k)) * np.exp(1j * (c_lo * k)) * sums
         # exactly rounded, so the result cannot depend on how many
         # negligible panels past the decay point join the sum
         current = half * complex(math.fsum(panels.real.tolist()),
@@ -133,12 +192,12 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     y = z.imag
     import numpy as np
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(t * complex(-y, x) - 0.25 * t * t)
+    def envelope(t: np.ndarray) -> np.ndarray:
+        return np.exp(t * (-0.25 * t - y))
 
     upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
     width = math.pi / (4.0 * max(1.0, abs(x), y / 16.0))
-    return _refine_panels(integrand, upper, width, spec) / _SQRT_PI
+    return _refine_panels(envelope, x, upper, width, spec) / _SQRT_PI
 
 
 def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
@@ -158,11 +217,11 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     a = np.trim_zeros(np.asarray(coeffs.a), "b")
     freqs = np.arange(a.size) * (math.pi / tau)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        kernel = np.cos(t[:, None] * freqs[None, :]) @ a - 0.5 * a[0]
-        return kernel * np.exp(-y * t) * (np.cos(x * t) + 1j * np.sin(x * t))
+    def envelope(t: np.ndarray) -> np.ndarray:
+        kernel = np.cos(t[..., None] * freqs) @ a - 0.5 * a[0]
+        return kernel * np.exp(-y * t)
 
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
     width = min(0.5, math.pi / (4.0 * bandwidth))
-    return _refine_panels(integrand, tau, width, spec) / _SQRT_PI
+    return _refine_panels(envelope, x, tau, width, spec) / _SQRT_PI

@@ -1,13 +1,15 @@
 """Quadrature oracle: the ground-truth anchor for every series kernel."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from cef import (ConvergenceError, DomainError, QuadratureSpec, SeriesParams,
                  build_coefficients, oracle, w_finite_quadrature, w_quadrature, w_refined)
 from cef.fixtures import reference_rows
-from conftest import rel_error
+from conftest import mp_w, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
 
@@ -71,6 +73,70 @@ def test_pure_imaginary_argument(qspec):
     assert got.imag == 0.0  # the sine factor vanishes identically at x = 0
 
 
+@pytest.mark.parametrize("y", [1e-4, 1e-2, 1.0, 10.0])
+@pytest.mark.parametrize("x", [100.0, 300.0, 1000.0])
+def test_large_x_matches_mpmath(x, y, qspec):
+    # a panel's phase e^{i x (k + 1/2) w} shares one angle among its 20
+    # nodes: rounded as one product it cost up to 8.9e-14 at x = 1000
+    pytest.importorskip("mpmath")
+    z = complex(x, y)
+    assert rel_error(w_quadrature(z, qspec), mp_w(z, 30)) <= 1e-14
+
+
+def _direct_quadrature(z, spec):
+    # the defining integral as one complex exponential per node, with
+    # w_quadrature's panels, tail cutoff and stopping rule
+    np = pytest.importorskip("numpy")
+    x, y = z.real, z.imag
+    nodes, weights = oracle._gauss_legendre()
+    upper = min(spec.tau_max, oracle._DECAY_CUTOFF, oracle._tail_cutoff(y, spec.abs_tol))
+    width = math.pi / (4.0 * max(1.0, abs(x), y / 16.0))
+    previous = None
+    while True:
+        n_panels = math.ceil(upper / width)
+        half = 0.5 * width
+        mids = width * np.arange(n_panels) + half
+        t = (mids[:, None] + half * nodes[None, :]).ravel()
+        panels = np.exp(t * complex(-y, x) - 0.25 * t * t).reshape(n_panels, -1) @ weights
+        current = half * complex(math.fsum(panels.real.tolist()),
+                                 math.fsum(panels.imag.tolist()))
+        if previous is not None and abs(current - previous) <= spec.abs_tol:
+            return current / math.sqrt(math.pi)
+        previous = current
+        width = half
+
+
+def test_factored_phase_matches_direct_integrand(qspec):
+    for x in _log_nodes(0.01, 15.0, 10):
+        for y in _log_nodes(1e-4, 15.0, 10):
+            z = complex(x, y)
+            assert rel_error(w_quadrature(z, qspec), _direct_quadrature(z, qspec)) <= 5e-15, z
+
+
+def test_conjugate_symmetry_is_exact(qspec):
+    rng = random.Random(18)
+    for _ in range(200):
+        x = 10.0 ** rng.uniform(-2.0, 3.0)
+        z = complex(x, 10.0 ** rng.uniform(-4.0, math.log10(15.0)))
+        assert w_quadrature(complex(-x, z.imag), qspec) == w_quadrature(z, qspec).conjugate(), z
+
+
+@pytest.mark.parametrize("n_panels",
+                         [1, 2, 21, 2 ** 16, 2 ** 22 + 1, 2 ** 26, 2 ** 26 + 1, 2 ** 40])
+def test_phase_split_angles_are_exact(n_panels):
+    rng = random.Random(n_panels)
+    for _ in range(50):
+        x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 4.0)
+        width = math.pi / (4.0 * max(1.0, abs(x))) * 2.0 ** -rng.randrange(6)
+        c_hi, c_lo = oracle._phase_split(x, width, n_panels)
+        exact = Fraction(x) * Fraction(width)
+        assert abs(Fraction(c_hi) + Fraction(c_lo) - exact) <= Fraction(math.ulp(c_lo))
+        assert abs(c_hi) <= abs(exact) and c_hi * exact >= 0  # cut toward zero
+        assert oracle._phase_split(-x, width, n_panels) == (-c_hi, -c_lo)
+        for k in {0, 1, n_panels // 2, n_panels - 1, rng.randrange(n_panels)}:
+            assert Fraction(c_hi * (k + 0.5)) == Fraction(c_hi) * Fraction(2 * k + 1, 2)
+
+
 def test_truncation_point_is_irrelevant(qspec):
     # the integrand is below double precision long before tau = 50
     for z in (2.5 + 2.5j, 1 + 1j, 10 + 0.5j):
@@ -96,17 +162,17 @@ def test_subdivision_budget_enforced():
 
 
 def _untruncated(z, spec):
-    # w_quadrature without the tail cutoff: the same integrand and panel
+    # w_quadrature without the tail cutoff: the same envelope and panel
     # width, integrated out to min(tau_max, _DECAY_CUTOFF)
     np = pytest.importorskip("numpy")
     x, y = z.real, z.imag
 
-    def integrand(t):
-        return np.exp(t * complex(-y, x) - 0.25 * t * t)
+    def envelope(t):
+        return np.exp(t * (-0.25 * t - y))
 
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
     width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
-    return oracle._refine_panels(integrand, upper, width, spec) / math.sqrt(math.pi)
+    return oracle._refine_panels(envelope, x, upper, width, spec) / math.sqrt(math.pi)
 
 
 def test_tail_cutoff_changes_no_bit(qspec):
