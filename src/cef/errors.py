@@ -13,9 +13,10 @@ import cmath
 class DomainError(ValueError):
     """Argument lies outside the domain of the requested operation.
 
-    Raised for non-finite input, for evaluation points outside the upper
-    half-plane when a series kernel is called directly, and for the
-    explicit pole of the complementary-error-function series at z = 0.
+    Raised for non-finite input; for evaluation points outside the upper
+    half-plane when a series kernel, a quadrature oracle or ``imag_l`` is
+    called directly; and at the poles of ``erfc_cr_series``, z = 0 and
+    z = +-i n pi / tau_m (n = 1..N).
     """
 
 

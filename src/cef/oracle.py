@@ -12,7 +12,8 @@ two successive levels agree within the requested absolute tolerance. The
 initial panel width shrinks like pi/(4 x) so the oscillatory factor
 e^{i x tau} never outruns the rule, and for ``w_quadrature`` like 4 pi / y
 above y = 16, so that the first panel's nodes see the decay e^{-y tau}:
-two levels that both miss that peak agree on a wrong value. Panels are anchored at tau = 0, so
+two levels that both miss that peak agree on a wrong value. Every width is
+then rounded up to a power of two. Panels are anchored at tau = 0, so
 results do not depend on the exact truncation point once the integrand has
 decayed below double precision. ``w_quadrature`` stops at the point T past
 which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
@@ -22,11 +23,12 @@ tau ~ 53, where exp(-tau^2/4) < 1e-304.
 Both integrands are a real envelope times e^{i x tau} (e^{-tau^2/4 - y tau}
 here, the cosine kernel times e^{-y tau} for the finite form), and the
 phase of a node is a per-panel factor times a per-node one, so a level
-takes one real exponential per node instead of a complex one. The per-panel
-angle is split so that its leading part is exact: rounded as one product,
-its error is shared by the 20 nodes of a panel, and it reached 8.9e-14
-relative at x = 1000 against 30-digit mpmath, where the split form stays
-within 3e-15.
+takes one real exponential per node instead of a complex one. A power-of-two
+width w makes x w exact, a shift of x's exponent, so the per-panel angle
+x (k + 1/2) w is split into an exact leading part and a small rest, and no
+rounding of it is shared by the 20 nodes of a panel: rounded as one
+product, that angle cost up to 8.9e-14 relative at x = 1000 against
+30-digit mpmath, where the split form stays within 3e-15.
 
 This is a correctness instrument, not a production path: clarity and a
 trustworthy error estimate over speed. numpy is imported, and the 20-point
@@ -49,9 +51,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
 # cannot change the double-precision result.
 _DECAY_CUTOFF = 52.9
-
-# 2^27 + 1: Veltkamp's constant, splitting a double into two 26-bit halves
-_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class QuadratureSpec:
 @functools.cache
 def _gauss_legendre():
     """The 20-point Gauss-Legendre rule, built once: a build (~0.4 ms on a
-    2-vCPU Xeon VM) costs about four mean w_quadrature calls over x in
-    [0.01, 15], y in [1e-4, 15] (~0.1 ms each on the same VM)."""
+    2-vCPU Xeon VM) costs four to six mean w_quadrature calls over x in
+    [0.01, 15], y in [1e-4, 15] (~0.06-0.1 ms each on the same VM)."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
 
@@ -97,43 +96,27 @@ def _tail_cutoff(y: float, abs_tol: float) -> float:
     is at most e^{-g(T)} / (sqrt(pi) g'(T)). T solves g(T) = L, so the
     bound is e^{-L} / (sqrt(pi) sqrt(y^2 + L)) <= e^{-L} / sqrt(pi) <=
     abs_tol * 2^-52 with L = max(1, ln(2^52 / (sqrt(pi) abs_tol))), taken
-    from logarithms so that no factor underflows. 2L / (hypot(y, sqrt(L)) + y)
-    is 2 (sqrt(y^2 + L) - y) without the cancellation at large y or the
-    overflow of y^2.
+    from logarithms so that no factor underflows. L / ((hypot(y, sqrt(L)) + y) / 2)
+    is 2 (sqrt(y^2 + L) - y) without the cancellation at large y, the
+    overflow of y^2, or that of the sum past y ~ 9e307.
     """
     big_l = max(1.0, 52.0 * math.log(2.0) - math.log(_SQRT_PI) - math.log(abs_tol))
-    return 2.0 * big_l / (math.hypot(y, math.sqrt(big_l)) + y)
+    return big_l / (0.5 * math.hypot(y, math.sqrt(big_l)) + 0.5 * y)
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's
-    two-product), for |a| and |b| in [0.5, 1), where no step can overflow
-    or underflow."""
-    a_hi = _SPLITTER * a
-    a_hi -= a_hi - a
-    b_hi = _SPLITTER * b
-    b_hi -= b_hi - b
-    a_lo = a - a_hi
-    b_lo = b - b_hi
-    p = a * b
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _phase_split(x: float, width: float, n_panels: int) -> tuple[float, float]:
-    """(c_hi, c_lo) with c_hi + c_lo = x * width to about 2^-53 of c_lo,
-    where c_hi is x * width cut to 26 bits (fewer past 2^26 panels), so
-    that c_hi * (k + 1/2) is exact for every k < n_panels unless x * width
-    is subnormal. Below 2^26 panels the split does not depend on n_panels,
-    so a panel's phase does not depend on how far its level is laid out.
-    The cut is toward zero, not a floor, so -x gives exactly (-c_hi, -c_lo).
+def _phase_split(c: float, n_panels: int) -> tuple[float, float]:
+    """(c_hi, c_lo) with c_hi + c_lo = c exactly, where c_hi is c cut
+    toward zero to 26 bits (fewer past 2^26 panels), so that
+    c_hi * (k + 1/2) is exact for every k < n_panels unless c is subnormal.
+    c = x * w is exact for a power-of-two panel width w. Below 2^26 panels
+    the split does not depend on n_panels, so a panel's phase does not
+    depend on how far its level is laid out. The cut is toward zero, not a
+    floor, so -c gives exactly (-c_hi, -c_lo).
     """
-    mx, ex = math.frexp(x)
-    mw, ew = math.frexp(width)
-    p, e = _two_product(mx, mw)
     bits = 53 - max(27, (2 * n_panels - 1).bit_length())
-    mp, ep = math.frexp(p)
-    hi = math.ldexp(math.trunc(math.ldexp(mp, bits)), ep - bits)
-    return math.ldexp(hi, ex + ew), math.ldexp((p - hi) + e, ex + ew)
+    mantissa, exponent = math.frexp(c)
+    c_hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    return c_hi, c - c_hi
 
 
 def _refine_panels(envelope, x: float, upper: float, width: float,
@@ -150,23 +133,30 @@ def _refine_panels(envelope, x: float, upper: float, width: float,
     E_k = e^{i c_hi (k + 1/2)} e^{i c_lo (k + 1/2)} from ``_phase_split``,
     whose first angle is exact, so no rounding of x (k + 1/2) w is shared
     by the 20 nodes of a panel.
+
+    ``width`` is first rounded up to a power of two, which makes x w and its
+    halvings exact products for the split: any width in the octave below a
+    power of two gives that power's panels and bits.
     """
     import numpy as np
     nodes, weights = _gauss_legendre()
+    mantissa, exponent = math.frexp(width)
+    width = width if mantissa == 0.5 else math.ldexp(1.0, exponent)
     previous = None
     while True:
-        n_panels = math.ceil(upper / width)
-        if n_panels > spec.max_subdivisions:
+        # tested before math.ceil, which cannot take the inf of a tiny width
+        if upper / width > spec.max_subdivisions:
             raise ConvergenceError(
                 f"needed more than {spec.max_subdivisions} panels to reach "
                 f"abs_tol={spec.abs_tol:g}")
+        n_panels = math.ceil(upper / width)
         half = 0.5 * width
         k = np.arange(n_panels) + 0.5
         t = (width * k)[:, None] + half * nodes
         # omega_j F_j as a (20, 2) real matrix: columns real, imaginary
         node_phases = np.exp(1j * (x * half * nodes)) * weights
         sums = (envelope(t) @ node_phases.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        c_hi, c_lo = _phase_split(x, width, n_panels)
+        c_hi, c_lo = _phase_split(x * width, n_panels)
         panels = np.exp(1j * (c_hi * k)) * np.exp(1j * (c_lo * k)) * sums
         # exactly rounded, so the result cannot depend on how many
         # negligible panels past the decay point join the sum
@@ -196,7 +186,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
         return np.exp(t * (-0.25 * t - y))
 
     upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
-    width = math.pi / (4.0 * max(1.0, abs(x), y / 16.0))
+    width = 0.25 * math.pi / max(1.0, abs(x), y / 16.0)
     return _refine_panels(envelope, x, upper, width, spec) / _SQRT_PI
 
 
@@ -223,5 +213,5 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
 
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
-    width = min(0.5, math.pi / (4.0 * bandwidth))
+    width = min(0.5, 0.25 * math.pi / bandwidth)
     return _refine_panels(envelope, x, tau, width, spec) / _SQRT_PI

@@ -329,6 +329,14 @@ class TestScan:
         assert proc.returncode == 3
         assert "converge" in proc.stderr
 
+    def test_oracle_at_huge_x_is_numeric_error(self):
+        # 4 |x| overflows here: the oracle must fail as a numeric error
+        proc = run_cli("scan", "--x-min", "1e308", "--x-max", "1e308", "--nx", "1",
+                       "--ny", "1", "--y-min", "1", "--y-max", "1")
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
 
 class TestBenchCommand:
     def test_deterministic_checksum(self):

@@ -1,7 +1,8 @@
 """Leftovers the interpreter does not report: a module-level import that its
 module never uses, a module-level private name that nothing in the
 package uses, both read from the source with ``ast``, and a source line
-longer than MAX_LINE characters."""
+longer than MAX_LINE characters. Also read with ``ast``: the oracle's
+imports from the package, which keep it an independent reference."""
 
 import ast
 import pathlib
@@ -68,3 +69,28 @@ def test_no_line_is_longer_than_max_line():
                   for number, line in enumerate(text.splitlines(), 1)
                   if len(line) > MAX_LINE]
     assert not long_lines, long_lines
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module imports, at any depth of its source;
+    "cef" stands for the package itself."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = ("cef." if node.level else "") + (f"{node.module}." if node.module else "")
+            dotted = [prefix + alias.name for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            top, _, rest = name.partition(".")
+            if top == "cef":
+                modules.add(rest.partition(".")[0] or "cef")
+    return modules
+
+
+def test_oracle_imports_nothing_from_the_kernels_it_checks():
+    # the oracle is a reference for the series kernels only while it shares
+    # no code with them: the errors module holds the rule they share
+    assert package_imports(TREES["oracle.py"]) <= {"coefficients", "errors"}

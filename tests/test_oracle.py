@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,15 @@ def test_large_x_matches_mpmath(x, y, qspec):
     assert rel_error(w_quadrature(z, qspec), mp_w(z, 30)) <= 1e-14
 
 
+def _power_of_two_at_or_above(width):
+    power = 1.0
+    while power < width:
+        power *= 2.0
+    while 0.5 * power >= width:
+        power *= 0.5
+    return power
+
+
 def _direct_quadrature(z, spec):
     # the defining integral as one complex exponential per node, with
     # w_quadrature's panels, tail cutoff and stopping rule
@@ -90,7 +100,7 @@ def _direct_quadrature(z, spec):
     x, y = z.real, z.imag
     nodes, weights = oracle._gauss_legendre()
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF, oracle._tail_cutoff(y, spec.abs_tol))
-    width = math.pi / (4.0 * max(1.0, abs(x), y / 16.0))
+    width = _power_of_two_at_or_above(math.pi / (4.0 * max(1.0, abs(x), y / 16.0)))
     previous = None
     while True:
         n_panels = math.ceil(upper / width)
@@ -127,14 +137,32 @@ def test_phase_split_angles_are_exact(n_panels):
     rng = random.Random(n_panels)
     for _ in range(50):
         x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 4.0)
-        width = math.pi / (4.0 * max(1.0, abs(x))) * 2.0 ** -rng.randrange(6)
-        c_hi, c_lo = oracle._phase_split(x, width, n_panels)
+        width = _power_of_two_at_or_above(math.pi / (4.0 * max(1.0, abs(x))))
+        width *= 2.0 ** -rng.randrange(6)
+        c_hi, c_lo = oracle._phase_split(x * width, n_panels)
         exact = Fraction(x) * Fraction(width)
-        assert abs(Fraction(c_hi) + Fraction(c_lo) - exact) <= Fraction(math.ulp(c_lo))
+        assert Fraction(c_hi) + Fraction(c_lo) == exact
         assert abs(c_hi) <= abs(exact) and c_hi * exact >= 0  # cut toward zero
-        assert oracle._phase_split(-x, width, n_panels) == (-c_hi, -c_lo)
+        assert oracle._phase_split(-x * width, n_panels) == (-c_hi, -c_lo)
         for k in {0, 1, n_panels // 2, n_panels - 1, rng.randrange(n_panels)}:
             assert Fraction(c_hi * (k + 0.5)) == Fraction(c_hi) * Fraction(2 * k + 1, 2)
+
+
+@pytest.mark.parametrize("x, y", [(0.05, 1.0), (3.0, 1e-4), (15.0, 0.5), (1000.0, 10.0)])
+def test_panel_width_is_rounded_up_to_a_power_of_two(x, y, qspec):
+    # x w is exact only for a power-of-two width, so every width in the
+    # octave below a power of two gives that power's panels and bits
+    np = pytest.importorskip("numpy")
+
+    def envelope(t):
+        return np.exp(t * (-0.25 * t - y))
+
+    upper = oracle._tail_cutoff(y, qspec.abs_tol)
+    asked = math.pi / (4.0 * max(1.0, x))
+    power = _power_of_two_at_or_above(asked)
+    want = oracle._refine_panels(envelope, x, upper, power, qspec)
+    for width in (asked, 0.5 * power * (1.0 + 2.0 ** -52), math.nextafter(power, 0.0)):
+        assert oracle._refine_panels(envelope, x, upper, width, qspec) == want, width
 
 
 def test_truncation_point_is_irrelevant(qspec):
@@ -156,9 +184,16 @@ def test_self_consistency_under_tighter_tolerance():
             assert abs(a - b) < 1e-14
 
 
-def test_subdivision_budget_enforced():
+def test_subdivision_budget_enforced(coeffs, qspec):
     with pytest.raises(ConvergenceError):
         w_quadrature(15.0 + 0.5j, QuadratureSpec(max_subdivisions=4))
+    # 4 |x| overflows past |x| ~ 4.5e307, and upper / width is inf for the
+    # tiny first widths there: both must end in the budget's error
+    for x in (4e307, 1e308, sys.float_info.max):
+        with pytest.raises(ConvergenceError):
+            w_quadrature(complex(x, 1.0), qspec)
+        with pytest.raises(ConvergenceError):
+            w_finite_quadrature(complex(x, 1.0), coeffs, qspec)
 
 
 def _untruncated(z, spec):
@@ -214,12 +249,14 @@ def test_cutoff_edge_cases_return_finite_values(z, abs_tol):
     assert math.isfinite(abs(w_quadrature(z, QuadratureSpec(abs_tol=abs_tol))))
 
 
-@pytest.mark.parametrize("y", [2e4, 5e4, 1e5, 1e6, 1e100, 1e200])
+@pytest.mark.parametrize("y", [2e4, 5e4, 1e5, 1e6, 1e100, 1e200,
+                               9e307, 1e308, sys.float_info.max])
 @pytest.mark.parametrize("x", [0.0, 3.0, 100.0])
 def test_large_y_matches_wofz(x, y, qspec):
     # the first panel must shrink with y: at pi/4 wide every node sits where
     # e^{-y tau} < 1e-29 from y ~ 2e4 on, and two levels that both miss the
-    # peak agree
+    # peak agree. From y ~ 9e307 hypot(y, sqrt(L)) + y overflows, and a
+    # tail cutoff formed from it would lay no panel and return 0j.
     wofz = pytest.importorskip("scipy.special").wofz
     z = complex(x, y)
     assert rel_error(w_quadrature(z, qspec), complex(wofz(z))) <= 1e-13
@@ -232,7 +269,7 @@ def test_tiny_tolerance_stops_at_the_decay_cutoff():
 
 
 def test_panel_budget_counts_panels_up_to_the_cutoff(qspec):
-    # 1910 panels to tau = 50 at the converged level, about a third of
+    # 1600 panels to tau = 50 at the converged level, about a third of
     # that up to the cutoff near tau = 15.5
     z = 15.0 + 0.5j
     budget = QuadratureSpec(max_subdivisions=1000)
