@@ -24,11 +24,14 @@ from dataclasses import dataclass
 
 from .coefficients import CoefficientTable, _is_int, _is_real
 from .errors import ConvergenceError
-from .oracle import QuadratureSpec, w_quadrature
+from .oracle import QuadratureSpec, _quadrature_row, w_quadrature
 from .series import _COMMON_ONLY, _REFINED, w_adaptive, w_cr, w_refined
 
+# w_quadrature is re-exported, not called: error_scan integrates the oracle
+# a row at a time (oracle._quadrature_row), and code that wraps the oracle
+# by its name here, such as perfbench's tracer, must still find it
 __all__ = ["GridSpec", "AccuracyReport", "BenchReport", "error_scan",
-           "measure_throughput", "bench_points"]
+           "measure_throughput", "bench_points", "w_quadrature"]
 
 
 def _adaptive(z: complex, coeffs: CoefficientTable):
@@ -137,31 +140,35 @@ def error_scan(grid: GridSpec, method: str, reference: str,
     every grid node. A node where the method or the reference raises
     OverflowError (the series formulas do once (tau_m z)^2 overflows) has
     error NaN. A NaN error is the maximum, reported at its first node.
-    Oracle convergence failures are re-raised tagged with the offending
-    node."""
+    The oracle reference is integrated a row of x at a time; when its
+    panel budget runs out, the ConvergenceError is re-raised tagged with
+    the row's first node, in scan order, that had not converged."""
     if reference not in SCAN_REFERENCES:
         raise ValueError(f"unknown reference {reference!r}, expected one of {SCAN_REFERENCES}")
     if method not in SCAN_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {SCAN_METHODS}")
     evaluate = METHODS[method][0]
-    if reference == "oracle":
-        qspec = spec if spec is not None else QuadratureSpec()
-        r_fn = lambda z: w_quadrature(z, qspec)
-    else:
-        r_fn = lambda z: w_refined(z, coeffs)
+    qspec = spec if spec is not None else QuadratureSpec()
 
     max_err = 0.0
     argmax = (grid.x_min, grid.y_min)
     per_point: list[tuple[float, float, float]] = []
+    xs = grid.x_nodes()
     for y in grid.y_nodes():
-        for x in grid.x_nodes():
-            z = complex(x, y)
+        if reference == "oracle":
+            # one call per row: the row's nodes share the oracle's envelope
             try:
-                ref = r_fn(z)
-                value = evaluate(z, coeffs)[0]
+                refs = _quadrature_row(xs, y, qspec)
             except ConvergenceError as exc:
+                # the node a per-node loop would have stopped at
+                x = xs[exc.unconverged[0]]
                 raise ConvergenceError(
                     f"reference failed to converge at x={x!r}, y={y!r}: {exc}") from exc
+        for i, x in enumerate(xs):
+            z = complex(x, y)
+            try:
+                ref = refs[i] if reference == "oracle" else w_refined(z, coeffs)
+                value = evaluate(z, coeffs)[0]
             except OverflowError:
                 # the series formulas raise once (tau_m z)^2 overflows
                 err = math.nan

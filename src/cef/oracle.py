@@ -30,6 +30,15 @@ rounding of it is shared by the 20 nodes of a panel: rounded as one
 product, that angle cost up to 8.9e-14 relative at x = 1000 against
 30-digit mpmath, where the split form stays within 3e-15.
 
+The nodes of a scan row share y, and so the envelope and the tail cutoff
+T. ``_quadrature_row`` groups a row's x by their rounded first width
+(every |x| <= 1 shares one below y = 16; a row of ``oracle_scan`` has about
+five groups) and integrates each group in one ``_refine_panels`` call,
+which evaluates the envelope once a level for the whole group while each
+x keeps its own sums and stopping test. ``w_quadrature`` is the one-node
+row, so every value of a row has the bits of a single-node call.
+``analysis.error_scan`` takes its oracle reference a row at a time.
+
 This is a correctness instrument, not a production path: clarity and a
 trustworthy error estimate over speed. numpy is imported, and the 20-point
 rule built, on the first call, so ``import cef`` alone never loads numpy.
@@ -51,6 +60,10 @@ _SQRT_PI = math.sqrt(math.pi)
 # exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
 # cannot change the double-precision result.
 _DECAY_CUTOFF = 52.9
+
+# (x, panel) entries per block of a level in ``_refine_panels``: 1 MiB per
+# complex array however many x share a panel width
+_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -81,9 +94,12 @@ class QuadratureSpec:
 
 @functools.cache
 def _gauss_legendre():
-    """The 20-point Gauss-Legendre rule, built once: a build (~0.4 ms on a
-    2-vCPU Xeon VM) costs four to six mean w_quadrature calls over x in
-    [0.01, 15], y in [1e-4, 15] (~0.06-0.1 ms each on the same VM)."""
+    """The 20-point Gauss-Legendre rule, built once. The first call also
+    imports ``numpy.polynomial``, which ``import numpy`` does not load:
+    2.9-4.8 ms, and 0.6-1.0 ms for ``leggauss(20)`` itself (cold
+    processes, 2-vCPU Xeon VM). A first ``w_quadrature`` call, at 5-6 ms,
+    costs some 35 mean calls over x in [0.01, 15], y in [1e-4, 15], or
+    about 100 nodes of a scan row, in the same processes."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
 
@@ -119,53 +135,133 @@ def _phase_split(c: float, n_panels: int) -> tuple[float, float]:
     return c_hi, c - c_hi
 
 
-def _refine_panels(envelope, x: float, upper: float, width: float,
-                   spec: QuadratureSpec) -> complex:
-    """Integrate envelope(tau) * e^{i x tau} over [0, upper], halving the
-    panel width until two successive composite Gauss-Legendre estimates
-    agree within spec.abs_tol.
+def _power_of_two_at_or_above(width: float) -> float:
+    """The least power of two >= width, from ``math.frexp``, which is exact
+    (``2.0 ** math.ceil(math.log2(width))`` can land one power low)."""
+    mantissa, exponent = math.frexp(width)
+    return width if mantissa == 0.5 else math.ldexp(1.0, exponent)
+
+
+def _refine_panels(envelope, xs, upper: float, width: float,
+                   spec: QuadratureSpec) -> list[complex]:
+    """Integrate envelope(tau) * e^{i x tau} over [0, upper] for every x in
+    ``xs``, halving the panel width until two successive composite
+    Gauss-Legendre estimates of that x agree within spec.abs_tol.
 
     ``envelope`` maps an array of tau to real values of the same shape. On
     a level of width w the node tau_kj = (k + 1/2) w + (w/2) xi_j has the
     phase e^{i x tau_kj} = E_k F_j, so panel k is
     (w/2) E_k sum_j envelope(tau_kj) omega_j F_j: one real matrix product
-    over the level and 2 n_panels + 20 complex exponentials, not 20 n_panels.
+    per x and 2 n_panels + 20 complex exponentials, not 20 n_panels.
     E_k = e^{i c_hi (k + 1/2)} e^{i c_lo (k + 1/2)} from ``_phase_split``,
     whose first angle is exact, so no rounding of x (k + 1/2) w is shared
     by the 20 nodes of a panel.
 
+    The x values share the envelope and the widths, so a level evaluates
+    the envelope once for all of them, and each x still pending forms its
+    own E_k, F_j and (n_panels x 20) @ (20 x 2) product, stacked into one
+    matmul over the x values. Each x keeps its own exactly rounded sum and
+    stopping test and drops out at the level where it converges; its value
+    has the bits it has when integrated alone.
+
     ``width`` is first rounded up to a power of two, which makes x w and its
     halvings exact products for the split: any width in the octave below a
     power of two gives that power's panels and bits.
+
+    Raises ConvergenceError when a level would pass spec.max_subdivisions
+    panels with some x still pending; its ``unconverged`` attribute lists
+    the indices into ``xs`` of those x, ascending.
     """
     import numpy as np
     nodes, weights = _gauss_legendre()
-    mantissa, exponent = math.frexp(width)
-    width = width if mantissa == 0.5 else math.ldexp(1.0, exponent)
-    previous = None
-    while True:
+    i_nodes = 1j * nodes
+    abs_tol = spec.abs_tol
+    width = _power_of_two_at_or_above(width)
+    values = [None] * len(xs)
+    previous = [None] * len(xs)
+    pending = list(range(len(xs)))
+    while pending:
         # tested before math.ceil, which cannot take the inf of a tiny width
         if upper / width > spec.max_subdivisions:
-            raise ConvergenceError(
+            error = ConvergenceError(
                 f"needed more than {spec.max_subdivisions} panels to reach "
                 f"abs_tol={spec.abs_tol:g}")
+            error.unconverged = pending
+            raise error
         n_panels = math.ceil(upper / width)
         half = 0.5 * width
-        k = np.arange(n_panels) + 0.5
-        t = (width * k)[:, None] + half * nodes
-        # omega_j F_j as a (20, 2) real matrix: columns real, imaginary
-        node_phases = np.exp(1j * (x * half * nodes)) * weights
-        sums = (envelope(t) @ node_phases.view(float).reshape(-1, 2)).view(complex)[:, 0]
-        c_hi, c_lo = _phase_split(x * width, n_panels)
-        panels = np.exp(1j * (c_hi * k)) * np.exp(1j * (c_lo * k)) * sums
-        # exactly rounded, so the result cannot depend on how many
-        # negligible panels past the decay point join the sum
-        current = half * complex(math.fsum(panels.real.tolist()),
-                                 math.fsum(panels.imag.tolist()))
-        if previous is not None and abs(current - previous) <= spec.abs_tol:
-            return current
-        previous = current
+        k = np.arange(0.5, n_panels)
+        i_k = 1j * k
+        env = envelope((width * k)[:, None] + half * nodes)
+        still_pending = []
+        # blocks of x keep each (x, panel) array below _BLOCK entries
+        step = max(1, _BLOCK // n_panels)
+        for first in range(0, len(pending), step):
+            block = pending[first:first + step]
+            # per x: c_hi and c_lo, the angles of E_k over k + 1/2, and x w/2,
+            # that of F_j over xi_j
+            angles = np.array([(*_phase_split(xs[i] * width, n_panels), xs[i] * half)
+                               for i in block])
+            # omega_j F_j of each x as a (20, 2) real matrix: columns real, imaginary
+            node_phases = np.exp(angles[:, 2:] * i_nodes) * weights
+            sums = (env @ node_phases.view(float).reshape(-1, 20, 2)).view(complex)[..., 0]
+            e_k = np.exp(angles[:, :2, None] * i_k)
+            panels = e_k[:, 0] * e_k[:, 1] * sums
+            for i, real, imag in zip(block, panels.real.tolist(), panels.imag.tolist()):
+                # exactly rounded, so the result cannot depend on how many
+                # negligible panels past the decay point join the sum
+                current = half * complex(math.fsum(real), math.fsum(imag))
+                if previous[i] is not None and abs(current - previous[i]) <= abs_tol:
+                    values[i] = current
+                else:
+                    previous[i] = current
+                    still_pending.append(i)
+        pending = still_pending
         width = half
+    return values
+
+
+def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
+    """``w_quadrature`` at x + iy for every x in ``xs``: one
+    ``_refine_panels`` call for each power of two the x's first panel
+    widths round up to.
+
+    Raises DomainError for a non-finite x, and ConvergenceError when the
+    panel budget runs out with nodes pending in any group; its
+    ``unconverged`` attribute then lists their indices into ``xs``,
+    ascending, so that a scan names the node a per-node loop would.
+    """
+    import numpy as np
+
+    def envelope(t: np.ndarray) -> np.ndarray:
+        # exp(t (-t/4 - y)), formed in place
+        exponent = -0.25 * t
+        exponent -= y
+        exponent *= t
+        return np.exp(exponent, out=exponent)
+
+    upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
+    groups: dict[float, list[int]] = {}
+    for i, x in enumerate(xs):
+        _require_upper_half_plane(complex(x, y), "w_quadrature")
+        width = _power_of_two_at_or_above(0.25 * math.pi / max(1.0, abs(x), y / 16.0))
+        groups.setdefault(width, []).append(i)
+    row = [None] * len(xs)
+    unconverged: list[int] = []
+    for width, members in groups.items():
+        try:
+            values = _refine_panels(envelope, [xs[i] for i in members], upper, width, spec)
+        except ConvergenceError as error:
+            # every group still runs: a later one may hold an earlier node
+            failure = error
+            unconverged += [members[j] for j in error.unconverged]
+        else:
+            for i, value in zip(members, values):
+                row[i] = value / _SQRT_PI
+    if unconverged:
+        failure.unconverged = sorted(unconverged)
+        raise failure
+    return row
 
 
 def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
@@ -178,16 +274,7 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     the panel budget runs out before the tolerance is met.
     """
     _require_upper_half_plane(z, "w_quadrature")
-    x = z.real
-    y = z.imag
-    import numpy as np
-
-    def envelope(t: np.ndarray) -> np.ndarray:
-        return np.exp(t * (-0.25 * t - y))
-
-    upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
-    width = 0.25 * math.pi / max(1.0, abs(x), y / 16.0)
-    return _refine_panels(envelope, x, upper, width, spec) / _SQRT_PI
+    return _quadrature_row([z.real], z.imag, spec)[0]
 
 
 def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
@@ -214,4 +301,4 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
     width = min(0.5, 0.25 * math.pi / bandwidth)
-    return _refine_panels(envelope, x, tau, width, spec) / _SQRT_PI
+    return _refine_panels(envelope, [x], tau, width, spec)[0] / _SQRT_PI

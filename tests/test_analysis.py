@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, analysis,
-                 bench_points, error_scan, measure_throughput, w_adaptive, w_refined)
+from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, analysis, oracle,
+                 bench_points, error_scan, measure_throughput, w_adaptive, w_quadrature,
+                 w_refined)
 from cef.cli import _evaluate
 from conftest import interleaved_throughputs, rel_error
 
@@ -144,6 +145,49 @@ class TestErrorScan:
         starved = QuadratureSpec(max_subdivisions=4)
         with pytest.raises(ConvergenceError, match="x="):
             error_scan(row_grid(1.0, nx=2), "cr", "oracle", coeffs, starved)
+
+    @pytest.mark.parametrize("grid", [
+        row_grid(1.0),  # its small-x nodes converge: the node named is not its first
+        GridSpec(x_min=-1.0, x_max=15.0, y_min=0.5, y_max=20.0, nx=9, ny=2),
+        GridSpec(x_min=-15.0, x_max=15.0, y_min=1e-4, y_max=1e-4, nx=7, ny=1),
+    ], ids=["log_row", "two_rows", "negative_x"])
+    def test_convergence_failure_names_the_per_node_loops_node(self, grid, coeffs):
+        # 40 panels a level: |x| <= 1 converges on 33, larger |x| needs 66
+        # or more. The scan must name the node at which evaluating the
+        # nodes one by one, in scan order, stops first.
+        starved = QuadratureSpec(max_subdivisions=40)
+        want = None
+        for y in grid.y_nodes():
+            for x in grid.x_nodes():
+                try:
+                    w_quadrature(complex(x, y), starved)
+                except ConvergenceError as exc:
+                    want = f"reference failed to converge at x={x!r}, y={y!r}: {exc}"
+                    break
+            if want is not None:
+                break
+        assert want is not None
+        with pytest.raises(ConvergenceError) as caught:
+            error_scan(grid, "cr", "oracle", coeffs, starved)
+        assert str(caught.value) == want
+
+    def test_oracle_is_integrated_one_row_at_a_time(self, coeffs, qspec, monkeypatch):
+        grid = GridSpec(x_min=0.01, x_max=15.0, y_min=1e-3, y_max=15.0, nx=6, ny=4,
+                        spacing="logarithmic")
+        want = error_scan(grid, "cr", "oracle", coeffs, qspec)
+        rows = []
+        quadrature_row = analysis._quadrature_row
+
+        def counting_row(xs, y, spec):
+            rows.append((list(xs), y))
+            return quadrature_row(xs, y, spec)
+
+        # w_quadrature integrates through oracle's own name: a scan that fell
+        # back to one w_quadrature per node would show here as extra rows
+        monkeypatch.setattr(analysis, "_quadrature_row", counting_row)
+        monkeypatch.setattr(oracle, "_quadrature_row", counting_row)
+        assert error_scan(grid, "cr", "oracle", coeffs, qspec) == want
+        assert rows == [(grid.x_nodes(), y) for y in grid.y_nodes()]
 
 
 class TestBench:

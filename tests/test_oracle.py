@@ -84,6 +84,11 @@ def test_large_x_matches_mpmath(x, y, qspec):
     assert rel_error(w_quadrature(z, qspec), mp_w(z, 30)) <= 1e-14
 
 
+def _log_nodes(lo, hi, n):
+    step = (math.log10(hi) - math.log10(lo)) / (n - 1)
+    return [10.0 ** (math.log10(lo) + step * k) for k in range(n)]
+
+
 def _power_of_two_at_or_above(width):
     power = 1.0
     while power < width:
@@ -160,9 +165,87 @@ def test_panel_width_is_rounded_up_to_a_power_of_two(x, y, qspec):
     upper = oracle._tail_cutoff(y, qspec.abs_tol)
     asked = math.pi / (4.0 * max(1.0, x))
     power = _power_of_two_at_or_above(asked)
-    want = oracle._refine_panels(envelope, x, upper, power, qspec)
+    want = oracle._refine_panels(envelope, [x], upper, power, qspec)[0]
     for width in (asked, 0.5 * power * (1.0 + 2.0 ** -52), math.nextafter(power, 0.0)):
-        assert oracle._refine_panels(envelope, x, upper, width, qspec) == want, width
+        assert oracle._refine_panels(envelope, [x], upper, width, qspec)[0] == want, width
+
+
+def _bits(value):
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("xs, ys, abs_tol", [
+    # the box perfbench's oracle_scan samples
+    (_log_nodes(0.01, 15.0, 12), _log_nodes(1e-4, 15.0, 10), 1e-14),
+    # negative x, and x = 0 between them
+    ([-15.0 + 2.5 * k for k in range(13)], [0.5], 1e-14),
+    # above y = 16 the first width is set by y, not by x
+    (_log_nodes(0.01, 15.0, 12), [17.0, 100.0, 1e4], 1e-14),
+    (_log_nodes(0.01, 15.0, 12), [1e-4, 1.0], 1e-6),
+    (_log_nodes(0.01, 15.0, 12), [1e-4, 1.0], 1e-15),
+    # a width class per octave of x, up to ~2^15 panels a level
+    (_log_nodes(1.0, 1000.0, 16), [1e-2, 10.0], 1e-14),
+], ids=["box", "negative_x", "large_y", "loose_tol", "tight_tol", "large_x"])
+def test_row_matches_single_nodes_bit_for_bit(xs, ys, abs_tol):
+    # a row integrates its nodes together, one group per panel width; each
+    # value must keep the bits of the node integrated alone
+    spec = QuadratureSpec(abs_tol=abs_tol)
+    for y in ys:
+        row = oracle._quadrature_row(xs, y, spec)
+        alone = [w_quadrature(complex(x, y), spec) for x in xs]
+        assert list(map(_bits, row)) == list(map(_bits, alone)), y
+
+
+def test_row_lists_every_unconverged_node():
+    # 40 panels a level: |x| <= 1 converges, larger |x| runs out in its
+    # own group; the row must name every node that did not converge, in
+    # order, across groups that interleave
+    starved = QuadratureSpec(max_subdivisions=40)
+    xs = [0.5, 20.0, 0.01, 3.0, -0.7, -3.0, 1.2, -20.0]
+    want = []
+    for i, x in enumerate(xs):
+        try:
+            w_quadrature(complex(x, 1.0), starved)
+        except ConvergenceError:
+            want.append(i)
+    assert want == [1, 3, 5, 7]
+    with pytest.raises(ConvergenceError) as caught:
+        oracle._quadrature_row(xs, 1.0, starved)
+    assert caught.value.unconverged == want
+
+
+def test_blocks_of_a_level_change_no_bit(qspec, monkeypatch):
+    # a level splits its pending x into blocks of at most _BLOCK (x, panel)
+    # entries, one x a block from 64 panels on here
+    xs = _log_nodes(0.01, 15.0, 12)
+    whole = oracle._quadrature_row(xs, 0.3, qspec)
+    monkeypatch.setattr(oracle, "_BLOCK", 64)
+    assert list(map(_bits, oracle._quadrature_row(xs, 0.3, qspec))) == list(map(_bits, whole))
+
+
+@pytest.mark.parametrize("y", [0.1, 1.0])
+def test_nodes_leave_a_group_at_their_own_level(y, qspec):
+    # one width for all, on which the nodes converge at different levels;
+    # each must stop where it stops when integrated alone
+    np = pytest.importorskip("numpy")
+    levels = []
+
+    def envelope(t):
+        levels.append(t.shape[0])
+        return np.exp(t * (-0.25 * t - y))
+
+    upper = oracle._tail_cutoff(y, qspec.abs_tol)
+    xs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, -3.0]
+    alone, stops = [], []
+    for x in xs:
+        levels.clear()
+        alone.append(oracle._refine_panels(envelope, [x], upper, 8.0, qspec)[0])
+        stops.append(len(levels))
+    assert min(stops) < max(stops)
+    levels.clear()
+    together = oracle._refine_panels(envelope, xs, upper, 8.0, qspec)
+    assert len(levels) == max(stops)  # one envelope a level for the group
+    assert list(map(_bits, together)) == list(map(_bits, alone))
 
 
 def test_truncation_point_is_irrelevant(qspec):
@@ -207,7 +290,7 @@ def _untruncated(z, spec):
 
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
     width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
-    return oracle._refine_panels(envelope, x, upper, width, spec) / math.sqrt(math.pi)
+    return oracle._refine_panels(envelope, [x], upper, width, spec)[0] / math.sqrt(math.pi)
 
 
 def test_tail_cutoff_changes_no_bit(qspec):
@@ -312,11 +395,6 @@ def test_defining_integral_grid_agreement(coeffs, qspec):
             err = rel_error(w_refined(z, coeffs), w_quadrature(z, qspec))
             worst = max(worst, err)
     assert worst <= 1e-10
-
-
-def _log_nodes(lo, hi, n):
-    step = (math.log10(hi) - math.log10(lo)) / (n - 1)
-    return [10.0 ** (math.log10(lo) + step * k) for k in range(n)]
 
 
 def test_gauss_legendre_rule_is_built_once(coeffs, qspec, monkeypatch):
