@@ -91,6 +91,10 @@ class GridSpec:
         if not 0 < self.y_min <= self.y_max:
             raise ValueError(f"need 0 < y_min <= y_max, got "
                              f"y_min={self.y_min!r}, y_max={self.y_max!r}")
+        # a linear axis steps by its span; y's cannot overflow, as 0 < y_min
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"grid span x_max - x_min must be finite, got x in "
+                             f"[{self.x_min!r}, {self.x_max!r}]")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"nx and ny must be >= 1, got nx={self.nx!r}, ny={self.ny!r}")
         if self.spacing == "logarithmic" and self.x_min <= 0:

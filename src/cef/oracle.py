@@ -7,15 +7,19 @@ back to the defining integral
 
 and to its finite-interval intermediate, where the Gaussian kernel is
 replaced by its cosine expansion and integrated over [0, tau_m]. Both are
-computed by composite Gauss-Legendre panels, halving the panel width until
-two successive levels agree within the requested absolute tolerance. The
-initial panel width shrinks like pi/(4 x) so the oscillatory factor
-e^{i x tau} never outruns the rule, and for ``w_quadrature`` like 4 pi / y
-above y = 16, so that the first panel's nodes see the decay e^{-y tau}:
-two levels that both miss that peak agree on a wrong value. Every width is
-then rounded up to a power of two. Panels are anchored at tau = 0, so
-results do not depend on the exact truncation point once the integrand has
-decayed below double precision. ``w_quadrature`` stops at the point T past
+computed by composite Gauss-Legendre panels. The widest panel width that
+may be accepted, r, is the power of two at or above min(1/2, pi/(4|x|),
+2 pi/y) for ``w_quadrature`` (min(1/4, pi/(8B)) for the finite form, B
+the bandwidth of its integrand), so an accepted panel holds less than
+pi/2 radians of the oscillatory factor e^{i x tau}, and at large y the
+first panel's nodes see the decay e^{-y tau}: two levels that both miss
+that peak agree on a wrong value. The levels run 4r, r, r/2, r/4, ...,
+and a value is accepted at the first level that agrees with the one
+before it within the requested absolute tolerance. The 4r level costs a
+quarter of level r, and its own error is the larger, so the first test
+asks more than one against a 2r level would. Panels are anchored at
+tau = 0, so results do not depend on the exact truncation point once the
+integrand has decayed below double precision. ``w_quadrature`` stops at the point T past
 which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
 for y -> 0 at the default abs_tol, and smaller for larger y), never past
 tau ~ 53, where exp(-tau^2/4) < 1e-304.
@@ -28,15 +32,15 @@ width w makes x w exact, a shift of x's exponent, so the per-panel angle
 x (k + 1/2) w is split into an exact leading part and a small rest, and no
 rounding of it is shared by the 20 nodes of a panel: rounded as one
 product, that angle cost up to 8.9e-14 relative at x = 1000 against
-30-digit mpmath, where the split form stays within 3e-15.
+30-digit mpmath, where the split form stays within 4.7e-15 up to x = 1500.
 
 The nodes of a scan row share y, and so the envelope and the tail cutoff
-T. ``_quadrature_row`` groups a row's x by their rounded first width
-(every |x| <= 1 shares one below y = 16; a row of ``oracle_scan`` has about
-five groups) and integrates each group in one ``_refine_panels`` call,
-which evaluates the envelope once a level for the whole group while each
-x keeps its own sums and stopping test. ``w_quadrature`` is the one-node
-row, so every value of a row has the bits of a single-node call.
+T. ``_quadrature_row`` groups a row's x by r (every |x| < pi shares
+r = 1/2 below y = 8 pi, and a row of ``oracle_scan`` has four groups) and
+integrates each group in one ``_refine_panels`` call, which evaluates the
+envelope once a level for the whole group while each x keeps its own sums
+and stopping test. ``w_quadrature`` is the one-node row, so every value of
+a row has the bits of a single-node call.
 ``analysis.error_scan`` takes its oracle reference a row at a time.
 
 This is a correctness instrument, not a production path: clarity and a
@@ -145,8 +149,14 @@ def _power_of_two_at_or_above(width: float) -> float:
 def _refine_panels(envelope, xs, upper: float, width: float,
                    spec: QuadratureSpec) -> list[complex]:
     """Integrate envelope(tau) * e^{i x tau} over [0, upper] for every x in
-    ``xs``, halving the panel width until two successive composite
-    Gauss-Legendre estimates of that x agree within spec.abs_tol.
+    ``xs`` by composite Gauss-Legendre panels, accepting an x's estimate
+    once it agrees with the level before within spec.abs_tol.
+
+    ``width`` is the first width that may be accepted. The levels run 4w,
+    w, w/2, w/4, ...: the first test compares w with the 4w level, which
+    costs a quarter of level w and whose own error is larger, so it asks
+    more than a test against 2w would; every later test compares a level
+    with the one before it.
 
     ``envelope`` maps an array of tau to real values of the same shape. On
     a level of width w the node tau_kj = (k + 1/2) w + (w/2) xi_j has the
@@ -164,9 +174,9 @@ def _refine_panels(envelope, xs, upper: float, width: float,
     stopping test and drops out at the level where it converges; its value
     has the bits it has when integrated alone.
 
-    ``width`` is first rounded up to a power of two, which makes x w and its
-    halvings exact products for the split: any width in the octave below a
-    power of two gives that power's panels and bits.
+    ``width`` is first rounded up to a power of two, which makes x w and the
+    other levels' widths exact products for the split: any width in the
+    octave below a power of two gives that power's panels and bits.
 
     Raises ConvergenceError when a level would pass spec.max_subdivisions
     panels with some x still pending; its ``unconverged`` attribute lists
@@ -176,7 +186,8 @@ def _refine_panels(envelope, xs, upper: float, width: float,
     nodes, weights = _gauss_legendre()
     i_nodes = 1j * nodes
     abs_tol = spec.abs_tol
-    width = _power_of_two_at_or_above(width)
+    width = 4.0 * _power_of_two_at_or_above(width)
+    shrink = 0.25
     values = [None] * len(xs)
     previous = [None] * len(xs)
     pending = list(range(len(xs)))
@@ -217,13 +228,14 @@ def _refine_panels(envelope, xs, upper: float, width: float,
                     previous[i] = current
                     still_pending.append(i)
         pending = still_pending
-        width = half
+        width *= shrink
+        shrink = 0.5
     return values
 
 
 def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
     """``w_quadrature`` at x + iy for every x in ``xs``: one
-    ``_refine_panels`` call for each power of two the x's first panel
+    ``_refine_panels`` call for each power of two the x's accepted panel
     widths round up to.
 
     Raises DomainError for a non-finite x, and ConvergenceError when the
@@ -244,7 +256,9 @@ def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
     groups: dict[float, list[int]] = {}
     for i, x in enumerate(xs):
         _require_upper_half_plane(complex(x, y), "w_quadrature")
-        width = _power_of_two_at_or_above(0.25 * math.pi / max(1.0, abs(x), y / 16.0))
+        # min(1/2, pi/(4|x|), 2 pi/y): under pi/2 radians of e^{i x tau} a
+        # panel, and at large y the first panel's nodes see the decay e^{-y tau}
+        width = _power_of_two_at_or_above(0.25 * math.pi / max(0.5 * math.pi, abs(x), y / 8.0))
         groups.setdefault(width, []).append(i)
     row = [None] * len(xs)
     unconverged: list[int] = []
@@ -300,5 +314,5 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
 
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
-    width = min(0.5, 0.25 * math.pi / bandwidth)
+    width = min(0.25, 0.125 * math.pi / bandwidth)
     return _refine_panels(envelope, [x], tau, width, spec)[0] / _SQRT_PI

@@ -1,6 +1,8 @@
 """Error scans and throughput measurement."""
 
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -48,6 +50,17 @@ class TestGridSpec:
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+    def test_span_that_overflows_is_rejected(self):
+        # finite bounds whose difference overflows would make linspace lay
+        # the nodes [nan, inf, 1.7e308]; the widest finite span still works
+        with pytest.raises(ValueError, match="span"):
+            GridSpec(x_min=-1.7e308, x_max=1.7e308, nx=3)
+        half = 0.5 * sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes = GridSpec(x_min=-half, x_max=half, nx=3).x_nodes()
+        assert nodes == [-half, 0.0, half]
 
     def test_single_node_axes(self):
         grid = GridSpec(x_min=1.0, x_max=1.0, y_min=1.0, y_max=1.0, nx=1, ny=1)

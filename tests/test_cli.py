@@ -302,6 +302,14 @@ class TestScan:
             assert proc.returncode == 2, flag
             assert "grid bounds must be finite" in proc.stderr
 
+    def test_grid_span_that_overflows_is_usage_error(self):
+        # finite bounds, but linspace would step by an infinite span and lay
+        # the nodes [nan, inf, 1.7e308]
+        proc = run_cli("scan", "--x-min=-1.7e308", "--x-max=1.7e308", "--nx", "3")
+        assert proc.returncode == 2
+        assert "grid span x_max - x_min must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_unwritable_out_is_usage_error(self, tmp_path):
         out = tmp_path / "missing" / "r.csv"
         proc = run_cli("scan", "--method", "cr", "--reference", "refined",
@@ -330,7 +338,8 @@ class TestScan:
         assert "converge" in proc.stderr
 
     def test_oracle_at_huge_x_is_numeric_error(self):
-        # 4 |x| overflows here: the oracle must fail as a numeric error
+        # the first panels are ~1e-308 wide here: the oracle must fail as a
+        # numeric error
         proc = run_cli("scan", "--x-min", "1e308", "--x-max", "1e308", "--nx", "1",
                        "--ny", "1", "--y-min", "1", "--y-max", "1")
         assert proc.returncode == 3

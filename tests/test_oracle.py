@@ -1,5 +1,6 @@
 """Quadrature oracle: the ground-truth anchor for every series kernel."""
 
+import itertools
 import math
 import random
 import sys
@@ -75,13 +76,14 @@ def test_pure_imaginary_argument(qspec):
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-2, 1.0, 10.0])
-@pytest.mark.parametrize("x", [100.0, 300.0, 1000.0])
+@pytest.mark.parametrize("x", [100.0, 300.0, 1000.0, 1500.0])
 def test_large_x_matches_mpmath(x, y, qspec):
     # a panel's phase e^{i x (k + 1/2) w} shares one angle among its 20
-    # nodes: rounded as one product it cost up to 8.9e-14 at x = 1000
+    # nodes: rounded as one product it cost up to 8.9e-14 at x = 1000.
+    # README states the 6.0e-15 bound for this grid.
     pytest.importorskip("mpmath")
     z = complex(x, y)
-    assert rel_error(w_quadrature(z, qspec), mp_w(z, 30)) <= 1e-14
+    assert rel_error(w_quadrature(z, qspec), mp_w(z, 30)) <= 6.0e-15
 
 
 def _log_nodes(lo, hi, n):
@@ -98,16 +100,23 @@ def _power_of_two_at_or_above(width):
     return power
 
 
+def _accepted_width(x, y):
+    # the widest panel w_quadrature accepts at x + iy
+    return _power_of_two_at_or_above(min(0.5, math.pi / (4.0 * max(1.0, abs(x))), 2.0 * math.pi / y))
+
+
 def _direct_quadrature(z, spec):
     # the defining integral as one complex exponential per node, with
-    # w_quadrature's panels, tail cutoff and stopping rule
+    # w_quadrature's panels, tail cutoff and stopping rule: levels of width
+    # 4r, r, r/2, r/4, ... for the accepted width r
     np = pytest.importorskip("numpy")
     x, y = z.real, z.imag
     nodes, weights = oracle._gauss_legendre()
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF, oracle._tail_cutoff(y, spec.abs_tol))
-    width = _power_of_two_at_or_above(math.pi / (4.0 * max(1.0, abs(x), y / 16.0)))
+    accepted = _accepted_width(x, y)
     previous = None
-    while True:
+    for width in itertools.chain([4.0 * accepted],
+                                 (accepted * 0.5 ** k for k in itertools.count())):
         n_panels = math.ceil(upper / width)
         half = 0.5 * width
         mids = width * np.arange(n_panels) + half
@@ -118,7 +127,6 @@ def _direct_quadrature(z, spec):
         if previous is not None and abs(current - previous) <= spec.abs_tol:
             return current / math.sqrt(math.pi)
         previous = current
-        width = half
 
 
 def test_factored_phase_matches_direct_integrand(qspec):
@@ -197,11 +205,11 @@ def test_row_matches_single_nodes_bit_for_bit(xs, ys, abs_tol):
 
 
 def test_row_lists_every_unconverged_node():
-    # 40 panels a level: |x| <= 1 converges, larger |x| runs out in its
-    # own group; the row must name every node that did not converge, in
-    # order, across groups that interleave
+    # 40 panels a level: |x| <= 1.2 converges, |x| of 6 and 20 run out in
+    # their own groups; the row must name every node that did not converge,
+    # in order, across groups that interleave
     starved = QuadratureSpec(max_subdivisions=40)
-    xs = [0.5, 20.0, 0.01, 3.0, -0.7, -3.0, 1.2, -20.0]
+    xs = [0.5, 20.0, 0.01, 6.0, -0.7, -6.0, 1.2, -20.0]
     want = []
     for i, x in enumerate(xs):
         try:
@@ -248,6 +256,26 @@ def test_nodes_leave_a_group_at_their_own_level(y, qspec):
     assert list(map(_bits, together)) == list(map(_bits, alone))
 
 
+def test_first_level_is_four_times_the_accepted_width(qspec, monkeypatch):
+    # at x = 15, y = 0.1 the accepted width is 1/16 (15/16 radians of
+    # e^{i x tau} a panel); the stopping test compares it with a level of
+    # panels 1/4 wide, and accepts it there
+    pytest.importorskip("numpy")
+    refine = oracle._refine_panels
+    panels = []
+
+    def recording(envelope, xs, upper, width, spec):
+        def instrumented(t):
+            panels.append(t.shape[0])
+            return envelope(t)
+        return refine(instrumented, xs, upper, width, spec)
+
+    monkeypatch.setattr(oracle, "_refine_panels", recording)
+    w_quadrature(15.0 + 0.1j, qspec)
+    upper = oracle._tail_cutoff(0.1, qspec.abs_tol)
+    assert panels == [math.ceil(upper / 0.25), math.ceil(upper / 0.0625)]
+
+
 def test_truncation_point_is_irrelevant(qspec):
     # the integrand is below double precision long before tau = 50
     for z in (2.5 + 2.5j, 1 + 1j, 10 + 0.5j):
@@ -270,8 +298,8 @@ def test_self_consistency_under_tighter_tolerance():
 def test_subdivision_budget_enforced(coeffs, qspec):
     with pytest.raises(ConvergenceError):
         w_quadrature(15.0 + 0.5j, QuadratureSpec(max_subdivisions=4))
-    # 4 |x| overflows past |x| ~ 4.5e307, and upper / width is inf for the
-    # tiny first widths there: both must end in the budget's error
+    # the widths are ~1e-308 there and upper / width is inf: both must end
+    # in the budget's error
     for x in (4e307, 1e308, sys.float_info.max):
         with pytest.raises(ConvergenceError):
             w_quadrature(complex(x, 1.0), qspec)
@@ -289,7 +317,7 @@ def _untruncated(z, spec):
         return np.exp(t * (-0.25 * t - y))
 
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
-    width = min(1.0, math.pi / (4.0 * max(1.0, abs(x))))
+    width = _accepted_width(x, y)
     return oracle._refine_panels(envelope, [x], upper, width, spec)[0] / math.sqrt(math.pi)
 
 
@@ -352,10 +380,10 @@ def test_tiny_tolerance_stops_at_the_decay_cutoff():
 
 
 def test_panel_budget_counts_panels_up_to_the_cutoff(qspec):
-    # 1600 panels to tau = 50 at the converged level, about a third of
+    # 800 panels to tau = 50 at the converged level, about a third of
     # that up to the cutoff near tau = 15.5
     z = 15.0 + 0.5j
-    budget = QuadratureSpec(max_subdivisions=1000)
+    budget = QuadratureSpec(max_subdivisions=500)
     with pytest.raises(ConvergenceError):
         _untruncated(z, budget)
     assert w_quadrature(z, budget) == w_quadrature(z, qspec)
