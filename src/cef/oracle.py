@@ -19,10 +19,10 @@ before it within the requested absolute tolerance. The 4r level costs a
 quarter of level r, and its own error is the larger, so the first test
 asks more than one against a 2r level would. Panels are anchored at
 tau = 0, so results do not depend on the exact truncation point once the
-integrand has decayed below double precision. ``w_quadrature`` stops at the point T past
-which the omitted tail of w is provably below abs_tol * 2^-52 (T ~ 16.4
-for y -> 0 at the default abs_tol, and smaller for larger y), never past
-tau ~ 53, where exp(-tau^2/4) < 1e-304.
+integrand has decayed below double precision. ``w_quadrature`` stops at
+the point T past which the omitted tail of w is provably below
+abs_tol * 2^-52 (T ~ 16.4 for y -> 0 at the default abs_tol, and smaller
+for larger y), never past tau ~ 53, where exp(-tau^2/4) < 1e-304.
 
 Both integrands are a real envelope times e^{i x tau} (e^{-tau^2/4 - y tau}
 here, the cosine kernel times e^{-y tau} for the finite form), and the
@@ -101,9 +101,10 @@ def _gauss_legendre():
     """The 20-point Gauss-Legendre rule, built once. The first call also
     imports ``numpy.polynomial``, which ``import numpy`` does not load:
     2.9-4.8 ms, and 0.6-1.0 ms for ``leggauss(20)`` itself (cold
-    processes, 2-vCPU Xeon VM). A first ``w_quadrature`` call, at 5-6 ms,
-    costs some 35 mean calls over x in [0.01, 15], y in [1e-4, 15], or
-    about 100 nodes of a scan row, in the same processes."""
+    processes, 2-vCPU Xeon VM). A first ``w_quadrature`` call, at 5.4-5.6 ms
+    after ``import numpy``, costs some 40-50 mean calls over x in
+    [0.01, 15], y in [1e-4, 15], or about 140 nodes of a scan row (4 cold
+    processes, same VM)."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
 
@@ -186,8 +187,8 @@ def _refine_panels(envelope, xs, upper: float, width: float,
     nodes, weights = _gauss_legendre()
     i_nodes = 1j * nodes
     abs_tol = spec.abs_tol
-    width = 4.0 * _power_of_two_at_or_above(width)
-    shrink = 0.25
+    accepted = _power_of_two_at_or_above(width)
+    width = 4.0 * accepted
     values = [None] * len(xs)
     previous = [None] * len(xs)
     pending = list(range(len(xs)))
@@ -228,8 +229,7 @@ def _refine_panels(envelope, xs, upper: float, width: float,
                     previous[i] = current
                     still_pending.append(i)
         pending = still_pending
-        width *= shrink
-        shrink = 0.5
+        width = accepted if width > accepted else half
     return values
 
 
