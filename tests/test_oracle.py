@@ -102,7 +102,8 @@ def _power_of_two_at_or_above(width):
 
 def _accepted_width(x, y):
     # the widest panel w_quadrature accepts at x + iy
-    return _power_of_two_at_or_above(min(0.5, math.pi / (4.0 * max(1.0, abs(x))), 2.0 * math.pi / y))
+    return _power_of_two_at_or_above(
+        min(0.5, math.pi / (4.0 * max(1.0, abs(x))), 2.0 * math.pi / y))
 
 
 def _direct_quadrature(z, spec):
