@@ -10,14 +10,18 @@ quadrature oracle evaluates the defining integral directly and anchors
 every series to an independent reference. Derived functions (Voigt,
 complex erfc) and accuracy/throughput analysis tools round out the API;
 ``python -m cef`` exposes all of it on the command line.
+
+The kernels and derived functions load with the package. The scan and
+oracle layers (``analysis``, ``oracle``) load on the first lookup of one
+of their names, once per process, so a caller who only evaluates w(z)
+never compiles or runs them (PEP 562 module ``__getattr__``).
 """
 
-from .analysis import (AccuracyReport, BenchReport, GridSpec, bench_points,
-                       error_scan, measure_throughput)
+import importlib
+
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .functions import erfc_complex, erfc_cr_series, imag_l, voigt_k
-from .oracle import QuadratureSpec, w_finite_quadrature, w_quadrature
 from .plane import w_full_plane
 from .series import EvaluationOutcome, Path, refining_part, w_adaptive, w_cr, w_refined
 
@@ -34,3 +38,28 @@ __all__ = [
     "error_scan", "measure_throughput", "bench_points",
     "DomainError", "ConvergenceError",
 ]
+
+# name -> submodule that defines it; a submodule's own name maps to itself
+_LAZY = {
+    "analysis": "analysis", "GridSpec": "analysis", "AccuracyReport": "analysis",
+    "BenchReport": "analysis", "error_scan": "analysis",
+    "measure_throughput": "analysis", "bench_points": "analysis",
+    "oracle": "oracle", "QuadratureSpec": "oracle", "w_quadrature": "oracle",
+    "w_finite_quadrature": "oracle",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    # bound here, later lookups never reach this function
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

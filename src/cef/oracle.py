@@ -8,14 +8,14 @@ back to the defining integral
 and to its finite-interval intermediate, where the Gaussian kernel is
 replaced by its cosine expansion and integrated over [0, tau_m]. Both are
 computed by composite Gauss-Legendre panels. The widest panel width that
-may be accepted, r, is the power of two at or above min(1/2, pi/(4|x|),
-2 pi/y) for ``w_quadrature`` (min(1/4, pi/(8B)) for the finite form, B
-the bandwidth of its integrand), so an accepted panel holds less than
-pi/2 radians of the oscillatory factor e^{i x tau}, and at large y the
-first panel's nodes see the decay e^{-y tau}: two levels that both miss
-that peak agree on a wrong value. The levels run 4r, r, r/2, r/4, ...,
-and a value is accepted at the first level that agrees with the one
-before it within the requested absolute tolerance. The 4r level costs a
+may be accepted, r, is the power of two at or above min(1/2, pi/(4B),
+2 pi/y), B the bandwidth of the integrand (|x| for ``w_quadrature``,
+max(1, |x|) plus the kernel's top frequency for the finite form), so an
+accepted panel holds less than pi/2 radians of its top frequency, and at
+large y the first panel's nodes see the decay e^{-y tau}: two levels that
+both miss that peak agree on a wrong value. The levels run 4r, r, r/2,
+r/4, ..., and a value is accepted at the first level that agrees with the
+one before it within the requested absolute tolerance. The 4r level costs a
 quarter of level r, and its own error is the larger, so the first test
 asks more than one against a 2r level would. Panels are anchored at
 tau = 0, so results do not depend on the exact truncation point once the
@@ -140,6 +140,13 @@ def _phase_split(c: float, n_panels: int) -> tuple[float, float]:
     return c_hi, c - c_hi
 
 
+def _widest_panel(bandwidth: float, y: float) -> float:
+    """min(1/2, pi/(4 bandwidth), 2 pi/y): under pi/2 radians of the
+    integrand's top frequency a panel, and at large y the first panel's
+    nodes see the decay e^{-y tau}."""
+    return 0.25 * math.pi / max(0.5 * math.pi, bandwidth, y / 8.0)
+
+
 def _power_of_two_at_or_above(width: float) -> float:
     """The least power of two >= width, from ``math.frexp``, which is exact
     (``2.0 ** math.ceil(math.log2(width))`` can land one power low)."""
@@ -256,9 +263,7 @@ def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
     groups: dict[float, list[int]] = {}
     for i, x in enumerate(xs):
         _require_upper_half_plane(complex(x, y), "w_quadrature")
-        # min(1/2, pi/(4|x|), 2 pi/y): under pi/2 radians of e^{i x tau} a
-        # panel, and at large y the first panel's nodes see the decay e^{-y tau}
-        width = _power_of_two_at_or_above(0.25 * math.pi / max(0.5 * math.pi, abs(x), y / 8.0))
+        width = _power_of_two_at_or_above(_widest_panel(abs(x), y))
         groups.setdefault(width, []).append(i)
     row = [None] * len(xs)
     unconverged: list[int] = []
@@ -314,5 +319,4 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
 
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
-    width = min(0.25, 0.125 * math.pi / bandwidth)
-    return _refine_panels(envelope, [x], tau, width, spec)[0] / _SQRT_PI
+    return _refine_panels(envelope, [x], tau, _widest_panel(bandwidth, y), spec)[0] / _SQRT_PI
