@@ -62,13 +62,13 @@ def _resolve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     environment field is parsed by the type of that field's default. Only
     the values given reach SeriesParams, so an invalid environment field
     that a flag overrides is never validated."""
-    names = [field.name for field in fields(SeriesParams)]
+    names = SeriesParams._fields
     values = {}
     env = os.environ.get(ENV_PARAMS)
     if env:
         try:
-            values = {field.name: type(field.default)(item) for field, item
-                      in zip(fields(SeriesParams), env.split(","), strict=True)}
+            values = {name: type(getattr(SeriesParams, name))(item) for name, item
+                      in zip(names, env.split(","), strict=True)}
         except ValueError:
             parser.error(f"{ENV_PARAMS} must be '{','.join(names)}', got {env!r}")
     values.update({name: getattr(args, name) for name in names

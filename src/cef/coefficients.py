@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
@@ -49,8 +48,43 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and _is_real(value)
 
 
-@dataclass(frozen=True)
-class SeriesParams:
+class _Record:
+    """Base of the frozen records below: the names in ``_fields`` make the
+    repr and take part in == and hash, as the fields of a frozen dataclass
+    do, and assigning or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError`` (imported there, so that importing
+    this package never loads ``dataclasses`` and the ``inspect`` it
+    imports). Instances keep a plain ``__dict__`` (no ``__slots__``, which
+    would turn the class defaults into descriptors), so they pickle and copy
+    by the default protocol."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SeriesParams(_Record):
     """Parameters governing every series kernel.
 
     tau_m    : half-period of the cosine expansion (dimensionless tau units)
@@ -62,27 +96,26 @@ class SeriesParams:
     The defaults reproduce the published reference tables.
     """
 
+    _fields = __match_args__ = ("tau_m", "n_terms", "y_switch")
     tau_m: float = 12.0
     n_terms: int = 23
     y_switch: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (_is_real(self.tau_m) and math.isfinite(self.tau_m) and self.tau_m > 0):
-            raise ValueError(f"tau_m must be a finite positive real, got {self.tau_m!r}")
+    def __init__(self, tau_m: float = tau_m, n_terms: int = n_terms,
+                 y_switch: float = y_switch) -> None:
+        if not (_is_real(tau_m) and math.isfinite(tau_m) and tau_m > 0):
+            raise ValueError(f"tau_m must be a finite positive real, got {tau_m!r}")
         # build_coefficients divides by tau_m^2, which must neither vanish nor overflow
-        if not 0.0 < float(self.tau_m) * float(self.tau_m) < math.inf:
-            raise ValueError(f"tau_m must have a finite, nonzero square, got {self.tau_m!r}")
-        if not (_is_int(self.n_terms) and self.n_terms >= 1):
-            raise ValueError(f"n_terms must be a positive integer, got {self.n_terms!r}")
-        if not (_is_real(self.y_switch) and math.isfinite(self.y_switch)
-                and self.y_switch >= 0):
-            raise ValueError(f"y_switch must be a nonnegative real, got {self.y_switch!r}")
-        object.__setattr__(self, "tau_m", float(self.tau_m))
-        object.__setattr__(self, "y_switch", float(self.y_switch))
+        if not 0.0 < float(tau_m) * float(tau_m) < math.inf:
+            raise ValueError(f"tau_m must have a finite, nonzero square, got {tau_m!r}")
+        if not (_is_int(n_terms) and n_terms >= 1):
+            raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
+        if not (_is_real(y_switch) and math.isfinite(y_switch) and y_switch >= 0):
+            raise ValueError(f"y_switch must be a nonnegative real, got {y_switch!r}")
+        vars(self).update(tau_m=float(tau_m), n_terms=n_terms, y_switch=float(y_switch))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(_Record):
     """Precomputed coefficients a_0..a_N bound to the parameters that
     produced them, plus the compiled sums the kernels call.
 
@@ -102,17 +135,21 @@ class CoefficientTable:
     ``build_coefficients``; they accumulate in ascending n from 0j, exactly
     as a loop over the same per-term constants would, and equal it bit for
     bit (on CPython up to 3.13; see ``_compile_sums``). ``a`` is a plain
-    tuple, so the table is deeply immutable. A table pickles as its
-    parameters and is rebuilt on loading.
+    tuple, so the table is deeply immutable. The repr, == and hash cover
+    ``params`` and ``a`` only. A table pickles as its parameters and is
+    rebuilt on loading.
     """
 
+    _fields = __match_args__ = ("params", "a")
     params: SeriesParams
     a: tuple[float, ...]
-    _pole_sum: Callable[[complex], complex] = field(repr=False, compare=False)
-    _pole_sums: Callable[[complex], tuple[complex, complex]] = field(repr=False,
-                                                                    compare=False)
-    _refined_sum: Callable[[complex, complex, complex, int, complex], complex] = field(
-        repr=False, compare=False)
+    _pole_sum: Callable[[complex], complex]
+    _pole_sums: Callable[[complex], tuple[complex, complex]]
+    _refined_sum: Callable[[complex, complex, complex, int, complex], complex]
+
+    def __init__(self, params, a, _pole_sum, _pole_sums, _refined_sum) -> None:
+        vars(self).update(params=params, a=a, _pole_sum=_pole_sum, _pole_sums=_pole_sums,
+                          _refined_sum=_refined_sum)
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so

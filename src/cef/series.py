@@ -62,7 +62,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coefficients import CoefficientTable
 from .errors import DomainError, _require_upper_half_plane
@@ -124,11 +124,10 @@ class Path(enum.Enum):
         return self.value
 
 
-class EvaluationOutcome(NamedTuple):
-    """Value plus provenance of the route that computed it."""
-
-    value: complex
-    path: Path
+# collections.namedtuple, not typing.NamedTuple: importing typing is a
+# measurable share of importing this package
+EvaluationOutcome = namedtuple("EvaluationOutcome", ["value", "path"])
+EvaluationOutcome.__doc__ = "Value plus provenance of the route that computed it."
 
 
 # Every kernel builds its outcome with these. CPython 3.11: EvaluationOutcome(...)

@@ -9,7 +9,8 @@ import struct
 
 import pytest
 
-from cef import SeriesParams, build_coefficients, w_adaptive
+from cef import (CoefficientTable, EvaluationOutcome, Path, SeriesParams, build_coefficients,
+                 w_adaptive)
 from conftest import ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
@@ -125,6 +126,61 @@ def test_table_is_immutable(coeffs):
         coeffs.a = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         coeffs.params.tau_m = 13.0
+
+
+# --- the record contract: repr, ==, hash, pickling and immutability -------
+
+def test_params_record_contract():
+    p = SeriesParams(6, n_terms=40, y_switch=0)
+    assert repr(p) == "SeriesParams(tau_m=6.0, n_terms=40, y_switch=0.0)"
+    assert repr(SeriesParams()) == "SeriesParams(tau_m=12.0, n_terms=23, y_switch=1.0)"
+    assert (SeriesParams.tau_m, SeriesParams.n_terms, SeriesParams.y_switch) == (12.0, 23, 1.0)
+    assert hash(p) == hash((p.tau_m, p.n_terms, p.y_switch))
+    assert SeriesParams(12, 23, 1) == SeriesParams()
+    assert SeriesParams() != SeriesParams(y_switch=2.0)
+    assert SeriesParams() != (12.0, 23, 1.0)
+    assert SeriesParams().__eq__((12.0, 23, 1.0)) is NotImplemented
+    copies = [pickle.loads(pickle.dumps(p, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for restored in (*copies, copy.copy(p), copy.deepcopy(p)):
+        assert type(restored) is SeriesParams
+        assert restored == p and repr(restored) == repr(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.tau_m
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.extra = 1
+    assert p.tau_m == 6.0 and not hasattr(p, "extra")
+
+
+def test_table_record_contract():
+    params = SeriesParams(n_terms=2)
+    table = build_coefficients(params)
+    assert repr(table) == f"CoefficientTable(params={params!r}, a={table.a!r})"
+    assert hash(table) == hash((table.params, table.a))
+    # the compiled sums take no part in == or hash
+    bare = CoefficientTable(params=params, a=table.a, _pole_sum=None, _pole_sums=None,
+                            _refined_sum=None)
+    assert bare == table and hash(bare) == hash(table)
+    assert CoefficientTable(params, (0.0,), None, None, None) != table
+    assert table != (params, table.a)
+    assert table.__eq__(params) is NotImplemented
+    assert table.__reduce__() == (build_coefficients, (params,))
+    assert copy.copy(table) == table
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del table.a
+
+
+def test_evaluation_outcome_contract(coeffs):
+    outcome = w_adaptive(1 + 0.5j, coeffs)
+    assert type(outcome) is EvaluationOutcome and isinstance(outcome, tuple)
+    assert EvaluationOutcome._fields == ("value", "path")
+    assert outcome == (outcome.value, outcome.path)
+    made = EvaluationOutcome(value=1j, path=Path.REFINED)
+    assert made == EvaluationOutcome(1j, Path.REFINED) == (1j, Path.REFINED)
+    assert repr(made) == "EvaluationOutcome(value=1j, path=<Path.REFINED: 'refined'>)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(outcome, protocol))
+        assert type(restored) is EvaluationOutcome and restored == outcome
 
 
 # --- compiled pole sums against the loops they replace --------------------

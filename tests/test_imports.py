@@ -1,6 +1,7 @@
 """What importing and using the package loads: the scan and oracle layers
-only on the first lookup of one of their names, and numpy only once the
-quadrature oracle or a scan grid needs it."""
+only on the first lookup of one of their names, numpy only once the
+quadrature oracle or a scan grid needs it, and dataclasses, inspect and
+typing only with the scan and oracle layers."""
 
 import os
 import subprocess
@@ -35,13 +36,14 @@ assert "numpy" in sys.modules, "the oracle ran without numpy"
 """
 
 
-def _run_fresh(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this checkout's cef."""
+def _run_fresh(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, started with ``flags``, that
+    imports this checkout's cef."""
     env = dict(os.environ)
     env.pop("CEF_DEFAULT_PARAMS", None)
     src = os.path.dirname(os.path.dirname(cef.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script],
+    return subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -87,4 +89,33 @@ else:
 
 def test_scan_and_oracle_layers_load_on_first_use():
     done = _run_fresh(LAZY_SCRIPT)
+    assert done.returncode == 0, done.stderr
+
+
+# -S keeps site's start-up hooks, which can load typing themselves, out of it
+STDLIB_SCRIPT = """
+import sys
+import cef
+
+table = cef.build_coefficients(cef.SeriesParams())
+for z in (1 + 0.5j, 0.3 + 2j, 2.0 + 1e-9j):
+    for kernel in (cef.w_refined, cef.w_cr, cef.refining_part, cef.w_adaptive):
+        kernel(z, table)
+for z in (1 + 0.5j, -1 - 0.5j, 2.0 + 0j, -2.0 + 0j, 0j):
+    cef.w_full_plane(z, table)
+cef.voigt_k(1.0, 0.5, table)
+cef.imag_l(1.0, 0.5, table)
+cef.erfc_complex(0.5 - 0.5j, table)
+cef.erfc_cr_series(0.5 + 0.5j, table)
+assert table == cef.build_coefficients(cef.SeriesParams()) and hash(table) and repr(table)
+loaded = [name for name in ("dataclasses", "inspect", "typing", "ast", "dis")
+          if name in sys.modules]
+assert not loaded, "loaded by the kernels: " + ", ".join(loaded)
+cef.QuadratureSpec()
+assert "dataclasses" in sys.modules, "the oracle layer loaded without its dataclasses"
+"""
+
+
+def test_kernels_leave_dataclasses_inspect_and_typing_unloaded():
+    done = _run_fresh(STDLIB_SCRIPT, "-S")
     assert done.returncode == 0, done.stderr
