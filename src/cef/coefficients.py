@@ -19,6 +19,12 @@ pays no loop or tuple dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
+
+``SeriesParams`` and ``CoefficientTable`` behave as frozen dataclasses
+(constructor, class defaults, repr, ==, hash, ``FrozenInstanceError``,
+pickles) but are not dataclasses: ``dataclasses.fields``, ``replace``,
+``asdict`` and ``is_dataclass`` do not accept them. Each names its
+fields in ``_fields``.
 """
 
 from __future__ import annotations
@@ -49,16 +55,12 @@ def _is_int(value: object) -> bool:
 
 
 class _Record:
-    """Base of the frozen records below: the names in ``_fields`` make the
-    repr and take part in == and hash, as the fields of a frozen dataclass
-    do, and assigning or deleting any attribute raises
-    ``dataclasses.FrozenInstanceError`` (imported there, so that importing
-    this package never loads ``dataclasses`` and the ``inspect`` it
-    imports). Instances keep a plain ``__dict__`` (no ``__slots__``, which
-    would turn the class defaults into descriptors), so they pickle and copy
-    by the default protocol."""
-
-    _fields: tuple[str, ...] = ()
+    """Frozen record: the attributes named in ``_fields`` make up the repr
+    and take part in == and hash. Setting or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``, imported only then, so that
+    importing the package never loads ``dataclasses``. No ``__slots__``:
+    they would turn the class defaults into descriptors and change the
+    pickles."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -124,8 +124,8 @@ class Path(enum.Enum):
         return self.value
 
 
-# collections.namedtuple, not typing.NamedTuple: importing typing is a
-# measurable share of importing this package
+# collections.namedtuple, not typing.NamedTuple (so no __annotations__):
+# importing typing is a measurable share of importing this package
 EvaluationOutcome = namedtuple("EvaluationOutcome", ["value", "path"])
 EvaluationOutcome.__doc__ = "Value plus provenance of the route that computed it."
 
