@@ -29,7 +29,6 @@ from .analysis import (BENCH_METHODS, METHODS, MIN_BENCH_POINTS, SCAN_METHODS,
                        measure_throughput)
 from .coefficients import CoefficientTable, SeriesParams, build_coefficients
 from .errors import ConvergenceError, DomainError
-from .fixtures import CR_STATUS_LABELS, reference_rows
 from .oracle import QuadratureSpec
 from .plane import w_full_plane
 
@@ -101,6 +100,8 @@ def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable,
 
 def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
               parser: argparse.ArgumentParser) -> int:
+    # the published table, and typing with it, load for this command only
+    from .fixtures import CR_STATUS_LABELS, reference_rows
     rows = reference_rows()
     shown = [name for name in TABLE_SERIES if args.method in (None, name)]
     note = ["note"] if "cr" in shown else []

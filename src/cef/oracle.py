@@ -35,12 +35,12 @@ product, that angle cost up to 8.9e-14 relative at x = 1000 against
 30-digit mpmath, where the split form stays within 4.7e-15 up to x = 1500.
 
 The nodes of a scan row share y, and so the envelope and the tail cutoff
-T. ``_quadrature_row`` groups a row's x by r (every |x| < pi shares
-r = 1/2 below y = 8 pi, and a row of ``oracle_scan`` has four groups) and
-integrates each group in one ``_refine_panels`` call, which evaluates the
-envelope once a level for the whole group while each x keeps its own sums
-and stopping test. ``w_quadrature`` is the one-node row, so every value of
-a row has the bits of a single-node call.
+T. ``_quadrature_row`` integrates a row in one ``_refine_panels`` schedule,
+which walks the union of its x's levels in descending order and evaluates
+the envelope once a width while each x keeps its own sums and stopping
+test: an ``oracle_scan`` row's x accept four widths r, whose levels 4r, r
+share two widths, so the row lays six, not eight. ``w_quadrature`` is the
+one-node row, so every value of a row has the bits of a single-node call.
 ``analysis.error_scan`` takes its oracle reference a row at a time.
 
 This is a correctness instrument, not a production path: clarity and a
@@ -125,46 +125,51 @@ def _tail_cutoff(y: float, abs_tol: float) -> float:
     return big_l / (0.5 * math.hypot(y, math.sqrt(big_l)) + 0.5 * y)
 
 
-def _phase_split(c: float, n_panels: int) -> tuple[float, float]:
-    """(c_hi, c_lo) with c_hi + c_lo = c exactly, where c_hi is c cut
-    toward zero to 26 bits (fewer past 2^26 panels), so that
-    c_hi * (k + 1/2) is exact for every k < n_panels unless c is subnormal.
-    c = x * w is exact for a power-of-two panel width w. Below 2^26 panels
-    the split does not depend on n_panels, so a panel's phase does not
-    depend on how far its level is laid out. The cut is toward zero, not a
-    floor, so -c gives exactly (-c_hi, -c_lo).
+def _phase_split(c, n_panels: int):
+    """(c_hi, c_lo) with c_hi + c_lo = c exactly, elementwise over an array
+    c, where c_hi is c cut toward zero to 26 bits (fewer past 2^26 panels),
+    so that c_hi * (k + 1/2) is exact for every k < n_panels unless c is
+    subnormal. c = x * w is exact for a power-of-two panel width w. Below
+    2^26 panels the split does not depend on n_panels, so a panel's phase
+    does not depend on how far its level is laid out. The cut is toward
+    zero, so -c gives exactly (-c_hi, -c_lo); c = -0.0 gives (0.0, -0.0).
     """
+    import numpy as np
     bits = 53 - max(27, (2 * n_panels - 1).bit_length())
-    mantissa, exponent = math.frexp(c)
-    c_hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    mantissa, exponent = np.frexp(c)
+    # + 0.0 turns the -0.0 that truncates a negative c's zero cut into 0.0
+    c_hi = np.ldexp(np.trunc(np.ldexp(mantissa, bits)) + 0.0, exponent - bits)
     return c_hi, c - c_hi
 
 
-def _widest_panel(bandwidth: float, y: float) -> float:
-    """min(1/2, pi/(4 bandwidth), 2 pi/y): under pi/2 radians of the
-    integrand's top frequency a panel, and at large y the first panel's
-    nodes see the decay e^{-y tau}."""
-    return 0.25 * math.pi / max(0.5 * math.pi, bandwidth, y / 8.0)
+def _widest_panel(bandwidth, y: float):
+    """min(1/2, pi/(4 bandwidth), 2 pi/y), elementwise over an array of
+    bandwidths: under pi/2 radians of the integrand's top frequency a
+    panel, and at large y the first panel's nodes see the decay e^{-y tau}."""
+    import numpy as np
+    return 0.25 * math.pi / np.maximum(bandwidth, max(0.5 * math.pi, y / 8.0))
 
 
-def _power_of_two_at_or_above(width: float) -> float:
-    """The least power of two >= width, from ``math.frexp``, which is exact
-    (``2.0 ** math.ceil(math.log2(width))`` can land one power low)."""
-    mantissa, exponent = math.frexp(width)
-    return width if mantissa == 0.5 else math.ldexp(1.0, exponent)
+def _power_of_two_at_or_above(width):
+    """The least power of two >= width, elementwise, from ``frexp``, which
+    is exact (``2.0 ** math.ceil(math.log2(width))`` can land one power
+    low)."""
+    import numpy as np
+    mantissa, exponent = np.frexp(width)
+    return np.where(mantissa == 0.5, width, np.ldexp(1.0, exponent))
 
 
-def _refine_panels(envelope, xs, upper: float, width: float,
+def _refine_panels(envelope, xs, upper: float, widths,
                    spec: QuadratureSpec) -> list[complex]:
     """Integrate envelope(tau) * e^{i x tau} over [0, upper] for every x in
     ``xs`` by composite Gauss-Legendre panels, accepting an x's estimate
     once it agrees with the level before within spec.abs_tol.
 
-    ``width`` is the first width that may be accepted. The levels run 4w,
-    w, w/2, w/4, ...: the first test compares w with the 4w level, which
-    costs a quarter of level w and whose own error is larger, so it asks
-    more than a test against 2w would; every later test compares a level
-    with the one before it.
+    ``widths`` holds, for each x, the first width r that may be accepted.
+    An x's levels run 4r, r, r/2, r/4, ...: the first test compares r with
+    the 4r level, which costs a quarter of level r and whose own error is
+    larger, so it asks more than a test against 2r would; every later test
+    compares a level with the one before it.
 
     ``envelope`` maps an array of tau to real values of the same shape. On
     a level of width w the node tau_kj = (k + 1/2) w + (w/2) xi_j has the
@@ -175,31 +180,40 @@ def _refine_panels(envelope, xs, upper: float, width: float,
     whose first angle is exact, so no rounding of x (k + 1/2) w is shared
     by the 20 nodes of a panel.
 
-    The x values share the envelope and the widths, so a level evaluates
-    the envelope once for all of them, and each x still pending forms its
-    own E_k, F_j and (n_panels x 20) @ (20 x 2) product, stacked into one
-    matmul over the x values. Each x keeps its own exactly rounded sum and
-    stopping test and drops out at the level where it converges; its value
-    has the bits it has when integrated alone.
+    The x share the envelope: one schedule walks the union of their levels
+    in descending order and evaluates the envelope once a width, for the x
+    whose level it is. Each of those forms its own E_k, F_j and
+    (n_panels x 20) @ (20 x 2) product, stacked into one matmul, and keeps
+    its own exactly rounded sum and stopping test, so its value has the
+    bits it has when integrated alone.
 
-    ``width`` is first rounded up to a power of two, which makes x w and the
-    other levels' widths exact products for the split: any width in the
-    octave below a power of two gives that power's panels and bits.
+    Each width is first rounded up to a power of two, which makes x w and
+    the other levels' widths exact products for the split: any width in
+    the octave below a power of two gives that power's panels and bits. So
+    x is split once: x_hi w, x_lo w and (x/2) w are the split of x w and
+    x w/2 while |x| w/2 >= 2^-1000 with at most 2^26 panels a level.
 
     Raises ConvergenceError when a level would pass spec.max_subdivisions
-    panels with some x still pending; its ``unconverged`` attribute lists
-    the indices into ``xs`` of those x, ascending.
+    panels with some x still pending (every pending x would come to that
+    level or a finer one); its ``unconverged`` attribute lists the indices
+    into ``xs`` of those x, ascending.
     """
     import numpy as np
     nodes, weights = _gauss_legendre()
     i_nodes = 1j * nodes
     abs_tol = spec.abs_tol
-    accepted = _power_of_two_at_or_above(width)
-    width = 4.0 * accepted
-    values = [None] * len(xs)
-    previous = [None] * len(xs)
-    pending = list(range(len(xs)))
+    xs = np.asarray(xs, dtype=float)
+    # x_hi, x_lo and x/2 of each x, to be scaled by a level's width
+    row_angles = np.column_stack([*_phase_split(xs, 1), 0.5 * xs])
+    smallest = np.abs(xs[xs != 0.0]).min(initial=math.inf)
+    accepted = _power_of_two_at_or_above(np.asarray(widths, dtype=float)).tolist()
+    # each x's next level: 4r, then r, r/2, ...
+    level = [4.0 * width for width in accepted]
+    values = [None] * len(level)
+    previous = [None] * len(level)
+    pending = list(range(len(level)))
     while pending:
+        width = max(level[i] for i in pending)
         # tested before math.ceil, which cannot take the inf of a tiny width
         if upper / width > spec.max_subdivisions:
             error = ConvergenceError(
@@ -212,15 +226,18 @@ def _refine_panels(envelope, xs, upper: float, width: float,
         k = np.arange(0.5, n_panels)
         i_k = 1j * k
         env = envelope((width * k)[:, None] + half * nodes)
-        still_pending = []
+        here = [i for i in pending if level[i] == width]
         # blocks of x keep each (x, panel) array below _BLOCK entries
         step = max(1, _BLOCK // n_panels)
-        for first in range(0, len(pending), step):
-            block = pending[first:first + step]
+        for first in range(0, len(here), step):
+            block = here[first:first + step]
             # per x: c_hi and c_lo, the angles of E_k over k + 1/2, and x w/2,
             # that of F_j over xi_j
-            angles = np.array([(*_phase_split(xs[i] * width, n_panels), xs[i] * half)
-                               for i in block])
+            if n_panels <= 2 ** 26 and smallest * half >= 2.0 ** -1000:
+                angles = row_angles[block] * width
+            else:
+                angles = np.column_stack([*_phase_split(xs[block] * width, n_panels),
+                                          xs[block] * half])
             # omega_j F_j of each x as a (20, 2) real matrix: columns real, imaginary
             node_phases = np.exp(angles[:, 2:] * i_nodes) * weights
             sums = (env @ node_phases.view(float).reshape(-1, 20, 2)).view(complex)[..., 0]
@@ -234,19 +251,17 @@ def _refine_panels(envelope, xs, upper: float, width: float,
                     values[i] = current
                 else:
                     previous[i] = current
-                    still_pending.append(i)
-        pending = still_pending
-        width = accepted if width > accepted else half
+                    level[i] = accepted[i] if width > accepted[i] else half
+        pending = [i for i in pending if values[i] is None]
     return values
 
 
 def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
-    """``w_quadrature`` at x + iy for every x in ``xs``: one
-    ``_refine_panels`` call for each power of two the x's accepted panel
-    widths round up to.
+    """``w_quadrature`` at x + iy for every x in ``xs``, in one
+    ``_refine_panels`` schedule over the x's accepted panel widths.
 
-    Raises DomainError for a non-finite x, and ConvergenceError when the
-    panel budget runs out with nodes pending in any group; its
+    Raises DomainError for the first x a per-node check would reject, and
+    ConvergenceError when the panel budget runs out with nodes pending; its
     ``unconverged`` attribute then lists their indices into ``xs``,
     ascending, so that a scan names the node a per-node loop would.
     """
@@ -259,28 +274,13 @@ def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
         exponent *= t
         return np.exp(exponent, out=exponent)
 
+    x = np.asarray(xs, dtype=float)
+    valid = np.isfinite(x) & (math.isfinite(y) and y > 0.0)
+    if not valid.all():
+        _require_upper_half_plane(complex(xs[valid.argmin()], y), "w_quadrature")
     upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
-    groups: dict[float, list[int]] = {}
-    for i, x in enumerate(xs):
-        _require_upper_half_plane(complex(x, y), "w_quadrature")
-        width = _power_of_two_at_or_above(_widest_panel(abs(x), y))
-        groups.setdefault(width, []).append(i)
-    row = [None] * len(xs)
-    unconverged: list[int] = []
-    for width, members in groups.items():
-        try:
-            values = _refine_panels(envelope, [xs[i] for i in members], upper, width, spec)
-        except ConvergenceError as error:
-            # every group still runs: a later one may hold an earlier node
-            failure = error
-            unconverged += [members[j] for j in error.unconverged]
-        else:
-            for i, value in zip(members, values):
-                row[i] = value / _SQRT_PI
-    if unconverged:
-        failure.unconverged = sorted(unconverged)
-        raise failure
-    return row
+    row = _refine_panels(envelope, x, upper, _widest_panel(np.abs(x), y), spec)
+    return [value / _SQRT_PI for value in row]
 
 
 def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
@@ -319,4 +319,4 @@ def w_finite_quadrature(z: complex, coeffs: CoefficientTable,
 
     # the kernel itself carries frequencies up to n pi / tau_m, n its last live term
     bandwidth = max(1.0, abs(x)) + freqs[-1]
-    return _refine_panels(envelope, [x], tau, _widest_panel(bandwidth, y), spec)[0] / _SQRT_PI
+    return _refine_panels(envelope, [x], tau, [_widest_panel(bandwidth, y)], spec)[0] / _SQRT_PI

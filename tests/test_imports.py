@@ -1,7 +1,8 @@
 """What importing and using the package loads: the scan and oracle layers
 only on the first lookup of one of their names, numpy only once the
-quadrature oracle or a scan grid needs it, and dataclasses, inspect and
-typing only with the scan and oracle layers."""
+quadrature oracle or a scan grid needs it, dataclasses, inspect and
+typing only with the scan and oracle layers, and the published table
+(with typing) only for ``cef table``."""
 
 import os
 import subprocess
@@ -118,4 +119,22 @@ assert "dataclasses" in sys.modules, "the oracle layer loaded without its datacl
 
 def test_kernels_leave_dataclasses_inspect_and_typing_unloaded():
     done = _run_fresh(STDLIB_SCRIPT, "-S")
+    assert done.returncode == 0, done.stderr
+
+
+# under -S, as above
+EVAL_SCRIPT = """
+import sys
+from cef import cli
+
+assert cli.main(["eval", "--x", "1", "--y", "1"]) == 0
+loaded = [name for name in ("cef.fixtures", "typing") if name in sys.modules]
+assert not loaded, "loaded by cef eval: " + ", ".join(loaded)
+assert cli.main(["table", "--check"]) == 0
+assert "cef.fixtures" in sys.modules, "cef table ran without the published table"
+"""
+
+
+def test_eval_leaves_the_published_table_and_typing_unloaded():
+    done = _run_fresh(EVAL_SCRIPT, "-S")
     assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 """Quadrature oracle: the ground-truth anchor for every series kernel."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -162,6 +163,49 @@ def test_phase_split_angles_are_exact(n_panels):
             assert Fraction(c_hi * (k + 0.5)) == Fraction(c_hi) * Fraction(2 * k + 1, 2)
 
 
+def _scalar_phase_split(c, n_panels):
+    # _phase_split one float at a time, from math's frexp and ldexp
+    bits = 53 - max(27, (2 * n_panels - 1).bit_length())
+    mantissa, exponent = math.frexp(c)
+    c_hi = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
+    return c_hi, c - c_hi
+
+
+@pytest.mark.parametrize("n_panels", [1, 2 ** 26, 2 ** 26 + 1, 2 ** 40])
+def test_phase_split_of_an_array_splits_each_element(n_panels):
+    # the sign of a zero counts, so the parts are compared as float.hex
+    np = pytest.importorskip("numpy")
+    rng = random.Random(n_panels)
+    smallest_normal = sys.float_info.min
+    cs = [0.0, smallest_normal, 5e-324, 1e-310, 0.3 * smallest_normal, sys.float_info.max]
+    cs += [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(40)]
+    cs += [-c for c in cs]
+    c_hi, c_lo = oracle._phase_split(np.array(cs), n_panels)
+    for c, hi, lo in zip(cs, c_hi.tolist(), c_lo.tolist()):
+        assert (hi.hex(), lo.hex()) == tuple(map(float.hex, _scalar_phase_split(c, n_panels))), c
+
+
+def test_row_split_scaled_by_a_width_is_the_split_of_the_product():
+    # a row splits each x once and scales the parts by a level's
+    # power-of-two width w; that is the split of x w, and x w/2, while
+    # |x| w/2 >= 2^-1000 (w/2 = 0 at w = 2^-1074) and the level has at most
+    # 2^26 panels. A level's |x| w is at most 2 pi: 4r <= 2 pi / |x|.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(24)
+    xs = np.array([0.0, -0.0, 2.0 ** -999, 3.0 * 2.0 ** -1000, sys.float_info.max]
+                  + [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 308.0)
+                     for _ in range(200)])
+    x_hi, x_lo = oracle._phase_split(xs, 1)
+    for k in range(-1, 1075):
+        width = 2.0 ** -k
+        size = np.abs(xs)
+        kept = ((size * (0.5 * width) >= 2.0 ** -1000) | (xs == 0.0)) & (size <= 8.0 / width)
+        c_hi, c_lo = oracle._phase_split(xs[kept] * width, 2 ** 26)
+        for want, got in ((c_hi, x_hi[kept] * width), (c_lo, x_lo[kept] * width),
+                          (xs[kept] * (0.5 * width), 0.5 * xs[kept] * width)):
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), k
+
+
 @pytest.mark.parametrize("x, y", [(0.05, 1.0), (3.0, 1e-4), (15.0, 0.5), (1000.0, 10.0)])
 def test_panel_width_is_rounded_up_to_a_power_of_two(x, y, qspec):
     # x w is exact only for a power-of-two width, so every width in the
@@ -174,9 +218,9 @@ def test_panel_width_is_rounded_up_to_a_power_of_two(x, y, qspec):
     upper = oracle._tail_cutoff(y, qspec.abs_tol)
     asked = math.pi / (4.0 * max(1.0, x))
     power = _power_of_two_at_or_above(asked)
-    want = oracle._refine_panels(envelope, [x], upper, power, qspec)[0]
+    want = oracle._refine_panels(envelope, [x], upper, [power], qspec)[0]
     for width in (asked, 0.5 * power * (1.0 + 2.0 ** -52), math.nextafter(power, 0.0)):
-        assert oracle._refine_panels(envelope, [x], upper, width, qspec)[0] == want, width
+        assert oracle._refine_panels(envelope, [x], upper, [width], qspec)[0] == want, width
 
 
 def _bits(value):
@@ -203,6 +247,56 @@ def test_row_matches_single_nodes_bit_for_bit(xs, ys, abs_tol):
         row = oracle._quadrature_row(xs, y, spec)
         alone = [w_quadrature(complex(x, y), spec) for x in xs]
         assert list(map(_bits, row)) == list(map(_bits, alone)), y
+
+
+# float.hex parts of w_quadrature and w_finite_quadrature, and SHA-256
+# digests of 32-node rows shaped like perfbench's oracle_scan, recorded
+# while a row was still integrated one width group at a time
+PINNED_BITS = {
+    0.05 + 1j: ("0x1.b5735c8feec3ep-2", "0x1.bf4e648f0646ap-7"),
+    3 + 1j: ("0x1.0b8aa754dca4dp-4", "0x1.642f49271beafp-3"),
+    15 + 0.01j: ("0x1.a786bc64610c2p-16", "0x1.34cfdad08ab97p-5"),
+    1000 + 10j: ("0x1.7a957c6b424bfp-18", "0x1.27c4b5d21c258p-11"),
+    -7 + 0.3j: ("0x1.d273126776499p-9", "-0x1.4cf6b2e4e75f3p-4"),
+    1 + 30j: ("0x1.339c6a5a3b257p-6", "0x1.47c156cf5b112p-11"),
+}
+PINNED_FINITE_1_1J = ("0x1.380edd6ce5536p-2", "0x1.aa6eb0cfe97c7p-3")
+PINNED_ROWS = {
+    1e-4: "270cbde73f3e22d3da0c42b9dbf9501d93507b2a99a089cc9657b8e212932ff9",
+    1.0: "8df919f7bc2c7495a8c9f8fb7801563a09d598472b6ce67ed08754185524b71d",
+}
+
+
+def _row_sha256(row):
+    text = "".join(f"{real} {imag}\n" for real, imag in map(_bits, row))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_values_keep_their_pinned_bits(coeffs, qspec):
+    for z, want in PINNED_BITS.items():
+        assert _bits(w_quadrature(z, qspec)) == want, z
+    assert _bits(w_finite_quadrature(1 + 1j, coeffs, qspec)) == PINNED_FINITE_1_1J
+    xs = _log_nodes(0.01, 15.0, 32)
+    for y, want in PINNED_ROWS.items():
+        assert _row_sha256(oracle._quadrature_row(xs, y, qspec)) == want, y
+
+
+# SHA-256 digests, recorded as for PINNED_ROWS, of a row whose smallest
+# |x| are subnormal or the smallest normal, so that no level takes the
+# row's split
+TINY_XS = [5e-324, 1e-310, 2.2250738585072014e-308, -5e-324, 0.0, -0.0, 0.5, 3.0]
+PINNED_TINY_ROWS = {
+    1e-4: "9e64db3a72d30d5f6d59e78de19bb29e34b188b254e5f6b79f3b7f07789bfeb1",
+    1.0: "7647ec61c5e8dd9b9aa97f3cb4aa598ebee4f0361c50fde2107cfc4bed6e910c",
+}
+
+
+@pytest.mark.parametrize("y", sorted(PINNED_TINY_ROWS))
+def test_row_of_tiny_x_keeps_its_bits(y, qspec):
+    row = oracle._quadrature_row(TINY_XS, y, qspec)
+    alone = [w_quadrature(complex(x, y), qspec) for x in TINY_XS]
+    assert list(map(_bits, row)) == list(map(_bits, alone))
+    assert _row_sha256(row) == PINNED_TINY_ROWS[y]
 
 
 def test_row_lists_every_unconverged_node():
@@ -248,33 +342,69 @@ def test_nodes_leave_a_group_at_their_own_level(y, qspec):
     alone, stops = [], []
     for x in xs:
         levels.clear()
-        alone.append(oracle._refine_panels(envelope, [x], upper, 8.0, qspec)[0])
+        alone.append(oracle._refine_panels(envelope, [x], upper, [8.0], qspec)[0])
         stops.append(len(levels))
     assert min(stops) < max(stops)
     levels.clear()
-    together = oracle._refine_panels(envelope, xs, upper, 8.0, qspec)
+    together = oracle._refine_panels(envelope, xs, upper, [8.0] * len(xs), qspec)
     assert len(levels) == max(stops)  # one envelope a level for the group
     assert list(map(_bits, together)) == list(map(_bits, alone))
+
+
+def _record_envelope_panels(monkeypatch):
+    """The list to which every envelope evaluation of ``_refine_panels``
+    from here on appends its level's panel count."""
+    pytest.importorskip("numpy")
+    refine = oracle._refine_panels
+    panels = []
+
+    def recording(envelope, xs, upper, widths, spec):
+        def instrumented(t):
+            panels.append(t.shape[0])
+            return envelope(t)
+        return refine(instrumented, xs, upper, widths, spec)
+
+    monkeypatch.setattr(oracle, "_refine_panels", recording)
+    return panels
 
 
 def test_first_level_is_four_times_the_accepted_width(qspec, monkeypatch):
     # at x = 15, y = 0.1 the accepted width is 1/16 (15/16 radians of
     # e^{i x tau} a panel); the stopping test compares it with a level of
     # panels 1/4 wide, and accepts it there
-    pytest.importorskip("numpy")
-    refine = oracle._refine_panels
-    panels = []
-
-    def recording(envelope, xs, upper, width, spec):
-        def instrumented(t):
-            panels.append(t.shape[0])
-            return envelope(t)
-        return refine(instrumented, xs, upper, width, spec)
-
-    monkeypatch.setattr(oracle, "_refine_panels", recording)
+    panels = _record_envelope_panels(monkeypatch)
     w_quadrature(15.0 + 0.1j, qspec)
     upper = oracle._tail_cutoff(0.1, qspec.abs_tol)
     assert panels == [math.ceil(upper / 0.25), math.ceil(upper / 0.0625)]
+
+
+def test_row_evaluates_the_envelope_once_a_width(qspec, monkeypatch):
+    # the x of an oracle_scan row accept r = 1/2, 1/4, 1/8 and 1/16, whose
+    # levels 4r, r coincide at 1/2 and 1/4: one schedule over the row lays
+    # six widths, in descending order, where one per width group lays eight
+    panels = _record_envelope_panels(monkeypatch)
+    oracle._quadrature_row(_log_nodes(0.01, 15.0, 32), 1e-4, qspec)
+    upper = oracle._tail_cutoff(1e-4, qspec.abs_tol)
+    assert panels == [math.ceil(upper / 2.0 ** -k) for k in range(-1, 5)]
+
+
+def test_row_walks_the_union_of_its_nodes_levels(monkeypatch):
+    # at abs_tol = 1e-15 some nodes miss at their r and go on to r/2, a
+    # level of a narrower group, while the others stop at r; the row lays
+    # each width of its nodes' levels once, and each node keeps its bits
+    spec = QuadratureSpec(abs_tol=1e-15)
+    xs = _log_nodes(0.01, 15.0, 32)
+    panels = _record_envelope_panels(monkeypatch)
+    alone, levels = [], []
+    for x in xs:
+        panels.clear()
+        alone.append(w_quadrature(complex(x, 1e-4), spec))
+        levels.append(list(panels))
+    assert {len(own) for own in levels} == {2, 3}
+    panels.clear()
+    row = oracle._quadrature_row(xs, 1e-4, spec)
+    assert panels == sorted(set().union(*levels))
+    assert list(map(_bits, row)) == list(map(_bits, alone))
 
 
 def test_truncation_point_is_irrelevant(qspec):
@@ -319,7 +449,7 @@ def _untruncated(z, spec):
 
     upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
     width = _accepted_width(x, y)
-    return oracle._refine_panels(envelope, [x], upper, width, spec)[0] / math.sqrt(math.pi)
+    return oracle._refine_panels(envelope, [x], upper, [width], spec)[0] / math.sqrt(math.pi)
 
 
 def test_tail_cutoff_changes_no_bit(qspec):
