@@ -137,7 +137,7 @@ def _phase_split(c, n_panels: int):
     import numpy as np
     bits = 53 - max(27, (2 * n_panels - 1).bit_length())
     mantissa, exponent = np.frexp(c)
-    # + 0.0 turns the -0.0 that truncates a negative c's zero cut into 0.0
+    # np.trunc keeps the sign of -0.0, and + 0.0 drops it, as math.trunc does
     c_hi = np.ldexp(np.trunc(np.ldexp(mantissa, bits)) + 0.0, exponent - bits)
     return c_hi, c - c_hi
 
@@ -208,7 +208,7 @@ def _refine_panels(envelope, xs, upper: float, widths,
     smallest = np.abs(xs[xs != 0.0]).min(initial=math.inf)
     accepted = _power_of_two_at_or_above(np.asarray(widths, dtype=float)).tolist()
     # each x's next level: 4r, then r, r/2, ...
-    level = [4.0 * width for width in accepted]
+    level = [4.0 * r for r in accepted]
     values = [None] * len(level)
     previous = [None] * len(level)
     pending = list(range(len(level)))

@@ -240,8 +240,8 @@ def _bits(value):
     (_log_nodes(1.0, 1000.0, 16), [1e-2, 10.0], 1e-14),
 ], ids=["box", "negative_x", "large_y", "loose_tol", "tight_tol", "large_x"])
 def test_row_matches_single_nodes_bit_for_bit(xs, ys, abs_tol):
-    # a row integrates its nodes together, one group per panel width; each
-    # value must keep the bits of the node integrated alone
+    # a row integrates its nodes together, on one schedule over their
+    # panel widths; each value must keep the bits of the node integrated alone
     spec = QuadratureSpec(abs_tol=abs_tol)
     for y in ys:
         row = oracle._quadrature_row(xs, y, spec)
