@@ -142,21 +142,18 @@ def _phase_split(c, n_panels: int):
     return c_hi, c - c_hi
 
 
-def _widest_panel(bandwidth, y: float):
-    """min(1/2, pi/(4 bandwidth), 2 pi/y), elementwise over an array of
-    bandwidths: under pi/2 radians of the integrand's top frequency a
-    panel, and at large y the first panel's nodes see the decay e^{-y tau}."""
-    import numpy as np
-    return 0.25 * math.pi / np.maximum(bandwidth, max(0.5 * math.pi, y / 8.0))
+def _widest_panel(bandwidth: float, y: float) -> float:
+    """min(1/2, pi/(4 bandwidth), 2 pi/y): under pi/2 radians of the
+    integrand's top frequency a panel, and at large y the first panel's
+    nodes see the decay e^{-y tau}."""
+    return 0.25 * math.pi / max(0.5 * math.pi, bandwidth, y / 8.0)
 
 
-def _power_of_two_at_or_above(width):
-    """The least power of two >= width, elementwise, from ``frexp``, which
-    is exact (``2.0 ** math.ceil(math.log2(width))`` can land one power
-    low)."""
-    import numpy as np
-    mantissa, exponent = np.frexp(width)
-    return np.where(mantissa == 0.5, width, np.ldexp(1.0, exponent))
+def _power_of_two_at_or_above(width: float) -> float:
+    """The least power of two >= width, from ``math.frexp``, which is exact
+    (``2.0 ** math.ceil(math.log2(width))`` can land one power low)."""
+    mantissa, exponent = math.frexp(width)
+    return width if mantissa == 0.5 else math.ldexp(1.0, exponent)
 
 
 def _refine_panels(envelope, xs, upper: float, widths,
@@ -189,9 +186,7 @@ def _refine_panels(envelope, xs, upper: float, widths,
 
     Each width is first rounded up to a power of two, which makes x w and
     the other levels' widths exact products for the split: any width in
-    the octave below a power of two gives that power's panels and bits. So
-    x is split once: x_hi w, x_lo w and (x/2) w are the split of x w and
-    x w/2 while |x| w/2 >= 2^-1000 with at most 2^26 panels a level.
+    the octave below a power of two gives that power's panels and bits.
 
     Raises ConvergenceError when a level would pass spec.max_subdivisions
     panels with some x still pending (every pending x would come to that
@@ -203,46 +198,40 @@ def _refine_panels(envelope, xs, upper: float, widths,
     i_nodes = 1j * nodes
     abs_tol = spec.abs_tol
     xs = np.asarray(xs, dtype=float)
-    # x_hi, x_lo and x/2 of each x, to be scaled by a level's width
-    row_angles = np.column_stack([*_phase_split(xs, 1), 0.5 * xs])
-    smallest = np.abs(xs[xs != 0.0]).min(initial=math.inf)
-    accepted = _power_of_two_at_or_above(np.asarray(widths, dtype=float)).tolist()
-    # each x's next level: 4r, then r, r/2, ...
-    level = [4.0 * r for r in accepted]
-    values = [None] * len(level)
-    previous = [None] * len(level)
-    pending = list(range(len(level)))
-    while pending:
-        width = max(level[i] for i in pending)
+    accepted = [_power_of_two_at_or_above(width) for width in widths]
+    # the x waiting at each level width: an x's levels run 4r, then r, r/2, ...
+    queue: dict[float, list[int]] = {}
+    for i, r in enumerate(accepted):
+        queue.setdefault(4.0 * r, []).append(i)
+    values = [None] * len(accepted)
+    previous = [None] * len(accepted)
+    while queue:
+        width = max(queue)
         # tested before math.ceil, which cannot take the inf of a tiny width
         if upper / width > spec.max_subdivisions:
             error = ConvergenceError(
                 f"needed more than {spec.max_subdivisions} panels to reach "
                 f"abs_tol={spec.abs_tol:g}")
-            error.unconverged = pending
+            error.unconverged = sorted(i for waiting in queue.values() for i in waiting)
             raise error
         n_panels = math.ceil(upper / width)
         half = 0.5 * width
         k = np.arange(0.5, n_panels)
         i_k = 1j * k
         env = envelope((width * k)[:, None] + half * nodes)
-        here = [i for i in pending if level[i] == width]
+        here = queue.pop(width)
         # blocks of x keep each (x, panel) array below _BLOCK entries
         step = max(1, _BLOCK // n_panels)
         for first in range(0, len(here), step):
             block = here[first:first + step]
-            # per x: c_hi and c_lo, the angles of E_k over k + 1/2, and x w/2,
-            # that of F_j over xi_j
-            if n_panels <= 2 ** 26 and smallest * half >= 2.0 ** -1000:
-                angles = row_angles[block] * width
-            else:
-                angles = np.column_stack([*_phase_split(xs[block] * width, n_panels),
-                                          xs[block] * half])
-            # omega_j F_j of each x as a (20, 2) real matrix: columns real, imaginary
-            node_phases = np.exp(angles[:, 2:] * i_nodes) * weights
+            x = xs[block]
+            # omega_j F_j of each x, F_j at angle x w/2 over xi_j, as a (20, 2)
+            # real matrix: columns real, imaginary
+            node_phases = np.exp((x * half)[:, None] * i_nodes) * weights
             sums = (env @ node_phases.view(float).reshape(-1, 20, 2)).view(complex)[..., 0]
-            e_k = np.exp(angles[:, :2, None] * i_k)
-            panels = e_k[:, 0] * e_k[:, 1] * sums
+            # E_k at angles c_hi and c_lo over k + 1/2
+            c_hi, c_lo = _phase_split(x * width, n_panels)
+            panels = np.exp(c_hi[:, None] * i_k) * np.exp(c_lo[:, None] * i_k) * sums
             for i, real, imag in zip(block, panels.real.tolist(), panels.imag.tolist()):
                 # exactly rounded, so the result cannot depend on how many
                 # negligible panels past the decay point join the sum
@@ -251,8 +240,8 @@ def _refine_panels(envelope, xs, upper: float, widths,
                     values[i] = current
                 else:
                     previous[i] = current
-                    level[i] = accepted[i] if width > accepted[i] else half
-        pending = [i for i in pending if values[i] is None]
+                    following = accepted[i] if width > accepted[i] else half
+                    queue.setdefault(following, []).append(i)
     return values
 
 
@@ -274,12 +263,11 @@ def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
         exponent *= t
         return np.exp(exponent, out=exponent)
 
-    x = np.asarray(xs, dtype=float)
-    valid = np.isfinite(x) & (math.isfinite(y) and y > 0.0)
-    if not valid.all():
-        _require_upper_half_plane(complex(xs[valid.argmin()], y), "w_quadrature")
+    if not (y > 0.0 and math.isfinite(y) and all(map(math.isfinite, xs))):
+        for x in xs:
+            _require_upper_half_plane(complex(x, y), "w_quadrature")
     upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
-    row = _refine_panels(envelope, x, upper, _widest_panel(np.abs(x), y), spec)
+    row = _refine_panels(envelope, xs, upper, [_widest_panel(abs(x), y) for x in xs], spec)
     return [value / _SQRT_PI for value in row]
 
 

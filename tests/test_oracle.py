@@ -185,27 +185,6 @@ def test_phase_split_of_an_array_splits_each_element(n_panels):
         assert (hi.hex(), lo.hex()) == tuple(map(float.hex, _scalar_phase_split(c, n_panels))), c
 
 
-def test_row_split_scaled_by_a_width_is_the_split_of_the_product():
-    # a row splits each x once and scales the parts by a level's
-    # power-of-two width w; that is the split of x w, and x w/2, while
-    # |x| w/2 >= 2^-1000 (w/2 = 0 at w = 2^-1074) and the level has at most
-    # 2^26 panels. A level's |x| w is at most 2 pi: 4r <= 2 pi / |x|.
-    np = pytest.importorskip("numpy")
-    rng = random.Random(24)
-    xs = np.array([0.0, -0.0, 2.0 ** -999, 3.0 * 2.0 ** -1000, sys.float_info.max]
-                  + [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 308.0)
-                     for _ in range(200)])
-    x_hi, x_lo = oracle._phase_split(xs, 1)
-    for k in range(-1, 1075):
-        width = 2.0 ** -k
-        size = np.abs(xs)
-        kept = ((size * (0.5 * width) >= 2.0 ** -1000) | (xs == 0.0)) & (size <= 8.0 / width)
-        c_hi, c_lo = oracle._phase_split(xs[kept] * width, 2 ** 26)
-        for want, got in ((c_hi, x_hi[kept] * width), (c_lo, x_lo[kept] * width),
-                          (xs[kept] * (0.5 * width), 0.5 * xs[kept] * width)):
-            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), k
-
-
 @pytest.mark.parametrize("x, y", [(0.05, 1.0), (3.0, 1e-4), (15.0, 0.5), (1000.0, 10.0)])
 def test_panel_width_is_rounded_up_to_a_power_of_two(x, y, qspec):
     # x w is exact only for a power-of-two width, so every width in the
@@ -282,8 +261,8 @@ def test_values_keep_their_pinned_bits(coeffs, qspec):
 
 
 # SHA-256 digests, recorded as for PINNED_ROWS, of a row whose smallest
-# |x| are subnormal or the smallest normal, so that no level takes the
-# row's split
+# |x| are subnormal or the smallest normal, so that a level splits
+# subnormal products x w
 TINY_XS = [5e-324, 1e-310, 2.2250738585072014e-308, -5e-324, 0.0, -0.0, 0.5, 3.0]
 PINNED_TINY_ROWS = {
     1e-4: "9e64db3a72d30d5f6d59e78de19bb29e34b188b254e5f6b79f3b7f07789bfeb1",
