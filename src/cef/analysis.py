@@ -14,15 +14,19 @@ generator (Knuth's MMIX constants: state <- 6364136223846793005 * state
 + 1442695040888963407 mod 2^64, uniform = (state >> 11) / 2^53) so that
 identical (method, n_points, seed) runs produce identical point sets and
 checksums on any platform.
+
+``GridSpec`` is a frozen ``coefficients._Record``; ``AccuracyReport`` and
+``BenchReport`` are ``collections.namedtuple`` classes, so ``_asdict()``
+gives a report's fields.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .coefficients import CoefficientTable, _is_int, _is_real
+from .coefficients import CoefficientTable, _is_int, _is_real, _Record
 from .errors import ConvergenceError
 from .oracle import QuadratureSpec, _quadrature_row, w_quadrature
 from .series import _COMMON_ONLY, _REFINED, w_adaptive, w_cr, w_refined
@@ -59,14 +63,14 @@ MIN_BENCH_POINTS = 10_000
 _REL_ERROR_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Rectangular evaluation grid, linear or logarithmic in both axes.
 
     The defaults cover the range that matters for line-shape work:
     x in [0.01, 15], y from 1e-4 up to 15, 20 nodes per axis.
     """
 
+    _fields = __match_args__ = ("x_min", "x_max", "y_min", "y_max", "nx", "ny", "spacing")
     x_min: float = 0.01
     x_max: float = 15.0
     y_min: float = 1e-4
@@ -75,7 +79,11 @@ class GridSpec:
     ny: int = 20
     spacing: str = "linear"
 
-    def __post_init__(self) -> None:
+    def __init__(self, x_min: float = x_min, x_max: float = x_max, y_min: float = y_min,
+                 y_max: float = y_max, nx: int = nx, ny: int = ny,
+                 spacing: str = spacing) -> None:
+        vars(self).update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, nx=nx, ny=ny,
+                          spacing=spacing)
         if self.spacing not in ("linear", "logarithmic"):
             raise ValueError(f"spacing must be 'linear' or 'logarithmic', "
                              f"got {self.spacing!r}")
@@ -113,28 +121,15 @@ class GridSpec:
         return self._axis(self.y_min, self.y_max, self.ny)
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Maximum and per-point relative error of a method against a
+# argmax_point is (x, y), per_point a tuple of (x, y, rel_error)
+AccuracyReport = namedtuple("AccuracyReport", ["grid", "method", "reference", "max_rel_error",
+                                               "argmax_point", "per_point"])
+AccuracyReport.__doc__ = """Maximum and per-point relative error of a method against a
     reference over a grid."""
 
-    grid: GridSpec
-    method: str
-    reference: str
-    max_rel_error: float
-    argmax_point: tuple[float, float]
-    per_point: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Single-method throughput measurement."""
-
-    method: str
-    points_evaluated: int
-    wall_time: float
-    throughput: float
-    checksum: float
+BenchReport = namedtuple("BenchReport", ["method", "points_evaluated", "wall_time",
+                                         "throughput", "checksum"])
+BenchReport.__doc__ = "Single-method throughput measurement."
 
 
 def error_scan(grid: GridSpec, method: str, reference: str,

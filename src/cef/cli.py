@@ -22,12 +22,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
 
 from .analysis import (BENCH_METHODS, METHODS, MIN_BENCH_POINTS, SCAN_METHODS,
                        SCAN_REFERENCES, GridSpec, error_scan,
                        measure_throughput)
-from .coefficients import CoefficientTable, SeriesParams, build_coefficients
+from .coefficients import CoefficientTable, SeriesParams, _Record, build_coefficients
 from .errors import ConvergenceError, DomainError
 from .oracle import QuadratureSpec
 from .plane import w_full_plane
@@ -100,7 +99,7 @@ def cmd_eval(args: argparse.Namespace, coeffs: CoefficientTable,
 
 def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
               parser: argparse.ArgumentParser) -> int:
-    # the published table, and typing with it, load for this command only
+    # the published table loads for this command only
     from .fixtures import CR_STATUS_LABELS, reference_rows
     rows = reference_rows()
     shown = [name for name in TABLE_SERIES if args.method in (None, name)]
@@ -136,8 +135,11 @@ def cmd_table(args: argparse.Namespace, coeffs: CoefficientTable,
 
 
 def _json_text(payload) -> str:
-    """Strict JSON (RFC 8259): non-finite numbers are written as null."""
+    """Strict JSON (RFC 8259): non-finite numbers are written as null. A
+    record is written as the dict of its fields."""
     def finite(value):
+        if isinstance(value, _Record):
+            value = dict(zip(value._fields, value._values()))
         if isinstance(value, float):
             return value if math.isfinite(value) else None
         if isinstance(value, dict):
@@ -152,14 +154,14 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
              parser: argparse.ArgumentParser) -> int:
     given = vars(args) | {"spacing": "logarithmic" if args.log else "linear"}
     try:
-        grid, spec = (kind(**{field.name: given[field.name] for field in fields(kind)})
+        grid, spec = (kind(**{name: given[name] for name in kind._fields})
                       for kind in (GridSpec, QuadratureSpec))
     except ValueError as exc:
         parser.error(str(exc))
     report = error_scan(grid, args.method, args.reference, coeffs, spec)
 
     if args.format == "json":
-        text = _json_text(asdict(report)) + "\n"
+        text = _json_text(report._asdict()) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -186,7 +188,7 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
     if args.n < MIN_BENCH_POINTS:
         parser.error(f"--n must be at least {MIN_BENCH_POINTS}, got {args.n}")
     methods = ("cr", "refined") if args.compare else (args.method,)
-    reports = [asdict(measure_throughput(method, args.n, args.seed, coeffs))
+    reports = [measure_throughput(method, args.n, args.seed, coeffs)._asdict()
                for method in methods]
     payload, extra = reports[0], {}
     if args.compare:
@@ -207,10 +209,11 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
 def _add_spec_flags(parser: argparse.ArgumentParser, spec: type) -> None:
     """One --flag per field of ``spec``, typed and defaulted by the field, in
     field order; GridSpec.spacing is left to --log."""
-    for field in fields(spec):
-        if field.name != "spacing":
-            parser.add_argument(f"--{field.name.replace('_', '-')}",
-                                type=type(field.default), default=field.default)
+    for name in spec._fields:
+        if name != "spacing":
+            default = getattr(spec, name)
+            parser.add_argument(f"--{name.replace('_', '-')}", type=type(default),
+                                default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,11 +20,14 @@ A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
 
-``SeriesParams`` and ``CoefficientTable`` behave as frozen dataclasses
-(constructor, class defaults, repr, ==, hash, ``FrozenInstanceError``,
-pickles) but are not dataclasses: ``dataclasses.fields``, ``replace``,
-``asdict`` and ``is_dataclass`` do not accept them. Each names its
-fields in ``_fields``.
+The package declares records two ways. Inputs (``SeriesParams`` and
+``CoefficientTable`` here, ``analysis.GridSpec``, ``oracle.QuadratureSpec``)
+are ``_Record`` classes, which behave as frozen dataclasses (constructor,
+class defaults, repr, ==, hash, ``FrozenInstanceError``, pickles) but are
+not dataclasses: ``dataclasses.fields``, ``replace``, ``asdict`` and
+``is_dataclass`` do not accept them. Each names its fields in ``_fields``.
+Results (``series.EvaluationOutcome``, the reports of ``analysis``, the rows
+of ``fixtures``) are ``collections.namedtuple`` classes.
 """
 
 from __future__ import annotations

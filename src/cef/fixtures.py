@@ -10,12 +10,13 @@ Algorithm 680 (Poppe & Wijers, 1990) as the high-accuracy reference.
 Markers on the pole-sum column record its documented behaviour at small
 y: '!' failed outright, '~' insufficient accuracy, '_' reduced but usable
 accuracy. The failed values are intentionally preserved; reproducing them
-is a fidelity check on the implementation, not a defect.
+is a fidelity check on the implementation, not a defect. A row is a
+``collections.namedtuple``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = ["ReferenceRow", "reference_rows", "CR_STATUS_LABELS"]
 
@@ -56,13 +57,8 @@ CR_STATUS_LABELS = {
 }
 
 
-class ReferenceRow(NamedTuple):
-    x: float
-    y: float
-    refined: complex
-    cr: complex
-    reference: complex
-    cr_status: str  # 'accurate', 'reduced', 'insufficient', or 'failed'
+# cr_status is 'accurate', 'reduced', 'insufficient', or 'failed'
+ReferenceRow = namedtuple("ReferenceRow", ["x", "y", "refined", "cr", "reference", "cr_status"])
 
 
 def _parse_line(line: str) -> tuple[float, float, list[float], str]:

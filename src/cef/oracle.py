@@ -52,14 +52,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .coefficients import CoefficientTable, _is_int, _is_real
+from .coefficients import _SQRT_PI, CoefficientTable, _is_int, _is_real, _Record
 from .errors import ConvergenceError, _require_upper_half_plane
 
 __all__ = ["QuadratureSpec", "w_quadrature", "w_finite_quadrature"]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
 # cannot change the double-precision result.
@@ -70,8 +67,7 @@ _DECAY_CUTOFF = 52.9
 _BLOCK = 2 ** 16
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Truncation point, target absolute tolerance, and panel budget.
 
     ``max_subdivisions`` bounds the panels of one refinement level, and
@@ -80,11 +76,14 @@ class QuadratureSpec:
     tau_max. ``tau_max`` changes a ``w_quadrature`` result only below T.
     """
 
+    _fields = __match_args__ = ("tau_max", "abs_tol", "max_subdivisions")
     tau_max: float = 50.0
     abs_tol: float = 1e-14
     max_subdivisions: int = 2 ** 16
 
-    def __post_init__(self) -> None:
+    def __init__(self, tau_max: float = tau_max, abs_tol: float = abs_tol,
+                 max_subdivisions: int = max_subdivisions) -> None:
+        vars(self).update(tau_max=tau_max, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
         if not (_is_real(self.tau_max) and _is_real(self.abs_tol)):
             raise ValueError(f"tau_max and abs_tol must be reals, got {self!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
@@ -280,7 +279,6 @@ def w_quadrature(z: complex, spec: QuadratureSpec) -> complex:
     rule, ``errors._require_upper_half_plane``) and ConvergenceError when
     the panel budget runs out before the tolerance is met.
     """
-    _require_upper_half_plane(z, "w_quadrature")
     return _quadrature_row([z.real], z.imag, spec)[0]
 
 

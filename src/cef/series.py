@@ -64,13 +64,12 @@ import enum
 import math
 from collections import namedtuple
 
-from .coefficients import CoefficientTable
+from .coefficients import _SQRT_PI, CoefficientTable
 from .errors import DomainError, _require_upper_half_plane
 
 __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
            "w_adaptive"]
 
-_SQRT_PI = math.sqrt(math.pi)
 # i/sqrt(pi) halved: _continued_fraction divides it by t / 2, see there
 _HALF_I_OVER_SQRT_PI = 0.5j / _SQRT_PI
 

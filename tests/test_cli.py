@@ -10,8 +10,6 @@ import re
 import subprocess
 import sys
 
-from dataclasses import fields
-
 import pytest
 
 import cef
@@ -434,9 +432,9 @@ class TestDefaults:
     def test_scan_defaults_are_the_library_defaults(self):
         args = _build_parser().parse_args(["scan"])
         for spec in (GridSpec(), QuadratureSpec()):
-            for field in fields(spec):
-                if field.name != "spacing":
-                    assert getattr(args, field.name) == getattr(spec, field.name), field.name
+            for name in spec._fields:
+                if name != "spacing":
+                    assert getattr(args, name) == getattr(spec, name), name
         assert not args.log and GridSpec().spacing == "linear"
 
     def test_scan_option_strings_in_order(self):

@@ -9,8 +9,9 @@ import struct
 
 import pytest
 
-from cef import (CoefficientTable, EvaluationOutcome, Path, SeriesParams, build_coefficients,
-                 w_adaptive)
+from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcome, GridSpec,
+                 Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
+from cef.fixtures import ReferenceRow
 from conftest import ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
@@ -130,26 +131,47 @@ def test_table_is_immutable(coeffs):
 
 # --- the record contract: repr, ==, hash, pickling and immutability -------
 
+# every parameter record: one with values off the defaults, its repr, and
+# the class defaults in field order
+PARAMETER_RECORDS = [
+    (SeriesParams(6, n_terms=40, y_switch=0),
+     "SeriesParams(tau_m=6.0, n_terms=40, y_switch=0.0)", (12.0, 23, 1.0)),
+    (GridSpec(1, 2.5, ny=3, spacing="logarithmic"),
+     "GridSpec(x_min=1, x_max=2.5, y_min=0.0001, y_max=15.0, nx=20, ny=3, "
+     "spacing='logarithmic')", (0.01, 15.0, 1e-4, 15.0, 20, 20, "linear")),
+    (QuadratureSpec(10.0, max_subdivisions=7),
+     "QuadratureSpec(tau_max=10.0, abs_tol=1e-14, max_subdivisions=7)", (50.0, 1e-14, 2 ** 16)),
+]
+
+
 def test_params_record_contract():
-    p = SeriesParams(6, n_terms=40, y_switch=0)
-    assert repr(p) == "SeriesParams(tau_m=6.0, n_terms=40, y_switch=0.0)"
     assert repr(SeriesParams()) == "SeriesParams(tau_m=12.0, n_terms=23, y_switch=1.0)"
-    assert (SeriesParams.tau_m, SeriesParams.n_terms, SeriesParams.y_switch) == (12.0, 23, 1.0)
-    assert hash(p) == hash((p.tau_m, p.n_terms, p.y_switch))
     assert SeriesParams(12, 23, 1) == SeriesParams()
     assert SeriesParams() != SeriesParams(y_switch=2.0)
-    assert SeriesParams() != (12.0, 23, 1.0)
-    assert SeriesParams().__eq__((12.0, 23, 1.0)) is NotImplemented
-    copies = [pickle.loads(pickle.dumps(p, protocol))
-              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for restored in (*copies, copy.copy(p), copy.deepcopy(p)):
-        assert type(restored) is SeriesParams
-        assert restored == p and repr(restored) == repr(p)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del p.tau_m
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.extra = 1
-    assert p.tau_m == 6.0 and not hasattr(p, "extra")
+    for p, shown, defaults in PARAMETER_RECORDS:
+        kind = type(p)
+        values = tuple(getattr(p, name) for name in kind._fields)
+        assert repr(p) == shown
+        assert kind.__match_args__ == kind._fields
+        assert tuple(getattr(kind, name) for name in kind._fields) == defaults
+        assert kind() == kind(*defaults) != p
+        assert hash(p) == hash(values)
+        assert kind(*values) == p and hash(kind(*values)) == hash(p)
+        assert p != values
+        assert p.__eq__(values) is NotImplemented
+        copies = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for restored in (*copies, copy.copy(p), copy.deepcopy(p)):
+            assert type(restored) is kind
+            assert restored == p and repr(restored) == repr(p)
+        first = kind._fields[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, first, values[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, first)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.extra = 1
+        assert getattr(p, first) == values[0] and not hasattr(p, "extra")
 
 
 def test_table_record_contract():
@@ -181,6 +203,18 @@ def test_evaluation_outcome_contract(coeffs):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         restored = pickle.loads(pickle.dumps(outcome, protocol))
         assert type(restored) is EvaluationOutcome and restored == outcome
+    # every other result is a namedtuple too, its fields in this order
+    for kind, fields in (
+            (AccuracyReport, ("grid", "method", "reference", "max_rel_error", "argmax_point",
+                              "per_point")),
+            (BenchReport, ("method", "points_evaluated", "wall_time", "throughput", "checksum")),
+            (ReferenceRow, ("x", "y", "refined", "cr", "reference", "cr_status"))):
+        made = kind(*fields)
+        assert kind._fields == fields and made == fields
+        assert made._asdict() == dict(zip(fields, fields))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(made, protocol))
+            assert type(restored) is kind and restored == made
 
 
 # --- compiled pole sums against the loops they replace --------------------

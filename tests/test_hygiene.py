@@ -2,7 +2,9 @@
 module never uses, a module-level private name that nothing in the
 package uses, both read from the source with ``ast``, and a source line
 longer than MAX_LINE characters. Also read with ``ast``: the oracle's
-imports from the package, which keep it an independent reference."""
+imports from the package, which keep it an independent reference, and
+the modules that importing the package would load, which leave out
+``dataclasses`` and ``typing``."""
 
 import ast
 import pathlib
@@ -94,3 +96,26 @@ def test_oracle_imports_nothing_from_the_kernels_it_checks():
     # the oracle is a reference for the series kernels only while it shares
     # no code with them: the errors module holds the rule they share
     assert package_imports(TREES["oracle.py"]) <= {"coefficients", "errors"}
+
+
+def import_time_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules a module imports outside any
+    function body, so when it is itself imported; relative imports are left out."""
+    modules, pending = set(), list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module.partition(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # _Record imports FrozenInstanceError in the body of the methods that raise it
+    found = [f"{name}: {module}" for name, tree in TREES.items()
+             for module in sorted(import_time_modules(tree) & {"dataclasses", "typing"})]
+    assert not found, found

@@ -1,9 +1,9 @@
 """What importing and using the package loads: the scan and oracle layers
 only on the first lookup of one of their names, numpy only once the
-quadrature oracle or a scan grid needs it, dataclasses, inspect and
-typing only with the scan and oracle layers, and the published table
-(with typing) only for ``cef table``."""
+quadrature oracle or a scan grid needs it, dataclasses never, inspect and
+typing only with numpy, and the published table only for ``cef table``."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -109,16 +109,30 @@ cef.imag_l(1.0, 0.5, table)
 cef.erfc_complex(0.5 - 0.5j, table)
 cef.erfc_cr_series(0.5 + 0.5j, table)
 assert table == cef.build_coefficients(cef.SeriesParams()) and hash(table) and repr(table)
+cef.GridSpec()
+cef.QuadratureSpec()
+from cef import cli
+for argv in (["eval", "--x", "1", "--y", "1"], ["table", "--check"],
+             ["bench", "--n", "10000"]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
 loaded = [name for name in ("dataclasses", "inspect", "typing", "ast", "dis")
           if name in sys.modules]
-assert not loaded, "loaded by the kernels: " + ", ".join(loaded)
-cef.QuadratureSpec()
-assert "dataclasses" in sys.modules, "the oracle layer loaded without its dataclasses"
+assert not loaded, "loaded by the kernels, the records or the CLI: " + ", ".join(loaded)
+# numpy, which a grid needs, loads inspect and typing itself: from here on
+# only dataclasses can be told apart
+sys.path.append(NUMPY_HOME)
+cef.error_scan(cef.GridSpec(nx=2, ny=2), "adaptive", "oracle", table)
+assert cli.main(["scan", "--nx", "2", "--ny", "2"]) == 0
+assert "numpy" in sys.modules and "dataclasses" not in sys.modules
 """
 
 
 def test_kernels_leave_dataclasses_inspect_and_typing_unloaded():
-    done = _run_fresh(STDLIB_SCRIPT, "-S")
+    # under -S numpy is not on the path: the script appends its directory
+    # once the checks that numpy would spoil have run
+    numpy_home = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+    done = _run_fresh(f"NUMPY_HOME = {numpy_home!r}\n" + STDLIB_SCRIPT, "-S")
     assert done.returncode == 0, done.stderr
 
 

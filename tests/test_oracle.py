@@ -1,5 +1,6 @@
 """Quadrature oracle: the ground-truth anchor for every series kernel."""
 
+import cmath
 import hashlib
 import itertools
 import math
@@ -47,17 +48,23 @@ def test_invalid_spec_rejected(kwargs):
 
 def test_domain_errors(coeffs, qspec):
     with pytest.raises(DomainError):
-        w_quadrature(1.0 + 0j, qspec)
-    with pytest.raises(DomainError):
-        w_quadrature(1.0 - 1.0j, qspec)
-    with pytest.raises(DomainError):
         w_finite_quadrature(1.0 + 0j, coeffs, qspec)
-    # non-finite z is rejected up front, before any panel work
-    for z in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(1.0, math.inf)):
-        with pytest.raises(DomainError, match="finite"):
+    # the series kernels' rule, word for word; non-finite z is rejected up
+    # front, before any panel work
+    for z, shown in ((complex(math.nan, 1.0), "a finite argument, got z = (nan+1j)"),
+                     (complex(math.inf, 1.0), "a finite argument, got z = (inf+1j)"),
+                     (complex(-math.inf, 1.0), "a finite argument, got z = (-inf+1j)"),
+                     (complex(1.0, math.inf), "a finite argument, got z = (1+infj)"),
+                     (complex(1.0, -math.inf), "a finite argument, got z = (1-infj)"),
+                     (complex(1.0, 0.0), "Im z > 0, got z = (1+0j)"),
+                     (complex(1.0, -0.0), "Im z > 0, got z = (1-0j)"),
+                     (complex(1.0, -1.0), "Im z > 0, got z = (1-1j)")):
+        with pytest.raises(DomainError) as caught:
             w_quadrature(z, qspec)
-        with pytest.raises(DomainError, match="finite"):
-            w_finite_quadrature(z, coeffs, qspec)
+        assert str(caught.value) == f"w_quadrature requires {shown}"
+        if not cmath.isfinite(z):
+            with pytest.raises(DomainError, match="finite"):
+                w_finite_quadrature(z, coeffs, qspec)
 
 
 def test_matches_reference_row(qspec):
