@@ -27,15 +27,17 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
     Evaluated at |x|, so even in x by construction. The continued fraction
-    answers where |z| >= 10 (``series._FAR_ABS``, tested inline: a shared
+    answers where |z| >= 7 (``series._FAR_ABS``, tested inline: a shared
     test made a line-shape batch 2.4% slower), ``w_adaptive`` elsewhere,
     which raises DomainError for y <= 0 and non-finite arguments.
 
-    Worst relative error against scipy.special.wofz, by region: 2.6e-13 at
-    |x| < 3 for y < 1 (1.6e-10 just above y_switch = 1, the pole sum);
-    2.1e-15 at |x| >= 10. At 3 <= |x| < 10 the error is ~eps |w|, so it
-    grows as Re w falls to e^{-x^2}: 3.7e-11 for y in [1e-4, 1), 2.9e-7
-    in [1e-8, 1e-4), ~24 at (9.53, 1.5e-16), ~3e26 below y ~ 1e-16.
+    Worst relative error by region (README's table): against
+    scipy.special.wofz, 2.6e-13 at |x| < 3 for y < 1 (1.6e-10 just above
+    y_switch = 1, the pole sum) and 1.2e-15 at |x| >= 10; against 60-digit
+    mpmath, 1.5e-15 at 7 <= |x| < 10 for y >= 1e-16 and 7.2e-15 below (the
+    rounding of x^2 in e^{-x^2}). At 3 <= |x| < 7 the error is ~eps |w|,
+    so it grows as Re w falls to e^{-x^2}: 2.0e-11 for y in [1e-4, 1),
+    1.9e-7 in [1e-8, 1e-4), ~23 at (6.97, 1.1e-16), ~4e4 below y ~ 1e-16.
     """
     z = complex(abs(x), y)
     if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
@@ -58,7 +60,7 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
 
     For Re z >= 0 the w argument iz lies in the closed upper half-plane,
     so w_full_plane never reflects, and large Re z maps to large Im iz,
-    where the cheap pole-sum route applies, or from |z| = 10 on the
+    where the cheap pole-sum route applies, or from |z| = 7 on the
     continued fraction. The identity on the left half
     carries erfc -> 2 without the reflection's overflow or cancellation.
     e^{-z^2} comes from ``plane._exp_neg_square``: the result is 0 where it

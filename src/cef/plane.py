@@ -9,9 +9,9 @@ Faddeeva symmetries apply:
 ``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
 
-In the quadrant, the positive real axis and every point with |z| >= 10
-go to ``series._edge``, the rest to ``w_adaptive``; only z = 0 (exactly
-1) is special.
+In the quadrant, the positive real axis and every point with |z| >= 7
+(``series._FAR_ABS``) go to ``series._edge``, the rest to ``w_adaptive``;
+only z = 0 (exactly 1) is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
 ``functions``, is formed in one place, ``_exp_neg_square``, with its range
@@ -60,8 +60,8 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """Evaluate w(z) for any finite complex z.
 
     z = 0 returns exactly 1. The closed upper-right quadrant is evaluated
-    directly: by ``w_adaptive`` where y > 0 and |z| < 10, elsewhere by
-    ``series._edge``, that is by the continued fraction where |z| >= 10,
+    directly: by ``w_adaptive`` where y > 0 and |z| < 7, elsewhere by
+    ``series._edge``, that is by the continued fraction where |z| >= 7,
     reported as ``Path.CONTINUED_FRACTION``, and on the real axis closer
     in by the refined series at y = 0 (its y -> 0+ limit), reported as
     ``Path.REFINED``.

@@ -31,10 +31,10 @@ reports which route produced the value. Where the compiled sums stop,
 ``_edge`` decides for ``w_adaptive`` and the closed upper right quadrant
 of ``w_full_plane``: the Laplace continued fraction (Gautschi, SIAM J.
 Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990), see
-``_continued_fraction``, wherever |z| >= 10 or (tau_m z)^2 overflows
+``_continued_fraction``, wherever |z| >= 7 or (tau_m z)^2 overflows
 (|z| >~ 1.1e153 at tau_m = 12), else ``_refined``, which for
 ``w_adaptive`` is y <= 1e-146, where 1/(tau_m z) could overflow.
-``w_full_plane`` and ``voigt_k`` make the |z| >= 10 test themselves
+``w_full_plane`` and ``voigt_k`` make the |z| >= 7 test themselves
 too (see ``_FAR_ABS``).
 The paper's formulas themselves never switch. Each of their argument
 rules raises from one function, the domain rule first: DomainError from
@@ -73,15 +73,15 @@ __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
 # i/sqrt(pi) halved: _continued_fraction divides it by t / 2, see there
 _HALF_I_OVER_SQRT_PI = 0.5j / _SQRT_PI
 
-# w_adaptive's compiled sums stop at this y; from it up, |z| >= 10 and the
-# continued fraction answers. The reference table and the boxes the
+# w_adaptive's compiled sums stop at this y; from it up, |z| >= _FAR_ABS and
+# the continued fraction answers. The reference table and the boxes the
 # acceptance tests pin (y <= 15) stay on the series routes.
 _FAR_Y = 28.0
 
-# The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 10 it is
-# within 3.5e-16 of scipy.special.wofz on 400 angles of the quadrant at
-# |z| = 10 and 4.7e-16 at 12, 15, 28 and 100; at |z| = 9 it is 1.2e-14 off,
-# and no depth reaches 1e-14 on every angle at |z| = 6-8.
+# The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 14 it is
+# within 2.5e-16 of 40-digit mpmath on 400 angles of the quadrant at
+# |z| = 7, 8, 9, 10, 12, 15, 28 and 100; at |z| = 6.5 it is 8.5e-16 off, at
+# 6 2.1e-14 and at 5 1.2e-10, and no useful depth reaches 1e-11 at |z| ~ 5.
 # For a finite z with y >= 0 the test is `y >= _FAR_ABS or abs(z) >=
 # _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
 # 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot. _edge,
@@ -89,14 +89,16 @@ _FAR_Y = 28.0
 # function it cost ~120 ns a call (CPython 3.11, 2-vCPU Xeon VM), full_plane
 # 5.9% of its points/s and voigt_profiles-shaped batches 2.4% of their time.
 # tests/test_far_field.py pins the three to one boundary and the largest doubles.
-_FAR_ABS = 10.0
+_FAR_ABS = 7.0
 
 # ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
-# the real axis at |z| >= 10, Re w ~ y / (sqrt(pi) x^2) and e^{-x^2} falls
-# faster than that as x grows, so x = 10 bounds the term's share:
-# e^{-100} / (5.7e-3 y) is one ulp (2.2e-16) at y = 2.9e-26 and below
-# 6.5e-22 of Re w for y >= 1e-20, so it is not formed there
-_STOKES_Y = 1e-20
+# the real axis at |z| >= 7, Re w ~ y / (sqrt(pi) x^2) and e^{-x^2} falls
+# faster than that as x grows, so x = 7 bounds the term's share:
+# e^{-49} / (1.15e-2 y) is one ulp (2.2e-16) at y = 2e-4 and 4.4e-17 of
+# Re w at y = 1e-3, so it is not formed above. Below, the rest of e^{-z^2},
+# the factor e^{y^2 - 2ixy}, would move that term by under 2 x^2 y^2 (2e-4)
+# and Im w by under 1e-21 of itself, so Re w takes e^{-x^2} alone
+_STOKES_Y = 1e-3
 
 # ... and _refined up to this y: above it tau_m y > 1/DBL_MAX (~5.6e-309)
 # for every tau_m SeriesParams accepts (down to ~1.6e-162, where tau_m^2
@@ -168,13 +170,19 @@ def _continued_fraction(z: complex) -> complex:
 
         w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
 
-    cut at nu = 10 levels and evaluated bottom-up. It forms no square, so it
+    cut at nu = 14 levels and evaluated bottom-up. It forms no square, so it
     holds up to the largest doubles (where w itself is subnormal, with the
-    precision that leaves), and it is within ~1e-15 of w(z) at |z| >= 10.
-    It omits e^{-z^2}, which only Re w at tiny y sees: below _STOKES_Y it
+    precision that leaves), and it is within ~3e-16 of w(z) at |z| >= 7.
+    One depth serves every use: the levels past the tenth buy |z| = 7-10
+    and cost ~0.3 us a point further out.
+    It omits e^{-z^2}, which only Re w at small y sees: below _STOKES_Y it
     adds e^{-x^2} (exactly Re w on the real axis).
     """
-    t = z - 5.0 / z
+    t = z - 7.0 / z
+    t = z - 6.5 / t
+    t = z - 6.0 / t
+    t = z - 5.5 / t
+    t = z - 5.0 / t
     t = z - 4.5 / t
     t = z - 4.0 / t
     t = z - 3.5 / t
@@ -285,7 +293,7 @@ def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """w(z) for a finite z with Im z >= 0 that the compiled sums do not
     take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
     overflows (only a tau_m far above the paper's makes it overflow at
-    |z| < 10), else ``_refined``. ``w_adaptive`` sends the points that miss
+    |z| < 7), else ``_refined``. ``w_adaptive`` sends the points that miss
     its guard here, ``w_full_plane`` its positive real axis and every
     point of its upper right quadrant at |z| >= _FAR_ABS."""
     tz = coeffs.params.tau_m * z

@@ -12,6 +12,7 @@ import pytest
 from cef import (DomainError, Path, SeriesParams, build_coefficients, erfc_complex,
                  erfc_cr_series, imag_l, refining_part, voigt_k, w_adaptive, w_cr,
                  w_full_plane, w_refined)
+from cef.series import _FAR_ABS
 from conftest import mp_w, rel_error
 
 EPS = 2.0 ** -52
@@ -84,7 +85,7 @@ def test_four_quadrants(radius, coeffs):
                                1.7976931348623157e308 + 1.7976931348623157e308j])
 def test_largest_doubles(z, coeffs):
     # |z| is past the largest double, so abs(z) raises OverflowError: the
-    # |z| >= 10 test must not take it there. w is subnormal, ~2e-309, and
+    # |z| >= _FAR_ABS test must not take it there. w is subnormal, ~2e-309, and
     # the continued fraction must not flush it to 0
     want = mp_w(z)
     outcome = w_adaptive(z, coeffs)
@@ -98,21 +99,21 @@ def test_largest_doubles(z, coeffs):
 
 
 def just_outside_and_inside(angle: float) -> tuple[complex, complex]:
-    """The first point with |z| >= 10 on the ray at ``angle`` (from below
-    in x), and the point a few ulps in from it with |z| < 10."""
-    x, y = 10.0 * math.cos(angle), 10.0 * math.sin(angle)
-    while abs(complex(x, y)) < 10.0:
+    """The first point with |z| >= _FAR_ABS on the ray at ``angle`` (from
+    below in x), and the point a few ulps in from it with |z| < _FAR_ABS."""
+    x, y = _FAR_ABS * math.cos(angle), _FAR_ABS * math.sin(angle)
+    while abs(complex(x, y)) < _FAR_ABS:
         x = math.nextafter(x, math.inf)
     inner_x, inner_y = x, y
-    while abs(complex(inner_x, inner_y)) >= 10.0:
+    while abs(complex(inner_x, inner_y)) >= _FAR_ABS:
         inner_x, inner_y = math.nextafter(inner_x, 0.0), math.nextafter(inner_y, 0.0)
     return complex(x, y), complex(inner_x, inner_y)
 
 
-def test_both_sides_of_radius_10(coeffs):
+def test_both_sides_of_the_far_radius(coeffs):
     # 400 angles over the closed upper right quadrant, both axes included:
-    # the continued fraction just outside |z| = 10, the series routes just
-    # inside, agreeing within 1e-14; voigt_k and imag_l take the same
+    # the continued fraction just outside |z| = _FAR_ABS, the series routes
+    # just inside, agreeing within 1e-14; voigt_k and imag_l take the same
     # route as w_full_plane on both sides, to the bit
     for k in range(400):
         outside, inside = just_outside_and_inside(k * (math.pi / 2.0) / 399)
@@ -148,7 +149,7 @@ def test_voigt_wings_against_wofz(coeffs):
         assert abs(imag_l(x, y, coeffs) - want.imag) <= 1e-14 * abs(want.imag), (x, y)
 
 
-@pytest.mark.parametrize("x", [10.0, -12.5, 24.9, -30.0, 1000.0])
+@pytest.mark.parametrize("x", [_FAR_ABS, -8.5, 10.0, -12.5, 24.9, -30.0, 1000.0])
 def test_voigt_wings_against_mpmath(x, coeffs):
     # 60 digits, and y >= 1e-30 only: there 60 and 100 digits agree on
     # Re w to the last bit of a double
@@ -158,11 +159,51 @@ def test_voigt_wings_against_mpmath(x, coeffs):
         assert abs(imag_l(x, y, coeffs) - want.imag) <= 1e-14 * abs(want.imag), y
 
 
+def inner_band_points(count: int, seed: int = 7) -> list[complex]:
+    """Seeded z with 7 <= |z| < 10 in the closed upper half-plane, x of
+    either sign: 40% at a uniform radius and argument, 50% with |x|
+    uniform over [7, 9.9] and y log-uniform over [1e-300, 1), 10% on the
+    real axis (y = 0), and twelve points at |x| = 7-8 and y <= 9e-4, where
+    the fraction adds e^{-x^2} (4.4e-10 of K at (7, 1e-10))."""
+    rng = random.Random(seed)
+    points = [complex(x, y) for x in (7.0, -7.5, 8.0) for y in (1e-10, 1e-5, 2e-4, 9e-4)]
+    for i in range(count - len(points)):
+        sign = rng.choice((-1.0, 1.0))
+        if i % 10 < 4:
+            radius, angle = rng.uniform(7.0, 10.0), rng.uniform(0.0, math.pi)
+            points.append(complex(radius * math.cos(angle), radius * math.sin(angle)))
+        elif i % 10 < 9:
+            points.append(complex(sign * rng.uniform(7.0, 9.9), 10.0 ** rng.uniform(-300.0, 0.0)))
+        else:
+            points.append(complex(sign * rng.uniform(7.0, 10.0), 0.0))
+    return points
+
+
+def test_inner_band_against_mpmath(coeffs):
+    # 7 <= |z| < 10 takes the continued fraction: w within 1e-15 of
+    # 60-digit mpmath, K and L each within 1e-14 (e^{-x^2}, which is all of
+    # K at tiny y, carries the rounding of x^2, up to 7.2e-15), and K > 0
+    for z in inner_band_points(1000):
+        assert _FAR_ABS <= abs(z) < 10.0, z
+        want = mp_w(z, 60)
+        outcome = w_full_plane(z, coeffs)
+        assert outcome.path is (Path.CONTINUED_FRACTION if z.real >= 0.0
+                                else Path.SYMMETRY_EXTENDED), z
+        assert rel_error(outcome.value, want) <= 1e-15, (z, outcome.value)
+        if z.imag == 0.0:
+            assert abs(outcome.value.real - want.real) <= 1e-14 * want.real, z
+            continue
+        k, l = voigt_k(z.real, z.imag, coeffs), imag_l(z.real, z.imag, coeffs)
+        assert k > 0.0, z
+        assert abs(k - want.real) <= 1e-14 * want.real, (z, k)
+        assert abs(l - want.imag) <= 1e-14 * abs(want.imag), (z, l)
+
+
 @pytest.mark.parametrize("fn", [voigt_k, imag_l])
 def test_domain_rule_holds_past_radius_10(fn, coeffs):
-    # |x| >= 10 takes the continued fraction without w_adaptive, whose
+    # |x| >= _FAR_ABS takes the continued fraction without w_adaptive, whose
     # domain check these arguments must still reach
-    for x in (12.0, -12.0, 1e200):
+    for x in (_FAR_ABS, -8.0, 12.0, -12.0, 1e200):
         for y in (0.0, -0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 fn(x, y, coeffs)
@@ -176,7 +217,7 @@ FIRST_OVERFLOWING_SQUARE_X = 1.1173173274952164e153
 @pytest.mark.parametrize("x", [1e4, 1e8, 1e15, LAST_FINITE_SQUARE_X,
                                FIRST_OVERFLOWING_SQUARE_X, 1.5e153, 2e153, 1e160, 1e300])
 def test_real_axis(x, coeffs):
-    # the continued fraction from x = 10 on, on both sides of the overflow
+    # the continued fraction from x = _FAR_ABS on, on both sides of the overflow
     # of (tau_m x)^2, so the refined series' loss next to it (its terms
     # a_n num_n / (n^2 pi^2 - u) go subnormal as u -> DBL_MAX) never shows
     plus = w_full_plane(complex(x, 0.0), coeffs)
