@@ -22,7 +22,8 @@ tau = 0, so results do not depend on the exact truncation point once the
 integrand has decayed below double precision. ``w_quadrature`` stops at
 the point T past which the omitted tail of w is provably below
 abs_tol * 2^-52 (T ~ 16.4 for y -> 0 at the default abs_tol, and smaller
-for larger y), never past tau ~ 53, where exp(-tau^2/4) < 1e-304.
+for larger y, and at most 55.85 for any abs_tol), or at tau_max if that
+comes first.
 
 Both integrands are a real envelope times e^{i x tau} (e^{-tau^2/4 - y tau}
 here, the cosine kernel times e^{-y tau} for the finite form), and the
@@ -57,10 +58,6 @@ from .coefficients import _SQRT_PI, CoefficientTable, _is_int, _is_real, _Record
 from .errors import ConvergenceError, _require_upper_half_plane
 
 __all__ = ["QuadratureSpec", "w_quadrature", "w_finite_quadrature"]
-
-# exp(-tau^2/4) < 1e-304 beyond this point; extending tau_max further
-# cannot change the double-precision result.
-_DECAY_CUTOFF = 52.9
 
 # (x, panel) entries per block of a level in ``_refine_panels``: 1 MiB per
 # complex array however many x share a panel width
@@ -265,7 +262,7 @@ def _quadrature_row(xs, y: float, spec: QuadratureSpec) -> list[complex]:
     if not (y > 0.0 and math.isfinite(y) and all(map(math.isfinite, xs))):
         for x in xs:
             _require_upper_half_plane(complex(x, y), "w_quadrature")
-    upper = min(spec.tau_max, _DECAY_CUTOFF, _tail_cutoff(y, spec.abs_tol))
+    upper = min(spec.tau_max, _tail_cutoff(y, spec.abs_tol))
     row = _refine_panels(envelope, xs, upper, [_widest_panel(abs(x), y) for x in xs], spec)
     return [value / _SQRT_PI for value in row]
 

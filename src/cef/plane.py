@@ -7,11 +7,11 @@ Faddeeva symmetries apply:
     w(-z)       = 2 e^{-z^2} - w(z)   (reflection into the lower half-plane)
 
 ``w_full_plane`` applies them as one fold into x >= 0, y >= 0, as Poppe &
-Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x > 0.
+Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x >= 0.
 
-In the quadrant, the positive real axis and every point with |z| >= 7
-(``series._FAR_ABS``) go to ``series._edge``, the rest to ``w_adaptive``;
-only z = 0 (exactly 1) is special.
+In the quadrant, the real axis, origin included, and every point with
+|z| >= 7 (``series._FAR_ABS``) go to ``series._edge``, which returns
+Re w(x) = e^{-x^2} on the axis, the rest to ``w_adaptive``; no point is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
 ``functions``, is formed in one place, ``_exp_neg_square``, with its range
@@ -27,8 +27,8 @@ import math
 
 from .coefficients import CoefficientTable
 from .errors import _require_upper_half_plane
-from .series import (_EXACT_SPECIAL_CASE, _FAR_ABS, _SYMMETRY_EXTENDED, EvaluationOutcome,
-                     _edge, _new_outcome, w_adaptive)
+from .series import (_FAR_ABS, _SYMMETRY_EXTENDED, EvaluationOutcome, _edge, _new_outcome,
+                     w_adaptive)
 
 __all__ = ["w_full_plane"]
 
@@ -59,12 +59,12 @@ def _exp_neg_square(z: complex) -> complex:
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """Evaluate w(z) for any finite complex z.
 
-    z = 0 returns exactly 1. The closed upper-right quadrant is evaluated
-    directly: by ``w_adaptive`` where y > 0 and |z| < 7, elsewhere by
-    ``series._edge``, that is by the continued fraction where |z| >= 7,
-    reported as ``Path.CONTINUED_FRACTION``, and on the real axis closer
-    in by the refined series at y = 0 (its y -> 0+ limit), reported as
-    ``Path.REFINED``.
+    The closed upper-right quadrant is evaluated directly: by
+    ``w_adaptive`` where y > 0 and |z| < 7, elsewhere by ``series._edge``,
+    that is by the continued fraction where |z| >= 7, reported as
+    ``Path.CONTINUED_FRACTION``, and on the real axis closer in, origin
+    included, by the refined series at y = 0 (its y -> 0+ limit) with Re w
+    set to e^{-x^2}, reported as ``Path.REFINED``; w(0) is exactly 1.
     Any other z is reflected if y < 0, mirrored if x < 0, evaluated there
     by one nested call and unfolded, the reflection with 2 e^{-z^2} from
     ``_exp_neg_square``, which is 0 where y^2 - x^2 < -746.
@@ -77,8 +77,6 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     y = z.imag
     if not (math.isfinite(x) and math.isfinite(y)):
         _require_upper_half_plane(z, "w_full_plane")
-    if z == 0:
-        return _new_outcome(EvaluationOutcome, (1.0 + 0.0j, _EXACT_SPECIAL_CASE))
     if y >= 0.0 and x >= 0.0:
         if y == 0.0 or y >= _FAR_ABS or abs(z) >= _FAR_ABS:
             return _edge(z, coeffs)

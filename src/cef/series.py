@@ -118,7 +118,6 @@ class Path(enum.Enum):
     COMMON_ONLY = "common_only"
     FULL_DECOMPOSITION = "full_decomposition"
     SYMMETRY_EXTENDED = "symmetry_extended"
-    EXACT_SPECIAL_CASE = "exact_special_case"
     CONTINUED_FRACTION = "continued_fraction"
 
     def __str__(self) -> str:  # CLI-friendly
@@ -139,7 +138,6 @@ _REFINED = Path.REFINED
 _COMMON_ONLY = Path.COMMON_ONLY
 _FULL_DECOMPOSITION = Path.FULL_DECOMPOSITION
 _SYMMETRY_EXTENDED = Path.SYMMETRY_EXTENDED
-_EXACT_SPECIAL_CASE = Path.EXACT_SPECIAL_CASE
 _CONTINUED_FRACTION = Path.CONTINUED_FRACTION
 
 
@@ -294,11 +292,16 @@ def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
     overflows (only a tau_m far above the paper's makes it overflow at
     |z| < 7), else ``_refined``. ``w_adaptive`` sends the points that miss
-    its guard here, ``w_full_plane`` its positive real axis and every
-    point of its upper right quadrant at |z| >= _FAR_ABS."""
+    its guard here, ``w_full_plane`` its real axis, origin included, and
+    every point of its upper right quadrant at |z| >= _FAR_ABS. On y = 0
+    both branches return Re w = e^{-x^2} exactly (DLMF 7.5), which the
+    series resolves only to ~eps |w|; Im w keeps the sign of x = +-0."""
     tz = coeffs.params.tau_m * z
     if z.imag < _FAR_ABS and abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
-        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
+        value = _refined(z, coeffs)
+        if z.imag == 0.0:
+            value = complex(math.exp(-z.real * z.real), value.imag)
+        return _new_outcome(EvaluationOutcome, (value, _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
 

@@ -135,7 +135,7 @@ class TestEval:
         proc = run_cli("eval", "--x", "0", "--y", "0")
         assert proc.returncode == 0
         assert proc.stdout.split() == [
-            "1.000000000000000E0", "0.000000000000000E0", "exact_special_case"]
+            "1.000000000000000E0", "0.000000000000000E0", "refined"]
 
     def test_lower_half_plane_reflection(self):
         proc = run_cli("eval", "--x", "1", "--y", "-1")

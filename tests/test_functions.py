@@ -99,6 +99,19 @@ class TestErfcComplex:
     def test_zero_is_exact(self, coeffs):
         assert erfc_complex(0j, coeffs) == 1.0
 
+    def test_imaginary_axis_against_mpmath(self, coeffs):
+        # erfc(iy) = 1 - i erfi(y): its Re is e^{y^2} Re w(-y), which is 1
+        # only as far as Re w(-y) is e^{-y^2} to the last bit
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(37)
+        ys = [7.0 * (1.0 - rng.random()) for _ in range(500)] + [5.5, 6.0, 6.9]
+        for y in ys:
+            got = erfc_complex(complex(0.0, y), coeffs)
+            with mpmath.workdps(40):
+                want = -float(mpmath.erfi(y))
+            assert abs(got.real - 1.0) <= 1e-15, y
+            assert abs(got.imag - want) <= 1e-14 * abs(want), y
+
     def test_real_axis_value(self, coeffs):
         # z = 1 maps to the adaptive switch boundary (Im iz = 1), so the
         # cheap route's ~5e-10 error shows through; the identity routing

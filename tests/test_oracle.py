@@ -121,7 +121,7 @@ def _direct_quadrature(z, spec):
     np = pytest.importorskip("numpy")
     x, y = z.real, z.imag
     nodes, weights = oracle._gauss_legendre()
-    upper = min(spec.tau_max, oracle._DECAY_CUTOFF, oracle._tail_cutoff(y, spec.abs_tol))
+    upper = min(spec.tau_max, oracle._tail_cutoff(y, spec.abs_tol))
     accepted = _accepted_width(x, y)
     previous = None
     for width in itertools.chain([4.0 * accepted],
@@ -426,16 +426,16 @@ def test_subdivision_budget_enforced(coeffs, qspec):
 
 def _untruncated(z, spec):
     # w_quadrature without the tail cutoff: the same envelope and panel
-    # width, integrated out to min(tau_max, _DECAY_CUTOFF)
+    # width, integrated out to tau_max
     np = pytest.importorskip("numpy")
     x, y = z.real, z.imag
 
     def envelope(t):
         return np.exp(t * (-0.25 * t - y))
 
-    upper = min(spec.tau_max, oracle._DECAY_CUTOFF)
     width = _accepted_width(x, y)
-    return oracle._refine_panels(envelope, [x], upper, [width], spec)[0] / math.sqrt(math.pi)
+    value = oracle._refine_panels(envelope, [x], spec.tau_max, [width], spec)[0]
+    return value / math.sqrt(math.pi)
 
 
 def test_tail_cutoff_changes_no_bit(qspec):
@@ -460,7 +460,7 @@ def test_omitted_tail_is_below_tolerance(y, abs_tol):
 
 
 @pytest.mark.parametrize("z, abs_tol", [
-    # the cutoff passes 52.9 here, so _DECAY_CUTOFF (and tau_max) stop it
+    # the cutoff is ~51.1 here, past tau_max = 50, so tau_max stops it
     (2.5 + 2.5j, 5e-324),
     # L is clamped to 1 and the cutoff is about 0.83
     (1 + 1j, 1e300),
@@ -490,9 +490,11 @@ def test_large_y_matches_wofz(x, y, qspec):
     assert rel_error(w_quadrature(z, qspec), complex(wofz(z))) <= 1e-13
 
 
-def test_tiny_tolerance_stops_at_the_decay_cutoff():
+def test_tiny_tolerance_stops_at_tau_max():
     spec = QuadratureSpec(abs_tol=5e-324)
-    assert oracle._tail_cutoff(1.0, spec.abs_tol) > oracle._DECAY_CUTOFF
+    assert oracle._tail_cutoff(1.0, spec.abs_tol) > spec.tau_max
+    # and no abs_tol takes the cutoff past 2 sqrt(L), L <= ~780
+    assert oracle._tail_cutoff(0.0, spec.abs_tol) < 55.86
     assert w_quadrature(1 + 1j, spec) == _untruncated(1 + 1j, spec)
 
 

@@ -10,7 +10,7 @@ import pytest
 import cef.plane
 from cef import DomainError, EvaluationOutcome, Path, w_adaptive, w_full_plane
 from cef.fixtures import reference_rows
-from conftest import component_rel_errors, rel_error
+from conftest import component_rel_errors, mp_w, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
 
@@ -46,7 +46,7 @@ def _ring(radius):
     (w_adaptive, 3.0 + 2.0j, Path.COMMON_ONLY),
     (w_adaptive, 3.0 + 0.5j, Path.FULL_DECOMPOSITION),
     (w_adaptive, complex(math.pi / 12.0, 1e-3), Path.REFINED),
-    (w_full_plane, 0j, Path.EXACT_SPECIAL_CASE),
+    (w_full_plane, 0j, Path.REFINED),
     (w_full_plane, 3.0 + 0j, Path.REFINED),
     (w_full_plane, -3.0 - 0.5j, Path.SYMMETRY_EXTENDED),
 ])
@@ -63,9 +63,14 @@ def test_every_route_returns_the_public_outcome_type(kernel, z, path, coeffs):
 
 
 def test_origin_is_exact(coeffs):
-    outcome = w_full_plane(0j, coeffs)
-    assert outcome.value == 1.0 + 0.0j
-    assert outcome.path is Path.EXACT_SPECIAL_CASE
+    # the origin is an ordinary real-axis point, route refined: w(+-0 +- 0i)
+    # is 1 with the zero Im of x's sign, so w(-0 + 0i) = conj w(+0 + 0i)
+    for x in (0.0, -0.0):
+        for y in (0.0, -0.0):
+            outcome = w_full_plane(complex(x, y), coeffs)
+            assert outcome.value == 1.0 + 0.0j
+            assert outcome.value.imag.hex() == math.copysign(0.0, x).hex(), (x, y)
+            assert outcome.path is Path.REFINED
 
 
 @pytest.mark.parametrize("radius", [1e-300, 1e-20, 1e-12, 9.9e-9, 1.01e-8, 1e-7, 1e-6])
@@ -155,7 +160,23 @@ def test_real_axis_consistency(coeffs):
         assert outcome.path is Path.REFINED
         assert rel_error(outcome.value, want) <= 1e-13
         # real part is e^{-x^2}
-        assert abs(outcome.value.real - math.exp(-x * x)) <= 1e-10 * math.exp(-x * x)
+        assert abs(outcome.value.real - math.exp(-x * x)) <= 1e-14 * math.exp(-x * x)
+
+
+def test_real_axis_sweep_against_mpmath(coeffs):
+    # Re w(x) = e^{-x^2} exactly on y = 0 (DLMF 7.5), which the series
+    # resolves only to ~eps |w| (~4e4 relative at |x| ~ 7): Re is within
+    # the rounding of x^2 in e^{-x^2} (<= 7.1e-15 at |x| < 10) and positive
+    pytest.importorskip("mpmath")
+    rng = random.Random(2027)
+    for _ in range(2_000):
+        x = rng.uniform(-10.0, 10.0)
+        got = w_full_plane(complex(x, 0.0), coeffs).value
+        want = mp_w(complex(x, 0.0))
+        re_error, im_error = component_rel_errors(got, want)
+        assert got.real > 0.0, x
+        assert re_error <= 1e-14, x
+        assert im_error <= 5e-15, x
 
 
 def test_real_axis_removable_points(coeffs):
