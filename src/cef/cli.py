@@ -4,12 +4,11 @@ error scans, and throughput benchmarks.
 Exit codes: 0 success, 1 table check failure, 2 usage error, 3 numeric
 failure (domain, overflow, or quadrature non-convergence).
 
-Series parameters resolve in one place for every command: explicit flags
-beat the CEF_DEFAULT_PARAMS environment variable (format
-"tau_m,n_terms,y_switch"), which beats the SeriesParams defaults. The
-grid and quadrature flags of ``scan`` are the GridSpec and QuadratureSpec
-fields, named, typed and defaulted by them, so the CLI and the library
-cannot disagree.
+The series flags of every command and ``scan``'s grid and quadrature flags
+are the fields of SeriesParams, GridSpec and QuadratureSpec. The parser holds
+no default, so a flag not given leaves the record's: the CLI and the library
+cannot disagree. Flags beat the CEF_DEFAULT_PARAMS environment variable
+(format "tau_m,n_terms,y_switch"), which beats the SeriesParams defaults.
 """
 
 from __future__ import annotations
@@ -69,8 +68,7 @@ def _resolve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                       in zip(names, env.split(","), strict=True)}
         except ValueError:
             parser.error(f"{ENV_PARAMS} must be '{','.join(names)}', got {env!r}")
-    values.update({name: getattr(args, name) for name in names
-                   if getattr(args, name) is not None})
+    values.update({name: value for name, value in vars(args).items() if name in names})
     try:
         return SeriesParams(**values)
     except ValueError as exc:
@@ -154,7 +152,7 @@ def cmd_scan(args: argparse.Namespace, coeffs: CoefficientTable,
              parser: argparse.ArgumentParser) -> int:
     given = vars(args) | {"spacing": "logarithmic" if args.log else "linear"}
     try:
-        grid, spec = (kind(**{name: given[name] for name in kind._fields})
+        grid, spec = (kind(**{name: given[name] for name in kind._fields if name in given})
                       for kind in (GridSpec, QuadratureSpec))
     except ValueError as exc:
         parser.error(str(exc))
@@ -207,13 +205,13 @@ def cmd_bench(args: argparse.Namespace, coeffs: CoefficientTable,
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser, spec: type) -> None:
-    """One --flag per field of ``spec``, typed and defaulted by the field, in
-    field order; GridSpec.spacing is left to --log."""
+    """One --flag per field of ``spec``, in field order, typed by its default,
+    which only the help names; GridSpec.spacing is left to --log."""
     for name in spec._fields:
         if name != "spacing":
             default = getattr(spec, name)
             parser.add_argument(f"--{name.replace('_', '-')}", type=type(default),
-                                default=default)
+                                default=argparse.SUPPRESS, help=f"default {default:g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,12 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Complex error function w(z) via exponential-series "
                     "approximations, with an adaptive fast path for large Im z.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tau-m", type=float, help="half-period of the cosine "
-                        f"expansion (default {SeriesParams.tau_m:g})")
-    common.add_argument("--n-terms", type=int, help="number of series terms "
-                        f"(default {SeriesParams.n_terms:g})")
-    common.add_argument("--y-switch", type=float, help="imaginary-part threshold of "
-                        f"the adaptive kernel (default {SeriesParams.y_switch:g})")
+    _add_spec_flags(common, SeriesParams)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -65,7 +65,8 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     carries erfc -> 2 without the reflection's overflow or cancellation.
     e^{-z^2} comes from ``plane._exp_neg_square``: the result is 0 where it
     underflows, and OverflowError propagates where it leaves the double
-    range, as erfc itself does there.
+    range, ~ln(sqrt(pi) |z|) before erfc itself does: 1 + 26.7i raises,
+    though erfc there is -1.392e306 + 3.122e307i.
     """
     if z.real < 0.0:
         return 2.0 - erfc_complex(-z, coeffs)

@@ -10,8 +10,8 @@ Faddeeva symmetries apply:
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x >= 0.
 
 In the quadrant, the real axis, origin included, and every point with
-|z| >= 7 (``series._FAR_ABS``) go to ``series._edge``, which returns
-Re w(x) = e^{-x^2} on the axis, the rest to ``w_adaptive``; no point is special.
+|z| >= 7 (``series._FAR_ABS``) go to ``series._edge``, which only routes,
+the rest to ``w_adaptive``; no point is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in
 ``functions``, is formed in one place, ``_exp_neg_square``, with its range
@@ -63,8 +63,9 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     ``w_adaptive`` where y > 0 and |z| < 7, elsewhere by ``series._edge``,
     that is by the continued fraction where |z| >= 7, reported as
     ``Path.CONTINUED_FRACTION``, and on the real axis closer in, origin
-    included, by the refined series at y = 0 (its y -> 0+ limit) with Re w
-    set to e^{-x^2}, reported as ``Path.REFINED``; w(0) is exactly 1.
+    included, by the refined series at y = 0 (its y -> 0+ limit), whose axis
+    identities give Re w = e^{-x^2} and Im w near x = 0, reported as
+    ``Path.REFINED``; w(0) is exactly 1.
     Any other z is reflected if y < 0, mirrored if x < 0, evaluated there
     by one nested call and unfolded, the reflection with 2 e^{-z^2} from
     ``_exp_neg_square``, which is 0 where y^2 - x^2 < -746.

@@ -34,16 +34,16 @@ Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990), see
 ``_continued_fraction``, wherever |z| >= 7 or (tau_m z)^2 overflows
 (|z| >~ 1.1e153 at tau_m = 12), else ``_refined``, which for
 ``w_adaptive`` is y <= 1e-146, where 1/(tau_m z) could overflow.
-``w_full_plane`` and ``voigt_k`` make the |z| >= 7 test themselves
-too (see ``_FAR_ABS``).
-The paper's formulas themselves never switch. Each of their argument
-rules raises from one function, the domain rule first: DomainError from
-``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is
-not finite from ``_scaled`` and where a pole-sum value is not from
-``_finite``. All functions are pure and safe to call concurrently against
-a shared table. Summation runs in ascending n with plain double
-accumulation; the terms decay like e^{-n^2 h^2}, so compensated summation
-buys nothing at the tolerances targeted here.
+``w_full_plane`` and ``voigt_k`` make the |z| >= 7 test themselves too (see
+``_FAR_ABS``). The paper's formulas never switch; the refined series applies
+two axis identities (see ``_refined``). Each argument rule raises from one
+function, the domain rule first: DomainError from
+``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is not
+finite from ``_scaled`` and where a pole-sum value is not from ``_finite``.
+All functions are pure and safe to call concurrently against a shared table.
+Summation runs in ascending n with plain double accumulation; the terms
+decay like e^{-n^2 h^2}, so compensated summation buys nothing at the
+tolerances targeted here.
 
 The pole sum, the refining sum and the finite-interval form's sum are the
 table's compiled straight-line functions ``_pole_sum``, ``_pole_sums`` and
@@ -109,6 +109,11 @@ _TINY_Y = 1e-146
 # ~|tau_m x - n pi|) are below this: outside, the compiled sums are within
 # 1.3e-14 of scipy.special.wofz (3.9e-14 at 0.02)
 _NEAR_POLE = 0.05
+
+# _refined takes Im w from w' = -2zw + 2i/sqrt(pi) at |x| and y below these:
+# its x^3 term meets the series' Im error, ~eps/max(|x|, y), at |x| ~ 4e-6, and
+# from y = 1e-2 the series is within 3.2e-14 while the form's cancellation grows
+_NEAR_IMAG_AXIS = (4e-6, 1e-2)
 
 
 class Path(enum.Enum):
@@ -215,11 +220,11 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     table's compiled ``_refined_sum``, which takes the closed-form term as
     ``star`` in place of term |n*| (past the last a_n > 0, both are zeros).
 
-    On the imaginary axis w is real and its zero Im takes the sign of x,
-    the limit from that side. The arithmetic cannot carry that sign: there
-    -i E(d) has Im -0.0 whatever the sign of x (Re E(d) is +0.0 and
-    Re(-1j) is -0.0), and products with i add +0.0 to -0.0, which rounds
-    to +0.0. So x = +-0 sets it explicitly.
+    Two axis identities replace a part the series resolves only to ~eps |w|
+    (its Im near x = 0 is noise, even of the wrong sign): Re w = e^{-x^2} on
+    y = 0 (DLMF 7.5), and Im w = x max(2/sqrt(pi) - 2y Re w, 0) from w' in
+    the box _NEAR_IMAG_AXIS and at x = +-0, with the sign of x, signed zeros
+    included (the clamp keeps it where 2y Re w rounds past 2/sqrt(pi)).
     """
     tau = coeffs.params.tau_m
     tz = tau * z
@@ -241,7 +246,11 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
     acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
     value = lead + 1j * (tau * tau * z / _SQRT_PI) * acc
-    return complex(value.real, z.real) if z.real == 0.0 else value
+    x, y = z.real, z.imag
+    re = math.exp(-x * x) if y == 0.0 else value.real
+    if x == 0.0 or (abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]):
+        return complex(re, x * max(2.0 / _SQRT_PI - 2.0 * y * re, 0.0))
+    return complex(re, value.imag)
 
 
 def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
@@ -291,17 +300,12 @@ def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     """w(z) for a finite z with Im z >= 0 that the compiled sums do not
     take: the continued fraction where |z| >= _FAR_ABS or (tau_m z)^2
     overflows (only a tau_m far above the paper's makes it overflow at
-    |z| < 7), else ``_refined``. ``w_adaptive`` sends the points that miss
-    its guard here, ``w_full_plane`` its real axis, origin included, and
-    every point of its upper right quadrant at |z| >= _FAR_ABS. On y = 0
-    both branches return Re w = e^{-x^2} exactly (DLMF 7.5), which the
-    series resolves only to ~eps |w|; Im w keeps the sign of x = +-0."""
+    |z| < 7), else ``_refined``, each with its own real-axis rule. It only
+    routes: ``w_adaptive`` sends the points that miss its guard here, and
+    ``w_full_plane`` its real axis and its quadrant at |z| >= _FAR_ABS."""
     tz = coeffs.params.tau_m * z
     if z.imag < _FAR_ABS and abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
-        value = _refined(z, coeffs)
-        if z.imag == 0.0:
-            value = complex(math.exp(-z.real * z.real), value.imag)
-        return _new_outcome(EvaluationOutcome, (value, _REFINED))
+        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
 

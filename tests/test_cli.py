@@ -429,13 +429,39 @@ class TestDefaults:
         args = parser.parse_args(["eval", "--x", "1", "--y", "1"])
         assert _resolve_params(args, parser) == SeriesParams()
 
-    def test_scan_defaults_are_the_library_defaults(self):
-        args = _build_parser().parse_args(["scan"])
-        for spec in (GridSpec(), QuadratureSpec()):
-            for name in spec._fields:
-                if name != "spacing":
-                    assert getattr(args, name) == getattr(spec, name), name
-        assert not args.log and GridSpec().spacing == "linear"
+    def test_scan_defaults_are_the_library_defaults(self, monkeypatch):
+        # scan with no grid or quadrature flag builds the records from their
+        # own defaults; the stub stops before any evaluation
+        built = []
+
+        def stop(grid, method, reference, coeffs, spec):
+            built.extend((grid, spec))
+            raise LookupError
+
+        monkeypatch.setattr("cef.cli.error_scan", stop)
+        parser = _build_parser()
+        args = parser.parse_args(["scan"])
+        with pytest.raises(LookupError):
+            args.run(args, None, parser)
+        assert built == [GridSpec(), QuadratureSpec()]
+
+    def test_no_parser_action_holds_a_record_default(self):
+        # every flag named after a record field is typed by the field's
+        # default and leaves the default to the record: a hand-written flag
+        # with a default of its own fails here
+        commands = next(action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        defaults = {name: getattr(record, name)
+                    for record in (SeriesParams, GridSpec, QuadratureSpec)
+                    for name in record._fields}
+        seen = set()
+        for command, parser in commands.choices.items():
+            for action in parser._actions:
+                if action.dest in defaults:
+                    seen.add(action.dest)
+                    assert action.default is argparse.SUPPRESS, (command, action.dest)
+                    assert action.type is type(defaults[action.dest]), (command, action.dest)
+        assert seen == set(defaults) - {"spacing"}
 
     def test_scan_option_strings_in_order(self):
         parser = _build_parser()

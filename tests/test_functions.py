@@ -87,6 +87,16 @@ class TestImagL:
         for x, y in [(10.0, 10.0), (0.3, 0.7), (7.7, 2.0)]:
             assert imag_l(-x, y, coeffs) == -imag_l(x, y, coeffs)
 
+    @pytest.mark.parametrize("x, y", [(4.019140711064967e-223, 5.477812058913695e-62),
+                                      (3.984598703138202e-214, 7.150466159516875e-91)])
+    def test_near_the_imaginary_axis(self, coeffs, x, y):
+        # the refined series' Im is rounding noise here (it gave -9.34e-178
+        # and 7.69e-140); L is x (2/sqrt(pi) - 2y e^{y^2} erfc(y)) + O(x^3)
+        erfcx = pytest.importorskip("scipy.special").erfcx
+        want = x * (2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y))
+        for sign in (1.0, -1.0):
+            assert rel_error(imag_l(sign * x, y, coeffs), sign * want) <= 1e-15
+
     def test_domain_errors(self, coeffs):
         with pytest.raises(DomainError):
             imag_l(1.0, -0.5, coeffs)

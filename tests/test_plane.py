@@ -109,6 +109,21 @@ def test_negative_x_by_conjugation(coeffs):
     assert err_re <= 1e-12 and err_im <= 1e-12
 
 
+def test_imaginary_part_near_the_imaginary_axis(coeffs):
+    # route refined at the folded point, |x| < 1e-9: Im w has the sign of x
+    # and is within 1e-15 of the first-order form x (2/sqrt(pi) - 2y e^{y^2}
+    # erfc(y)) of w' = -2zw + 2i/sqrt(pi), whose x^3 term is below 1e-18 here
+    erfcx = pytest.importorskip("scipy.special").erfcx
+    rng = random.Random(9)
+    for _ in range(4000):
+        x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, -9.0)
+        y = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300.0, math.log10(4e-3))
+        got = w_full_plane(complex(x, y), coeffs).value.imag
+        want = x * (2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y))
+        assert math.copysign(1.0, got) == math.copysign(1.0, x), (x, y)
+        assert abs(got - want) <= 1e-15 * abs(want), (x, y)
+
+
 def test_conjugation_symmetry_keeps_the_sign_of_zero_below_the_axis(coeffs):
     # w(-conj z) = conj w(z) at z = +0 - iy: Im w is +0.0 there and -0.0 at
     # -0 - iy, as the limits from x > 0 and x < 0 are; below y ~ 0.0045

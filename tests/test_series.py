@@ -62,6 +62,22 @@ def test_refined_pure_imaginary_argument_is_real(coeffs):
         assert abs(w_refined(complex(0.0, y), coeffs).imag) <= 1e-16
 
 
+def test_refined_keeps_its_own_im_near_the_imaginary_axis_from_y_1e_2(coeffs):
+    # there the series' Im is within ~eps/y, while the first-order form
+    # x (2/sqrt(pi) - 2y e^{y^2} erfc(y)) cancels, to all digits at y ~ 1e8;
+    # that form, taken at 60 digits, is the reference (its x^3 term is
+    # below 1e-16 of Im w at these x)
+    mpmath = pytest.importorskip("mpmath")
+    for y in (0.1, 1.0, 30.0, 1e4, 1e8):
+        with mpmath.workdps(60):
+            y_mp = mpmath.mpf(y)
+            erfcx = mpmath.exp(y_mp ** 2) * mpmath.erfc(y_mp)
+            slope = 2 / mpmath.sqrt(mpmath.pi) - 2 * y_mp * erfcx
+        for x in (1e-8, -1e-200):
+            got = w_refined(complex(x, y), coeffs).imag
+            assert rel_error(got, float(x * slope)) <= 1e-14, (x, y)
+
+
 def test_cr_matches_reference_rows_including_failed_ones(coeffs):
     # the small-y rows are documented to be wrong relative to the true
     # function; reproducing those exact wrong numbers confirms the
@@ -264,7 +280,9 @@ def test_refined_at_large_y_keeps_the_loop(coeffs):
 def loop_refined(z, table):
     """_refined as the loop over every term n = 1..N, the ones whose a_n
     has underflowed to 0.0 included: the reference for stopping early.
-    On the imaginary axis its zero Im takes the sign of x, as _refined's."""
+    It applies _refined's two axis identities: Re w = e^{-x^2} on y = 0,
+    and Im w = x max(2/sqrt(pi) - 2y Re w, 0) at |x| < 4e-6 and y < 1e-2,
+    and at x = +-0."""
     tau = table.params.tau_m
     n_terms = table.params.n_terms
     tz = tau * z
@@ -286,7 +304,10 @@ def loop_refined(z, table):
             acc += a_n * ((-e_itz - 1.0) if n % 2 else (e_itz - 1.0)) \
                 / ((n * n) * (math.pi * math.pi) - tz2)
     value = lead + 1j * (tau * tau * z / math.sqrt(math.pi)) * acc
-    return complex(value.real, z.real) if z.real == 0.0 else value
+    re = math.exp(-z.real * z.real) if z.imag == 0.0 else value.real
+    if z.real == 0.0 or (abs(z.real) < 4e-6 and z.imag < 1e-2):
+        return complex(re, z.real * max(2.0 / math.sqrt(math.pi) - 2.0 * z.imag * re, 0.0))
+    return complex(re, value.imag)
 
 
 @pytest.mark.parametrize("n_terms", [23, 105, 1000, 20000])
