@@ -11,11 +11,11 @@ whose coefficients have the closed form
     a_n = (2 sqrt(pi) / tau_m) exp(-n^2 pi^2 / tau_m^2).
 
 This module builds those coefficients once, eagerly, so that evaluation
-is constant-time per call. The sums every series route runs (the two pole
-sums and the refined series' accumulator) are compiled once per table
-into straight-line Python functions, one statement per term with the
-poles n^2 pi^2 and the other constants as complex literals, so a call
-pays no loop or tuple dispatch.
+is constant-time per call. What every series route runs (the paper's two
+parts, closed here once, and the refined series' accumulator) is compiled
+once per table into straight-line Python functions, one statement per term
+with the poles n^2 pi^2 and the other constants as complex literals, so a
+call pays no loop or tuple dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
@@ -38,6 +38,10 @@ from collections.abc import Callable
 __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# the paper's common part and refining part, each closing its pole sum
+_COMMON_PART = "1j / tz - 2j * tz * {}"
+_REFINING_PART = "-1j * e_itz * (1.0 / tz - 2.0 * tz * {})"
 
 
 def _is_real(value: object) -> bool:
@@ -124,37 +128,40 @@ class CoefficientTable(_Record):
     """Precomputed coefficients a_0..a_N bound to the parameters that
     produced them, plus the compiled sums the kernels call.
 
-    The sums are implementation details. With
-    c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
+    The functions are implementation details. With tz = tau_m z,
+    u = tz^2, c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
 
-    ``_pole_sum(u)``  sum_n c_n / (n^2 pi^2 - u), the pole sum;
-    ``_pole_sums(u)`` (that sum, sum_n (-1)^n c_n / (n^2 pi^2 - u)), each
-                      quotient divided out once and added to both;
+    ``_pole_sum(u)``  S = sum_n c_n / (n^2 pi^2 - u), for ``erfc_cr_series``;
+    ``_common_part(tz, u)``  i/tz - 2i tz S, the paper's common part;
+    ``_both_parts(tz, u, e_itz)``
+                      (that part, -i e_itz (1/tz - 2 tz S')), the common and
+                      refining parts, S' = sum_n (-1)^n c_n / (n^2 pi^2 - u),
+                      each quotient divided out once and added to both sums;
     ``_refined_sum(u, odd_num, even_num, skip, star)``
                       sum_n a_n num_n / (n^2 pi^2 - u) over the live terms,
                       num_n = odd_num for odd n and even_num for even n,
                       with the term n = skip replaced by -star (skip = 0
                       replaces none): the refined series' accumulator.
 
-    The three sums are straight-line functions compiled by
-    ``build_coefficients``; they accumulate in ascending n from 0j, exactly
-    as a loop over the same per-term constants would, and equal it bit for
-    bit (on CPython up to 3.13; see ``_compile_sums``). ``a`` is a plain
-    tuple, so the table is deeply immutable. The repr, == and hash cover
-    ``params`` and ``a`` only. A table pickles as its parameters and is
-    rebuilt on loading.
+    All four are straight-line functions compiled by ``build_coefficients``;
+    they accumulate in ascending n from 0j and equal a loop over the same
+    per-term constants, closed the same way, bit for bit (on CPython up to
+    3.13; see ``_compile_sums``). ``a`` is a plain tuple, so the table is
+    deeply immutable. The repr, == and hash cover ``params`` and ``a``
+    only. A table pickles as its parameters and is rebuilt on loading.
     """
 
     _fields = __match_args__ = ("params", "a")
     params: SeriesParams
     a: tuple[float, ...]
     _pole_sum: Callable[[complex], complex]
-    _pole_sums: Callable[[complex], tuple[complex, complex]]
+    _common_part: Callable[[complex, complex], complex]
+    _both_parts: Callable[[complex, complex, complex], tuple[complex, complex]]
     _refined_sum: Callable[[complex, complex, complex, int, complex], complex]
 
-    def __init__(self, params, a, _pole_sum, _pole_sums, _refined_sum) -> None:
-        vars(self).update(params=params, a=a, _pole_sum=_pole_sum, _pole_sums=_pole_sums,
-                          _refined_sum=_refined_sum)
+    def __init__(self, params, a, _pole_sum, _common_part, _both_parts, _refined_sum) -> None:
+        vars(self).update(params=params, a=a, _pole_sum=_pole_sum, _common_part=_common_part,
+                          _both_parts=_both_parts, _refined_sum=_refined_sum)
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so
@@ -164,31 +171,28 @@ class CoefficientTable(_Record):
 
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
                   exp_factors: list[float], a: tuple[float, ...]
-                  ) -> tuple[Callable[[complex], complex],
-                             Callable[[complex], tuple[complex, complex]],
-                             Callable[[complex, complex, complex, int, complex], complex]]:
-    """Generate ``_pole_sum``, ``_pole_sums`` and ``_refined_sum`` from the
-    poles n^2 pi^2, the factors c_n and the coefficients a_n of one table,
-    n = 1..N in order, in one ``compile``.
+                  ) -> tuple[Callable, ...]:
+    """Generate the table's four functions from the poles n^2 pi^2, the
+    factors c_n and the coefficients a_n of one table, n = 1..N in order, in
+    one ``compile``; the parts close their sums by ``_COMMON_PART`` and
+    ``_REFINING_PART``.
 
-    One statement per term, never one chained expression: a chained sum
-    nests one level per term and exhausts the compiler's recursion limit
-    at large N. The constants are written as complex literals whose repr
-    round-trips exactly, so each float-complex operation of a loop over
-    the same constants becomes one complex-complex operation with the
-    same operands and the same rounding. (That is how CPython evaluated
-    mixed float-complex arithmetic up to 3.13: the float was promoted to
-    complex(x, 0.0). Python 3.14 applies mixed-mode rules instead, and a
-    plain loop there can differ from these functions in the sign of a
-    zero imaginary part.) The skipped term of ``_refined_sum`` is added as
-    -star, which IEEE arithmetic rounds exactly as subtracting star.
+    One statement per term, never one chained expression, which nests one
+    level per term and exhausts the compiler's recursion limit at large N.
+    The constants are complex literals whose repr round-trips exactly, so
+    each float-complex operation of a loop over them becomes one
+    complex-complex operation with the same operands and rounding: CPython
+    up to 3.13 promoted the float to complex(x, 0.0), while 3.14's
+    mixed-mode rules can change the sign of a zero imaginary part. The
+    skipped term of ``_refined_sum`` is added as -star, which IEEE
+    arithmetic rounds exactly as subtracting star.
 
     c_n and a_n decrease strictly, so once one underflows to 0.0 every
     later quotient is a signed zero, which leaves the 0j-seeded sums
     unchanged; generation stops there.
     """
-    plain = ["def _pole_sum(u):", "    acc = 0j"]
-    fused = ["def _pole_sums(u):", "    common = 0j", "    alternating = 0j"]
+    terms = ["    acc = 0j"]  # the pole sum's body, once raw and once closed
+    fused = ["def _both_parts(tz, u, e_itz):", "    common = 0j", "    alternating = 0j"]
     refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
     for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
         pole = repr(complex(n2pi2))
@@ -199,17 +203,19 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
         if c_n == 0.0:
             break
         coeff = repr(complex(c_n))
-        plain.append(f"    acc += {coeff} / ({pole} - u)")
+        terms.append(f"    acc += {coeff} / ({pole} - u)")
         fused.append(f"    q = {coeff} / ({pole} - u)")
         fused.append("    common += q")
         fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
-    plain.append("    return acc")
-    fused.append("    return common, alternating")
-    refined.append("    return acc")
+    source = ["def _pole_sum(u):", *terms, "    return acc",
+              "def _common_part(tz, u):", *terms, f"    return {_COMMON_PART.format('acc')}",
+              *fused, f"    return {_COMMON_PART.format('common')}, "
+                      f"{_REFINING_PART.format('alternating')}",
+              *refined, "    return acc"]
     namespace: dict = {}
-    exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
-         namespace)
-    return namespace["_pole_sum"], namespace["_pole_sums"], namespace["_refined_sum"]
+    exec(compile("\n".join(source), f"<sums of {params!r}>", "exec"), namespace)
+    return tuple(namespace[name] for name in
+                 ("_pole_sum", "_common_part", "_both_parts", "_refined_sum"))
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:

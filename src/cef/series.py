@@ -16,15 +16,18 @@ CoefficientTable:
     accurate down to y = 0 (see below);
 
 ``w_cr``
-    the Chiarella-Reichel pole sum (Chiarella & Reichel, Math. Comp. 22,
-    1968), i/(tau_m z) - 2 i tau_m z sum_n e^{-n^2 pi^2/tau_m^2}
-    / (n^2 pi^2 - tau_m^2 z^2), cheap but increasingly wrong as y drops
+    the paper's common part, the Chiarella-Reichel pole sum (Chiarella &
+    Reichel, Math. Comp. 22, 1968), cheap but increasingly wrong as y drops
     below about 1;
 
 ``refining_part``
-    the correction that turns the pole sum back into the finite-interval
-    form. Its magnitude is bounded by e^{-tau_m y}, which is the whole
-    point: for large y it is negligible.
+    the paper's refining part, which turns the pole sum back into the
+    finite-interval form. Its magnitude is bounded by e^{-tau_m y}, which
+    is the whole point: for large y it is negligible.
+
+Both parts are the table's compiled ``_common_part`` and ``_both_parts``
+(see CoefficientTable), which write their formulas once; no route here
+writes either, and none runs a Python loop.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop,
@@ -44,10 +47,6 @@ All functions are pure and safe to call concurrently against a shared table.
 Summation runs in ascending n with plain double accumulation; the terms
 decay like e^{-n^2 h^2}, so compensated summation buys nothing at the
 tolerances targeted here.
-
-The pole sum, the refining sum and the finite-interval form's sum are the
-table's compiled straight-line functions ``_pole_sum``, ``_pole_sums`` and
-``_refined_sum`` (see CoefficientTable), so no route runs a Python loop.
 
 At the removable points tau_m z = n pi (n = 0 is the origin) a numerator
 and a denominator vanish together, and both forms lose ~eps/|tau_m z - n pi|.
@@ -276,7 +275,7 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
     """
     _require_upper_half_plane(z, "w_cr")
     tz, tz2 = _scaled(z, coeffs)
-    return _finite(1j / tz - 2j * tz * coeffs._pole_sum(tz2), z)
+    return _finite(coeffs._common_part(tz, tz2), z)
 
 
 def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
@@ -285,15 +284,14 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
 
     Adding it to ``w_cr`` recovers ``w_refined`` (the identity is an exact
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
-    The alternating sum comes from the same compiled pass ``w_adaptive``
-    uses, so ``w_cr(z) + refining_part(z)`` equals its full route bit for
-    bit. Raises OverflowError once (tau_m z)^2 is not finite, and once
-    1/(tau_m z) is (subnormal |z|).
+    It is the second of the table's ``_both_parts``, whose sum is
+    ``w_adaptive``'s full route, so ``w_cr(z) + refining_part(z)`` equals
+    that route bit for bit. Raises OverflowError once (tau_m z)^2 is not
+    finite, and once 1/(tau_m z) is (subnormal |z|).
     """
     _require_upper_half_plane(z, "refining_part")
     tz, tz2 = _scaled(z, coeffs)
-    _, alternating = coeffs._pole_sums(tz2)
-    return _finite(-1j * cmath.exp(1j * tz) * (1.0 / tz - 2.0 * tz * alternating), z)
+    return _finite(coeffs._both_parts(tz, tz2, cmath.exp(1j * tz))[1], z)
 
 
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -314,12 +312,11 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     y < y_switch (strictly; the boundary itself runs the cheap route).
 
     The y >= y_switch branch is exactly ``w_cr``: no complex exponential,
-    one N-term sum (the table's compiled ``_pole_sum``, called directly so
-    the fast path skips the extra call through ``w_cr``).
-    The full route is the literal sum of the common and refining parts,
-    with tau_m z, its square and e^{i tau_m z} computed once per call and
-    one pass over the terms feeding both parts: each quotient
-    c_n / (n^2 pi^2 - tau_m^2 z^2) is divided out once, not twice.
+    one call of the table's ``_common_part`` (not through ``w_cr``, so the
+    fast path skips a call). The full route is common + refining from one
+    call of ``_both_parts``, with tau_m z, its square and e^{i tau_m z}
+    formed once, and each quotient c_n / (n^2 pi^2 - tau_m^2 z^2) divided
+    out once for both parts.
     Where Im tau_m z and |Im e^{i tau_m z}| are below _NEAR_POLE, next to a
     removable point, ``_refined`` answers instead, as ``Path.REFINED``.
     The compiled routes take only _TINY_Y < y < _FAR_Y with a finite
@@ -337,12 +334,9 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
         _require_upper_half_plane(z, "w_adaptive")
         return _edge(z, coeffs)
     if y >= params.y_switch:
-        return _new_outcome(EvaluationOutcome,
-                            (1j / tz - 2j * tz * coeffs._pole_sum(tz2), _COMMON_ONLY))
+        return _new_outcome(EvaluationOutcome, (coeffs._common_part(tz, tz2), _COMMON_ONLY))
     e_itz = cmath.exp(1j * tz)
     if tz.imag < _NEAR_POLE and abs(e_itz.imag) < _NEAR_POLE:
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
-    common, alternating = coeffs._pole_sums(tz2)
-    value = ((1j / tz - 2j * tz * common)
-             + (-1j * e_itz * (1.0 / tz - 2.0 * tz * alternating)))
-    return _new_outcome(EvaluationOutcome, (value, _FULL_DECOMPOSITION))
+    common, refining = coeffs._both_parts(tz, tz2, e_itz)
+    return _new_outcome(EvaluationOutcome, (common + refining, _FULL_DECOMPOSITION))

@@ -1,5 +1,6 @@
 """Coefficient table construction and invariants."""
 
+import cmath
 import copy
 import dataclasses
 import math
@@ -180,10 +181,10 @@ def test_table_record_contract():
     assert repr(table) == f"CoefficientTable(params={params!r}, a={table.a!r})"
     assert hash(table) == hash((table.params, table.a))
     # the compiled sums take no part in == or hash
-    bare = CoefficientTable(params=params, a=table.a, _pole_sum=None, _pole_sums=None,
-                            _refined_sum=None)
+    bare = CoefficientTable(params=params, a=table.a, _pole_sum=None, _common_part=None,
+                            _both_parts=None, _refined_sum=None)
     assert bare == table and hash(bare) == hash(table)
-    assert CoefficientTable(params, (0.0,), None, None, None) != table
+    assert CoefficientTable(params, (0.0,), None, None, None, None) != table
     assert table != (params, table.a)
     assert table.__eq__(params) is NotImplemented
     assert table.__reduce__() == (build_coefficients, (params,))
@@ -239,7 +240,11 @@ def loop_pole_sum(u, terms):
     return acc
 
 
-def loop_pole_sums(u, terms):
+def loop_common_part(tz, u, terms):
+    return 1j / tz - 2j * tz * loop_pole_sum(u, terms)
+
+
+def loop_both_parts(tz, u, e_itz, terms):
     common = 0j
     alternating = 0j
     for n, (n2pi2, c_n) in enumerate(terms, start=1):
@@ -249,7 +254,8 @@ def loop_pole_sums(u, terms):
             alternating -= q
         else:
             alternating += q
-    return common, alternating
+    return (1j / tz - 2j * tz * common,
+            -1j * e_itz * (1.0 / tz - 2.0 * tz * alternating))
 
 
 def bits(value: complex) -> bytes:
@@ -257,9 +263,9 @@ def bits(value: complex) -> bytes:
 
 
 def sample_arguments(params):
-    """About 10^3 values of u = (tau_m z)^2 with Im z >= 0: scattered
-    points, points next to the poles tau_m x = n pi at small y, the
-    imaginary axis, signed zeros and large |u|."""
+    """About 10^3 pairs (tz, u) = (tau_m z, (tau_m z)^2) with Im z >= 0:
+    scattered points, points next to the poles tau_m x = n pi at small y,
+    the imaginary axis, large |u|, and signed zeros of u (with tz = i)."""
     tau = params.tau_m
     rng = random.Random(20121016)
     zs = [complex(15.0 * rng.random(), 15.0 * (1.0 - rng.random())) for _ in range(600)]
@@ -269,36 +275,54 @@ def sample_arguments(params):
                 zs.append(complex(n * math.pi / tau + delta, y))
     zs += [complex(0.0, y) for y in (1e-8, 0.5, 1.0, 7.0)]
     zs += [complex(1e3, 1e3), complex(1e6, 1.0), complex(3.0, 1e5)]
-    us = [(tau * z) * (tau * z) for z in zs]
-    us += [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0), complex(-2.5, -0.0)]
-    return us
+    args = [(tau * z, (tau * z) * (tau * z)) for z in zs]
+    args += [(1j, u) for u in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0),
+                               complex(-2.5, -0.0))]
+    return args
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_compiled_sums_equal_loops_bitwise(params):
     table = build_coefficients(params)
     terms = loop_terms(params)
-    for u in sample_arguments(params):
+    for tz, u in sample_arguments(params):
+        e_itz = cmath.exp(1j * tz)
         assert bits(table._pole_sum(u)) == bits(loop_pole_sum(u, terms)), u
-        common, alternating = table._pole_sums(u)
-        want_common, want_alternating = loop_pole_sums(u, terms)
+        assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms)), u
+        common, refining = table._both_parts(tz, u, e_itz)
+        want_common, want_refining = loop_both_parts(tz, u, e_itz, terms)
         assert bits(common) == bits(want_common), u
-        assert bits(alternating) == bits(want_alternating), u
+        assert bits(refining) == bits(want_refining), u
+
+
+# the complex literals that close each compiled sum (1j, 2j, -1j), besides
+# the live terms' constants; 0j seeds every sum
+CLOSING_LITERALS = {"_pole_sum": set(), "_common_part": {1j, 2j},
+                    "_both_parts": {1j, 2j, -1j}}
+
+
+def complex_literals(fn):
+    return {c for c in fn.__code__.co_consts if isinstance(c, complex) and c}
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
     # each live pole n^2 pi^2 of the loops is a complex literal of the
-    # compiled sums: of _pole_sum where c_n > 0, of _refined_sum where a_n > 0
+    # compiled sums: of the pole sum and both parts where c_n > 0, of
+    # _refined_sum where a_n > 0; the parts' only other literals close them
     table = build_coefficients(params)
-    pole_literals, refined_literals = (
-        {c for c in fn.__code__.co_consts if isinstance(c, complex)}
-        for fn in (table._pole_sum, table._refined_sum))
+    pole_fns = (table._pole_sum, table._common_part, table._both_parts)
+    pole_literals = [complex_literals(fn) for fn in pole_fns]
+    refined_literals = complex_literals(table._refined_sum)
+    live = set()
     for n, (n2pi2, c_n) in enumerate(loop_terms(params), start=1):
         if c_n:
-            assert complex(n2pi2) in pole_literals, n
+            live |= {complex(n2pi2), complex(c_n)}
+            assert all(complex(n2pi2) in literals for literals in pole_literals), n
         if table.a[n]:
             assert complex(n2pi2) in refined_literals, n
+    for fn, literals in zip(pole_fns, pole_literals):
+        assert literals - live <= CLOSING_LITERALS[fn.__name__], fn.__name__
 
 
 @pytest.mark.parametrize("params, live_terms", [
@@ -308,9 +332,9 @@ def test_poles_are_the_loop_poles(params):
 ])
 def test_underflowed_terms_generate_no_code(params, live_terms):
     table = build_coefficients(params)
-    for fn in (table._pole_sum, table._pole_sums):
-        literals = {c for c in fn.__code__.co_consts if isinstance(c, complex) and c}
-        assert len(literals) == 2 * live_terms
+    for fn in (table._pole_sum, table._common_part, table._both_parts):
+        literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
+        assert len(literals) == 2 * live_terms, fn.__name__
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from cef import (DomainError, Path, SeriesParams, build_coefficients,
+from cef import (CoefficientTable, DomainError, Path, SeriesParams, build_coefficients,
                  refining_part, w_adaptive, w_cr, w_refined)
 from cef.fixtures import reference_rows
 from cef.series import _refined
@@ -230,6 +230,20 @@ class TestAdaptiveDispatch:
             assert outcome.path is Path.REFINED, z
             assert cmath.isfinite(outcome.value), z
             assert rel_error(outcome.value, mp_w(z)) <= 1e-15, z
+
+
+def test_routes_return_the_tables_parts(coeffs):
+    # no route derives a part itself: with a table whose compiled parts
+    # return sentinels, each route returns them (the full route their sum)
+    common, both = 0.25 + 0.5j, (-8.0 + 4.0j, 1024.0 - 2048.0j)
+    table = CoefficientTable(coeffs.params, coeffs.a, coeffs._pole_sum,
+                             lambda tz, u: common, lambda tz, u, e_itz: both,
+                             coeffs._refined_sum)
+    high, low = 0.7 + 2.0j, 0.3 + 0.5j
+    assert w_cr(high, table) == w_cr(low, table) == common
+    assert refining_part(high, table) == refining_part(low, table) == both[1]
+    assert w_adaptive(high, table) == (common, Path.COMMON_ONLY)
+    assert w_adaptive(low, table) == (both[0] + both[1], Path.FULL_DECOMPOSITION)
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300])
