@@ -143,12 +143,12 @@ class CoefficientTable(_Record):
                       with the term n = skip replaced by -star (skip = 0
                       replaces none): the refined series' accumulator.
 
-    All four are straight-line functions compiled by ``build_coefficients``;
-    they accumulate in ascending n from 0j and equal a loop over the same
-    per-term constants, closed the same way, bit for bit (on CPython up to
-    3.13; see ``_compile_sums``). ``a`` is a plain tuple, so the table is
-    deeply immutable. The repr, == and hash cover ``params`` and ``a``
-    only. A table pickles as its parameters and is rebuilt on loading.
+    All but ``_pole_sum`` are straight-line functions compiled by
+    ``build_coefficients``; all accumulate in ascending n from 0j and equal
+    a loop over the same constants, closed the same way, bit for bit (on
+    CPython up to 3.13; see ``_compile_sums``). ``a`` is a plain tuple, so
+    the table is deeply immutable. The repr, == and hash cover ``params``
+    and ``a`` only. A table pickles as its parameters and is rebuilt.
     """
 
     _fields = __match_args__ = ("params", "a")
@@ -172,26 +172,26 @@ class CoefficientTable(_Record):
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
                   exp_factors: list[float], a: tuple[float, ...]
                   ) -> tuple[Callable, ...]:
-    """Generate the table's four functions from the poles n^2 pi^2, the
-    factors c_n and the coefficients a_n of one table, n = 1..N in order, in
-    one ``compile``; the parts close their sums by ``_COMMON_PART`` and
-    ``_REFINING_PART``.
+    """Generate the table's functions from the poles n^2 pi^2, the factors c_n
+    and the coefficients a_n, n = 1..N in order: the parts, closed by
+    ``_COMMON_PART`` and ``_REFINING_PART``, and ``_refined_sum`` in one
+    ``compile``; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
 
     One statement per term, never one chained expression, which nests one
     level per term and exhausts the compiler's recursion limit at large N.
     The constants are complex literals whose repr round-trips exactly, so
     each float-complex operation of a loop over them becomes one
-    complex-complex operation with the same operands and rounding: CPython
-    up to 3.13 promoted the float to complex(x, 0.0), while 3.14's
-    mixed-mode rules can change the sign of a zero imaginary part. The
-    skipped term of ``_refined_sum`` is added as -star, which IEEE
-    arithmetic rounds exactly as subtracting star.
+    complex-complex operation with the same operands and rounding (CPython
+    up to 3.13 promoted the float to complex(x, 0.0); 3.14's mixed-mode
+    rules can change the sign of a zero imaginary part). The skipped term
+    of ``_refined_sum`` is added as -star, which rounds as subtracting star.
 
     c_n and a_n decrease strictly, so once one underflows to 0.0 every
     later quotient is a signed zero, which leaves the 0j-seeded sums
     unchanged; generation stops there.
     """
-    terms = ["    acc = 0j"]  # the pole sum's body, once raw and once closed
+    plain = ["def _common_part(tz, u):", "    acc = 0j"]
+    live = []  # the literals (n^2 pi^2, c_n) of the pole sum, for _pole_sum
     fused = ["def _both_parts(tz, u, e_itz):", "    common = 0j", "    alternating = 0j"]
     refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
     for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
@@ -203,19 +203,26 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
         if c_n == 0.0:
             break
         coeff = repr(complex(c_n))
-        terms.append(f"    acc += {coeff} / ({pole} - u)")
+        live.append((complex(n2pi2), complex(c_n)))
+        plain.append(f"    acc += {coeff} / ({pole} - u)")
         fused.append(f"    q = {coeff} / ({pole} - u)")
         fused.append("    common += q")
         fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
-    source = ["def _pole_sum(u):", *terms, "    return acc",
-              "def _common_part(tz, u):", *terms, f"    return {_COMMON_PART.format('acc')}",
-              *fused, f"    return {_COMMON_PART.format('common')}, "
-                      f"{_REFINING_PART.format('alternating')}",
-              *refined, "    return acc"]
+    plain.append(f"    return {_COMMON_PART.format('acc')}")
+    fused.append(f"    return {_COMMON_PART.format('common')}, "
+                 f"{_REFINING_PART.format('alternating')}")
+    refined.append("    return acc")
     namespace: dict = {}
-    exec(compile("\n".join(source), f"<sums of {params!r}>", "exec"), namespace)
-    return tuple(namespace[name] for name in
-                 ("_pole_sum", "_common_part", "_both_parts", "_refined_sum"))
+    exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
+         namespace)
+
+    def _pole_sum(u):
+        acc = 0j
+        for pole, coeff in live:
+            acc += coeff / (pole - u)
+        return acc
+    return (_pole_sum, namespace["_common_part"], namespace["_both_parts"],
+            namespace["_refined_sum"])
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:

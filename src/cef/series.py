@@ -25,9 +25,8 @@ CoefficientTable:
     finite-interval form. Its magnitude is bounded by e^{-tau_m y}, which
     is the whole point: for large y it is negligible.
 
-Both parts are the table's compiled ``_common_part`` and ``_both_parts``
-(see CoefficientTable), which write their formulas once; no route here
-writes either, and none runs a Python loop.
+Both parts are the table's compiled ``_common_part`` and ``_both_parts``, which
+write their formulas once: no route here writes one or runs a Python loop.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop,
@@ -104,15 +103,14 @@ _STOKES_Y = 1e-3
 # rounds to 0.0), so no compiled route forms an overflowing 1/(tau_m z)
 _TINY_Y = 1e-146
 
-# w_adaptive uses _refined where Im tau_m z and |Im e^{i tau_m z}| (that is,
-# ~|tau_m x - n pi|) are below this: outside, the compiled sums are within
-# 1.3e-14 of scipy.special.wofz (3.9e-14 at 0.02)
+# w_adaptive uses _refined where Im tau_m z and |Im e^{i tau_m z}| (~|tau_m x - n pi|)
+# are below this, and at |tau_m z| < 1, where both parts' i/(tau_m z) cancel; elsewhere
+# the compiled sums are within 1.3e-14 of scipy.special.wofz (3.9e-14 at 0.02)
 _NEAR_POLE = 0.05
 
-# _refined takes Im w from w' = -2zw + 2i/sqrt(pi) at |x| and y below these:
-# its x^3 term meets the series' Im error, ~eps/max(|x|, y), at |x| ~ 4e-6, and
-# from y = 1e-2 the series is within 3.2e-14 while the form's cancellation grows
-_NEAR_IMAG_AXIS = (4e-6, 1e-2)
+# _refined's third-order Im w holds below these: its x^5 rest meets the series' Im
+# error, ~1.2e-16/|x|, at |x| ~ 8e-4 (both ~1.5e-13), and it cancels as y grows past 0.1
+_NEAR_IMAG_AXIS = (8e-4, 0.1)
 
 
 class Path(enum.Enum):
@@ -221,9 +219,9 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
 
     Two axis identities replace a part the series resolves only to ~eps |w|
     (its Im near x = 0 is noise, even of the wrong sign): Re w = e^{-x^2} on
-    y = 0 (DLMF 7.5), and Im w = x max(2/sqrt(pi) - 2y Re w, 0) from w' in
-    the box _NEAR_IMAG_AXIS and at x = +-0, with the sign of x, signed zeros
-    included (the clamp keeps it where 2y Re w rounds past 2/sqrt(pi)).
+    y = 0 (DLMF 7.5), and in the box _NEAR_IMAG_AXIS Im w = x A - (2/3) x^3
+    (A - yB) from w', A = 2/sqrt(pi) - 2y Re w > 0.9 and B = 2yA - 2 Re w
+    from the point's own Re w; at x = +-0 Im w = x, as w(iy) is real.
     """
     tau = coeffs.params.tau_m
     tz = tau * z
@@ -247,9 +245,10 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     value = lead + 1j * (tau * tau * z / _SQRT_PI) * acc
     x, y = z.real, z.imag
     re = math.exp(-x * x) if y == 0.0 else value.real
-    if x == 0.0 or (abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]):
-        return complex(re, x * max(2.0 / _SQRT_PI - 2.0 * y * re, 0.0))
-    return complex(re, value.imag)
+    if abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]:
+        a = 2.0 / _SQRT_PI - 2.0 * y * re
+        return complex(re, x * (a - (2.0 / 3.0) * x * x * (a - 2.0 * y * (y * a - re))))
+    return complex(re, x if x == 0.0 else value.imag)
 
 
 def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
@@ -317,8 +316,8 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     call of ``_both_parts``, with tau_m z, its square and e^{i tau_m z}
     formed once, and each quotient c_n / (n^2 pi^2 - tau_m^2 z^2) divided
     out once for both parts.
-    Where Im tau_m z and |Im e^{i tau_m z}| are below _NEAR_POLE, next to a
-    removable point, ``_refined`` answers instead, as ``Path.REFINED``.
+    Next to a removable point, where |tau_m z| < 1 or Im tau_m z and
+    |Im e^{i tau_m z}| are below _NEAR_POLE, ``_refined`` answers as REFINED.
     The compiled routes take only _TINY_Y < y < _FAR_Y with a finite
     (tau_m z)^2. Every other point misses that one guard, is checked for
     DomainError (y <= 0 or non-finite z) and goes to ``_edge``: the
@@ -336,7 +335,7 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     if y >= params.y_switch:
         return _new_outcome(EvaluationOutcome, (coeffs._common_part(tz, tz2), _COMMON_ONLY))
     e_itz = cmath.exp(1j * tz)
-    if tz.imag < _NEAR_POLE and abs(e_itz.imag) < _NEAR_POLE:
+    if abs(tz) < 1.0 or tz.imag < _NEAR_POLE and abs(e_itz.imag) < _NEAR_POLE:
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     common, refining = coeffs._both_parts(tz, tz2, e_itz)
     return _new_outcome(EvaluationOutcome, (common + refining, _FULL_DECOMPOSITION))

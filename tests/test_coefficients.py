@@ -297,8 +297,7 @@ def test_compiled_sums_equal_loops_bitwise(params):
 
 # the complex literals that close each compiled sum (1j, 2j, -1j), besides
 # the live terms' constants; 0j seeds every sum
-CLOSING_LITERALS = {"_pole_sum": set(), "_common_part": {1j, 2j},
-                    "_both_parts": {1j, 2j, -1j}}
+CLOSING_LITERALS = {"_common_part": {1j, 2j}, "_both_parts": {1j, 2j, -1j}}
 
 
 def complex_literals(fn):
@@ -308,10 +307,10 @@ def complex_literals(fn):
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
     # each live pole n^2 pi^2 of the loops is a complex literal of the
-    # compiled sums: of the pole sum and both parts where c_n > 0, of
-    # _refined_sum where a_n > 0; the parts' only other literals close them
+    # compiled sums: of both parts where c_n > 0, of _refined_sum where
+    # a_n > 0; the parts' only other literals close them
     table = build_coefficients(params)
-    pole_fns = (table._pole_sum, table._common_part, table._both_parts)
+    pole_fns = (table._common_part, table._both_parts)
     pole_literals = [complex_literals(fn) for fn in pole_fns]
     refined_literals = complex_literals(table._refined_sum)
     live = set()
@@ -332,7 +331,7 @@ def test_poles_are_the_loop_poles(params):
 ])
 def test_underflowed_terms_generate_no_code(params, live_terms):
     table = build_coefficients(params)
-    for fn in (table._pole_sum, table._common_part, table._both_parts):
+    for fn in (table._common_part, table._both_parts):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
         assert len(literals) == 2 * live_terms, fn.__name__
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import cef.plane
-from cef import DomainError, EvaluationOutcome, Path, w_adaptive, w_full_plane
+from cef import DomainError, EvaluationOutcome, Path, imag_l, w_adaptive, w_full_plane
 from cef.fixtures import reference_rows
 from conftest import component_rel_errors, mp_w, rel_error
 
@@ -122,6 +122,34 @@ def test_imaginary_part_near_the_imaginary_axis(coeffs):
         want = x * (2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y))
         assert math.copysign(1.0, got) == math.copysign(1.0, x), (x, y)
         assert abs(got - want) <= 1e-15 * abs(want), (x, y)
+
+
+def test_imaginary_part_near_the_imaginary_axis_off_the_near_pole_rule(coeffs):
+    # from y ~ 4.2e-3 w_adaptive's near-pole rule no longer holds at x ~ 0:
+    # the disc |tau_m z| < 1 keeps route refined up to y = 1/tau_m, where the
+    # two parts would cancel, and the full route answers above it. Im w and
+    # L have the sign of x and are within 1e-14 of the first-order form
+    erfcx = pytest.importorskip("scipy.special").erfcx
+    rng = random.Random(13)
+    for _ in range(4000):
+        x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300.0, -8.0)
+        y = 10.0 ** rng.uniform(math.log10(4.2e-3), 0.0)
+        want = x * (2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y))
+        for got in (w_full_plane(complex(x, y), coeffs).value.imag, imag_l(x, y, coeffs)):
+            assert math.copysign(1.0, got) == math.copysign(1.0, x), (x, y)
+            assert abs(got - want) <= 1e-14 * abs(want), (x, y)
+
+
+def test_imaginary_part_near_the_imaginary_axis_against_mpmath(coeffs):
+    # |x| in [1e-12, 1e-2], y in [1e-4, 1): the third-order form of Im w
+    # below |x| = 8e-4 and the series above meet at ~1.5e-13
+    pytest.importorskip("mpmath")
+    rng = random.Random(17)
+    for _ in range(500):
+        z = complex(rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -2.0),
+                    10.0 ** rng.uniform(-4.0, 0.0))
+        want = mp_w(z, 60).imag
+        assert abs(w_full_plane(z, coeffs).value.imag - want) <= 3e-13 * abs(want), z
 
 
 def test_conjugation_symmetry_keeps_the_sign_of_zero_below_the_axis(coeffs):

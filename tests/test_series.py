@@ -62,7 +62,7 @@ def test_refined_pure_imaginary_argument_is_real(coeffs):
         assert abs(w_refined(complex(0.0, y), coeffs).imag) <= 1e-16
 
 
-def test_refined_keeps_its_own_im_near_the_imaginary_axis_from_y_1e_2(coeffs):
+def test_refined_keeps_its_own_im_near_the_imaginary_axis_from_y_0_1(coeffs):
     # there the series' Im is within ~eps/y, while the first-order form
     # x (2/sqrt(pi) - 2y e^{y^2} erfc(y)) cancels, to all digits at y ~ 1e8;
     # that form, taken at 60 digits, is the reference (its x^3 term is
@@ -295,8 +295,8 @@ def loop_refined(z, table):
     """_refined as the loop over every term n = 1..N, the ones whose a_n
     has underflowed to 0.0 included: the reference for stopping early.
     It applies _refined's two axis identities: Re w = e^{-x^2} on y = 0,
-    and Im w = x max(2/sqrt(pi) - 2y Re w, 0) at |x| < 4e-6 and y < 1e-2,
-    and at x = +-0."""
+    and Im w = x A - (2/3) x^3 (A - yB) at |x| < 8e-4 and y < 0.1, with
+    A = 2/sqrt(pi) - 2y Re w and B = 2yA - 2 Re w, and Im w = x at x = +-0."""
     tau = table.params.tau_m
     n_terms = table.params.n_terms
     tz = tau * z
@@ -318,10 +318,13 @@ def loop_refined(z, table):
             acc += a_n * ((-e_itz - 1.0) if n % 2 else (e_itz - 1.0)) \
                 / ((n * n) * (math.pi * math.pi) - tz2)
     value = lead + 1j * (tau * tau * z / math.sqrt(math.pi)) * acc
-    re = math.exp(-z.real * z.real) if z.imag == 0.0 else value.real
-    if z.real == 0.0 or (abs(z.real) < 4e-6 and z.imag < 1e-2):
-        return complex(re, z.real * max(2.0 / math.sqrt(math.pi) - 2.0 * z.imag * re, 0.0))
-    return complex(re, value.imag)
+    x, y = z.real, z.imag
+    re = math.exp(-x * x) if y == 0.0 else value.real
+    if abs(x) < 8e-4 and y < 0.1:
+        a = 2.0 / math.sqrt(math.pi) - 2.0 * y * re
+        # A - yB with B = 2yA - 2 Re w
+        return complex(re, x * (a - 2.0 / 3.0 * x * x * (a - 2.0 * y * (y * a - re))))
+    return complex(re, x if x == 0.0 else value.imag)
 
 
 @pytest.mark.parametrize("n_terms", [23, 105, 1000, 20000])
