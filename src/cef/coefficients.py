@@ -39,9 +39,9 @@ __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# the paper's common part and refining part, each closing its pole sum
+# the paper's two parts, each closing its pole sum; tz * 2.0 puts the complex first
 _COMMON_PART = "1j / tz - 2j * tz * {}"
-_REFINING_PART = "-1j * e_itz * (1.0 / tz - 2.0 * tz * {})"
+_REFINING_PART = "-1j * e_itz * (1.0 / tz - tz * 2.0 * {})"
 
 
 def _is_real(value: object) -> bool:

@@ -42,7 +42,7 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     z = complex(abs(x), y)
     if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
         return _continued_fraction(z).real
-    return w_adaptive(z, coeffs).value.real
+    return w_adaptive(z, coeffs)[0].real
 
 
 def imag_l(x: float, y: float, coeffs: CoefficientTable) -> float:
@@ -63,14 +63,14 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     where the cheap pole-sum route applies, or from |z| = 7 on the
     continued fraction. The identity on the left half
     carries erfc -> 2 without the reflection's overflow or cancellation.
-    e^{-z^2} comes from ``plane._exp_neg_square``: the result is 0 where it
-    underflows, and OverflowError propagates where it leaves the double
-    range, ~ln(sqrt(pi) |z|) before erfc itself does: 1 + 26.7i raises,
-    though erfc there is -1.392e306 + 3.122e307i.
+    e^{-z^2} w(iz) is ``plane._exp_neg_square(z, w(iz))``: 0 where e^{-z^2}
+    underflows, w(iz) h h with h = e^{-z^2/2} where it alone overflows (1 +
+    26.7i gives -1.392e306 + 3.122e307i), OverflowError only where erfc
+    itself leaves the doubles (1 + 27i) or z^2 has no phase 2xy in doubles.
     """
     if z.real < 0.0:
         return 2.0 - erfc_complex(-z, coeffs)
-    return w_full_plane(1j * z, coeffs).value * _exp_neg_square(z)
+    return _exp_neg_square(z, w_full_plane(1j * z, coeffs)[0])
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
@@ -93,4 +93,4 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
         series = 1.0 / tz + 2.0 * tz * coeffs._pole_sum(-tz2)
     except ZeroDivisionError:
         raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
-    return _finite(_exp_neg_square(z) * series, z)
+    return _finite(_exp_neg_square(z, series), z)

@@ -23,7 +23,6 @@ e^{-z^2}, which grows with |z|^2 near the diagonal |y| = |x|.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .coefficients import CoefficientTable
 from .errors import _require_upper_half_plane
@@ -38,22 +37,28 @@ _REFLECTION_OVERFLOW_LIMIT = 700.0
 _UNDERFLOW_LIMIT = -746.0
 
 
-def _exp_neg_square(z: complex) -> complex:
-    """e^{-z^2} for finite z. 0j where y^2 - x^2 < -746, tested as
-    (y - x)(y + x): e^{-z^2} is 0.0 there and z * z may be inf - inf.
-    OverflowError where z * z is not finite otherwise (on y = +-x past
-    ~9.5e153 its phase 2xy is not a double), and from cmath.exp where
-    y^2 - x^2 > ~709.78.
-    """
+def _exp_neg_square(z: complex, factor: complex) -> complex:
+    """e^{-z^2} * factor for finite z; 0j * factor where y^2 - x^2 < -746,
+    tested as (y - x)(y + x): e^{-z^2} is 0.0 there and z * z may be
+    inf - inf. OverflowError where z * z is not finite otherwise (on y = +-x
+    past ~9.5e153 its phase 2xy is not a double). Where e^{-z^2} overflows
+    (y^2 - x^2 >~ 709.78), factor h h with h = e^{-z^2/2} (halving -z^2 is
+    exact), and OverflowError only where that is not finite either."""
     x = z.real
     y = z.imag
     if (y - x) * (y + x) < _UNDERFLOW_LIMIT:
-        return 0j
+        return 0j * factor
     neg_square = -z * z
     if not cmath.isfinite(neg_square):
         raise OverflowError(f"exp(-z^2) overflowed at z = {z!r}: z^2 or its phase 2xy "
                             f"is not a double")
-    return cmath.exp(neg_square)
+    try:
+        return cmath.exp(neg_square) * factor
+    except OverflowError:
+        half = cmath.exp(neg_square * 0.5)
+    if cmath.isfinite(value := factor * half * half):
+        return value
+    raise OverflowError(f"exp(-z^2) times {factor!r} overflowed at z = {z!r}")
 
 
 def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -73,15 +78,16 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     reflection term leaves the double range: y < 0 and y^2 - x^2 > 700,
     tested as (y - x)(y + x) on the folded point, never inf - inf, or
     y = x past ~9.5e153, where the phase 2xy of e^{-z^2} overflows.
+    NaN or inf fails the first test, the common quadrant case; the finite check follows it.
     """
     x = z.real
     y = z.imag
-    if not (math.isfinite(x) and math.isfinite(y)):
+    if x >= 0.0 and 0.0 < y < _FAR_ABS and abs(z) < _FAR_ABS:
+        return w_adaptive(z, coeffs)
+    if not cmath.isfinite(z):
         _require_upper_half_plane(z, "w_full_plane")
     if y >= 0.0 and x >= 0.0:
-        if y == 0.0 or y >= _FAR_ABS or abs(z) >= _FAR_ABS:
-            return _edge(z, coeffs)
-        return w_adaptive(z, coeffs)
+        return _edge(z, coeffs)
     reflect = y < 0.0
     if reflect:
         x, y = -x, -y
@@ -91,11 +97,11 @@ def w_full_plane(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     if reflect and (y - x) * (y + x) > _REFLECTION_OVERFLOW_LIMIT:
         raise OverflowError(f"2 exp(-z^2) overflows double precision at z = {z!r} "
                             f"(y^2 - x^2 > {_REFLECTION_OVERFLOW_LIMIT:g})")
-    value = w_full_plane(complex(x, y), coeffs).value
+    value = w_full_plane(complex(x, y), coeffs)[0]
     if mirror:
         value = value.conjugate()
     if reflect:
         # not 2 e - value: where e is 0 that turns a -0.0 part of -value
         # into +0.0
-        value = -(value - 2.0 * _exp_neg_square(z))
+        value = -(value - _exp_neg_square(z, 2.0))
     return _new_outcome(EvaluationOutcome, (value, _SYMMETRY_EXTENDED))

@@ -146,7 +146,7 @@ _CONTINUED_FRACTION = Path.CONTINUED_FRACTION
 def _scaled(z: complex, coeffs: CoefficientTable) -> tuple[complex, complex]:
     """tau_m z and (tau_m z)^2 for a paper formula: DomainError for a
     non-finite z, else OverflowError naming z where the square is not."""
-    tz = coeffs.params.tau_m * z
+    tz = z * coeffs.params.tau_m
     tz2 = tz * tz
     if not cmath.isfinite(tz2):
         if not cmath.isfinite(z):
@@ -177,26 +177,29 @@ def _continued_fraction(z: complex) -> complex:
     and cost ~0.3 us a point further out.
     It omits e^{-z^2}, which only Re w at small y sees: below _STOKES_Y it
     adds e^{-x^2} (exactly Re w on the real axis).
+    Its constants are complex literals: a float k first tries the float's
+    slot, which declines, then becomes complex(k, 0.0) (CPython up to 3.13),
+    so (k+0j) keeps the bits and saves ~20 ns a level. Callers check z finite.
     """
-    t = z - 7.0 / z
-    t = z - 6.5 / t
-    t = z - 6.0 / t
-    t = z - 5.5 / t
-    t = z - 5.0 / t
-    t = z - 4.5 / t
-    t = z - 4.0 / t
-    t = z - 3.5 / t
-    t = z - 3.0 / t
-    t = z - 2.5 / t
-    t = z - 2.0 / t
-    t = z - 1.5 / t
-    t = z - 1.0 / t
-    t = z - 0.5 / t
+    t = z - (7+0j) / z
+    t = z - (6.5+0j) / t
+    t = z - (6+0j) / t
+    t = z - (5.5+0j) / t
+    t = z - (5+0j) / t
+    t = z - (4.5+0j) / t
+    t = z - (4+0j) / t
+    t = z - (3.5+0j) / t
+    t = z - (3+0j) / t
+    t = z - (2.5+0j) / t
+    t = z - (2+0j) / t
+    t = z - (1.5+0j) / t
+    t = z - (1+0j) / t
+    t = z - (0.5+0j) / t
     # halved on both sides: CPython's complex division forms a divisor
     # near |t.real| + |t.imag|, which overflows to inf (and the value to 0)
     # past t ~ 1e308 (1+i) otherwise; the halving is exact, so elsewhere
     # the value is i/sqrt(pi) / t bit for bit
-    value = _HALF_I_OVER_SQRT_PI / (0.5 * t)
+    value = _HALF_I_OVER_SQRT_PI / ((0.5+0j) * t)
     if z.imag < _STOKES_Y:
         x = z.real
         return complex(value.real + math.exp(-x * x), value.imag)
@@ -224,7 +227,7 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     from the point's own Re w; at x = +-0 Im w = x, as w(iy) is real.
     """
     tau = coeffs.params.tau_m
-    tz = tau * z
+    tz = z * tau
     e_itz = cmath.exp(1j * tz)
     # nearest n* with |n*| <= N; beyond that, n* = 0 leaves |d| > 1
     n_near = (round(tz.real / math.pi)
@@ -234,15 +237,15 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     skip = 0
     star = 0j
     if near:
-        h = 0.5 * d
+        h = d * 0.5
         e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
         if n_near:
             skip = abs(n_near)
-            star = coeffs.a[skip] * e_d / (n_near * math.pi + tz)
-    lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
+            star = e_d * coeffs.a[skip] / (tz + n_near * math.pi)
+    lead = -1j * e_d if near and n_near == 0 else 1j * ((1+0j) - e_itz) / tz
     # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
     acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
-    value = lead + 1j * (tau * tau * z / _SQRT_PI) * acc
+    value = lead + 1j * (z * (tau * tau) / _SQRT_PI) * acc
     x, y = z.real, z.imag
     re = math.exp(-x * x) if y == 0.0 else value.real
     if abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]:
@@ -300,9 +303,10 @@ def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     |z| < 7), else ``_refined``, each with its own real-axis rule. It only
     routes: ``w_adaptive`` sends the points that miss its guard here, and
     ``w_full_plane`` its real axis and its quadrant at |z| >= _FAR_ABS."""
-    tz = coeffs.params.tau_m * z
-    if z.imag < _FAR_ABS and abs(z) < _FAR_ABS and cmath.isfinite(tz * tz):
-        return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
+    if z.imag < _FAR_ABS and abs(z) < _FAR_ABS:
+        tz = z * coeffs.params.tau_m
+        if cmath.isfinite(tz * tz):
+            return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
     return _new_outcome(EvaluationOutcome, (_continued_fraction(z), _CONTINUED_FRACTION))
 
 
@@ -326,7 +330,7 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     ``_refined``, as ``Path.REFINED``.
     """
     params = coeffs.params
-    tz = params.tau_m * z
+    tz = z * params.tau_m
     tz2 = tz * tz
     y = z.imag
     if not (_TINY_Y < y < _FAR_Y and cmath.isfinite(tz2)):

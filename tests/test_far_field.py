@@ -6,13 +6,14 @@ errors of the paper's formulas out there. References are mpmath
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
 from cef import (DomainError, Path, SeriesParams, build_coefficients, erfc_complex,
                  erfc_cr_series, imag_l, refining_part, voigt_k, w_adaptive, w_cr,
                  w_full_plane, w_refined)
-from cef.series import _FAR_ABS
+from cef.series import _FAR_ABS, _continued_fraction
 from conftest import mp_w, rel_error
 
 EPS = 2.0 ** -52
@@ -254,6 +255,56 @@ def bits(value: complex) -> tuple[str, str]:
     return value.real.hex(), value.imag.hex()
 
 
+LARGEST = 1.7976931348623157e308
+
+
+def float_constant_fraction(z: complex) -> complex:
+    """The continued fraction as a loop over float constants, t = z - k / t
+    for k = 7, 6.5, ..., 0.5 (t = z at first), then (i/sqrt(pi))/2 over
+    t/2, plus e^{-x^2} below y = 1e-3."""
+    t = z
+    for k in range(14, 0, -1):
+        t = z - (k / 2) / t
+    value = 0.5j / math.sqrt(math.pi) / (0.5 * t)
+    if z.imag < 1e-3:
+        return complex(value.real + math.exp(-z.real * z.real), value.imag)
+    return value
+
+
+def far_points(count: int, seed: int = 30) -> list[complex]:
+    """The corners of the region (|x| or y at 7 and at the largest double,
+    y at 0 and subnormal), then ``count`` seeded points with |z| log-uniform
+    in [7, 1e308] at a uniform angle in [0, pi], a quarter of them moved
+    onto the real axis and a quarter to y log-uniform in [5e-324, 1e-3]."""
+    edges = (0.0, -0.0, 7.0, -7.0, 1e308, -LARGEST, LARGEST)
+    tiny = (0.0, 5e-324, 1e-310, 1e-3)
+    points = [complex(x, y) for x in edges for y in (*tiny, 7.0, LARGEST)
+              if abs(x) >= 7.0 or y >= 7.0]
+    rng = random.Random(seed)
+    for i in range(count):
+        radius = 7.0 * 10.0 ** rng.uniform(0.0, math.log10(1e308 / 7.0))
+        angle = rng.uniform(0.0, math.pi)
+        x, y = radius * math.cos(angle), radius * math.sin(angle)
+        if i % 4 == 1:
+            x, y = math.copysign(radius, x), 0.0
+        elif i % 4 == 2:
+            x, y = math.copysign(radius, x), 10.0 ** rng.uniform(-323.3, -3.0)
+        points.append(complex(x, y))
+    return points
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info >= (3, 14),
+                    reason="CPython up to 3.13 promotes a float operand to complex(x, 0.0)")
+def test_continued_fraction_equals_float_constant_loop_bitwise():
+    # its complex literals (k+0j) skip the float's slot but must round as
+    # the float constants did, zero signs included
+    points = far_points(12000)
+    assert sum(z.imag == 0.0 for z in points) > 3000
+    assert sum(0.0 < z.imag < 2.3e-308 for z in points) > 100
+    for z in points:
+        assert bits(_continued_fraction(z)) == bits(float_constant_fraction(z)), z
+
+
 def test_reflection_term_left_out_where_it_underflows(coeffs):
     # y^2 - x^2 < -746: 2 e^{-z^2} is 0.0, and z * z would be inf - inf;
     # at 1e200 - 1e-200j the real part of -w(-z) is -0.0
@@ -301,7 +352,7 @@ def test_paper_formulas_keep_their_domain_errors(fn, coeffs):
 
 def test_erfc_complex_at_large_arguments(coeffs):
     # erfc(z) = e^{-z^2} w(iz): 0 where e^{-z^2} underflows, OverflowError
-    # where it overflows or where z * z has no phase (|Im z| = Re z)
+    # where z * z is not finite or has no phase (|Im z| = Re z)
     for z in (complex(1e200, 1e199), complex(1e300, -1e100), 1e300 + 0j):
         assert erfc_complex(z, coeffs) == 0
     assert erfc_complex(complex(-1e200, 1e199), coeffs) == 2
@@ -321,6 +372,21 @@ def test_erfc_is_finite_where_the_fold_overflows(coeffs):
         assert must_overflow(z.conjugate())
         with pytest.raises(OverflowError):
             w_full_plane(z.conjugate(), coeffs)
+
+
+def test_erfc_is_finite_where_exp_neg_square_alone_overflows(coeffs):
+    # y^2 - x^2 > 709.78: e^{-z^2} is not a double, but e^{-z^2} w(iz),
+    # formed as w(iz) h h with h = e^{-z^2/2}, is; past ~1 + 26.73i erfc
+    # itself is not, and that raises OverflowError, never inf or NaN
+    mpmath = pytest.importorskip("mpmath")
+    for z in (1.0 + 26.7j, 0.5 + 26.66j, 2.0 + 26.75j, 1.0 - 26.7j, -1.0 + 26.7j):
+        with mpmath.workdps(40):
+            want = complex(mpmath.erfc(mpmath.mpc(z.real, z.imag)))
+        assert abs(want) > 1e300
+        assert rel_error(erfc_complex(z, coeffs), want) <= 1e-13, z
+    for z in (1.0 + 27.0j, 0.1 + 26.8j, 3.0 + 26.9j, 1.0 - 27.0j):
+        with pytest.raises(OverflowError):
+            erfc_complex(z, coeffs)
 
 
 def sweep_points():

@@ -8,7 +8,8 @@ import random
 import pytest
 
 import cef.plane
-from cef import DomainError, EvaluationOutcome, Path, imag_l, w_adaptive, w_full_plane
+from cef import (DomainError, EvaluationOutcome, Path, imag_l, voigt_k, w_adaptive,
+                 w_full_plane)
 from cef.fixtures import reference_rows
 from conftest import component_rel_errors, mp_w, rel_error
 
@@ -93,10 +94,24 @@ def test_matches_algorithm_680_column(coeffs):
         assert err_re <= bound and err_im <= bound, (x, y)
 
 
+def nonfinite_arguments():
+    """+-inf and NaN in each part, the other part 0, +-1 or +-8: all four
+    quadrants, both axes and the far branch."""
+    for bad in (math.inf, -math.inf, math.nan):
+        for other in (0.0, 1.0, -1.0, 8.0, -8.0):
+            yield complex(bad, other)
+            yield complex(other, bad)
+
+
 def test_nonfinite_input_rejected(coeffs):
-    for z in (complex(math.nan, 1.0), complex(1.0, math.inf), complex(-math.inf, 0.0)):
-        with pytest.raises(DomainError):
-            w_full_plane(z, coeffs)
+    # w_full_plane's first test passes only finite points to w_adaptive, and
+    # its finite check runs after it, so every other branch must still raise
+    # the domain rule, as must voigt_k and imag_l
+    for z in nonfinite_arguments():
+        for fn in (lambda: w_full_plane(z, coeffs), lambda: voigt_k(z.real, z.imag, coeffs),
+                   lambda: imag_l(z.real, z.imag, coeffs)):
+            with pytest.raises(DomainError, match="finite argument"):
+                fn()
 
 
 def test_negative_x_by_conjugation(coeffs):
