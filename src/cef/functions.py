@@ -67,10 +67,13 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     underflows, w(iz) h h with h = e^{-z^2/2} where it alone overflows (1 +
     26.7i gives -1.392e306 + 3.122e307i), OverflowError only where erfc
     itself leaves the doubles (1 + 27i) or z^2 has no phase 2xy in doubles.
+    Re erfc(iy) = 1 is returned exactly, which the product missed by ~1 ulp,
+    and by 6.2e-15 where Re w(-y) = e^{-y^2} is subnormal (+-26.7i).
     """
     if z.real < 0.0:
         return 2.0 - erfc_complex(-z, coeffs)
-    return _exp_neg_square(z, w_full_plane(1j * z, coeffs)[0])
+    value = _exp_neg_square(z, w_full_plane(1j * z, coeffs)[0])
+    return complex(1.0, value.imag) if z.real == 0.0 else value
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:

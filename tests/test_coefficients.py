@@ -7,11 +7,14 @@ import math
 import pickle
 import random
 import struct
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
 from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcome, GridSpec,
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
+from cef.coefficients import _far_moments
 from cef.fixtures import ReferenceRow
 from conftest import ulp_diff
 
@@ -240,20 +243,41 @@ def loop_pole_sum(u, terms):
     return acc
 
 
-def loop_common_part(tz, u, terms):
+def far_tier(params):
+    """U and the moments -M_k, -M'_k of the table's far tier, from the loop
+    terms; U is inf where the table has no far tier."""
+    return _far_moments([(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n])
+
+
+def loop_laurent(u, moments):
+    """v sum_k moments[k] v^k, v = 1/u, by Horner from the top degree."""
+    v = (1+0j) / u
+    acc = complex(moments[-1])
+    for m in moments[-2::-1]:
+        acc = acc * v + complex(m)
+    return acc * v
+
+
+def loop_common_part(tz, u, terms, far=(math.inf, [], [])):
+    if abs(u) >= far[0]:
+        return 1j / tz - 2j * tz * loop_laurent(u, far[1])
     return 1j / tz - 2j * tz * loop_pole_sum(u, terms)
 
 
-def loop_both_parts(tz, u, e_itz, terms):
-    common = 0j
-    alternating = 0j
-    for n, (n2pi2, c_n) in enumerate(terms, start=1):
-        q = c_n / (n2pi2 - u)
-        common += q
-        if n % 2:
-            alternating -= q
-        else:
-            alternating += q
+def loop_both_parts(tz, u, e_itz, terms, far=(math.inf, [], [])):
+    if abs(u) >= far[0]:
+        common = loop_laurent(u, far[1])
+        alternating = loop_laurent(u, far[2])
+    else:
+        common = 0j
+        alternating = 0j
+        for n, (n2pi2, c_n) in enumerate(terms, start=1):
+            q = c_n / (n2pi2 - u)
+            common += q
+            if n % 2:
+                alternating -= q
+            else:
+                alternating += q
     return (1j / tz - 2j * tz * common,
             -1j * e_itz * (1.0 / tz - 2.0 * tz * alternating))
 
@@ -278,6 +302,12 @@ def sample_arguments(params):
     args = [(tau * z, (tau * z) * (tau * z)) for z in zs]
     args += [(1j, u) for u in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0),
                                complex(-2.5, -0.0))]
+    far = far_tier(params)[0]
+    if math.isfinite(far):
+        # on both sides of the far tier's threshold |u| = U
+        below = math.nextafter(far, 0.0)
+        args += [(1j, u) for u in (complex(far), complex(-far, -0.0), complex(0.0, far),
+                                   complex(below), complex(0.0, -below))]
     return args
 
 
@@ -285,30 +315,41 @@ def sample_arguments(params):
 def test_compiled_sums_equal_loops_bitwise(params):
     table = build_coefficients(params)
     terms = loop_terms(params)
+    far = far_tier(params)
     for tz, u in sample_arguments(params):
         e_itz = cmath.exp(1j * tz)
         assert bits(table._pole_sum(u)) == bits(loop_pole_sum(u, terms)), u
-        assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms)), u
+        assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms, far)), u
         common, refining = table._both_parts(tz, u, e_itz)
-        want_common, want_refining = loop_both_parts(tz, u, e_itz, terms)
+        want_common, want_refining = loop_both_parts(tz, u, e_itz, terms, far)
         assert bits(common) == bits(want_common), u
         assert bits(refining) == bits(want_refining), u
 
 
-# the complex literals that close each compiled sum (1j, 2j, -1j), besides
-# the live terms' constants; 0j seeds every sum
-CLOSING_LITERALS = {"_common_part": {1j, 2j}, "_both_parts": {1j, 2j, -1j}}
+# the complex literals that close each compiled sum (1j, 2j, -1j, 1+0j, the
+# last also v = 1/u's numerator), besides the live terms' constants and the
+# far tier's moments; 0j seeds every sum
+CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_both_parts": {1j, 2j, -1j, 1+0j}}
 
 
 def complex_literals(fn):
     return {c for c in fn.__code__.co_consts if isinstance(c, complex) and c}
 
 
+def moment_literals(params):
+    """The far tier's moment literals of _common_part and of _both_parts."""
+    _, moments, alternating_moments = far_tier(params)
+    common = {complex(m) for m in moments}
+    return {"_common_part": common,
+            "_both_parts": common | {complex(m) for m in alternating_moments}}
+
+
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
     # each live pole n^2 pi^2 of the loops is a complex literal of the
     # compiled sums: of both parts where c_n > 0, of _refined_sum where
-    # a_n > 0; the parts' only other literals close them
+    # a_n > 0; the parts' only other literals are the far tier's moments
+    # and the closing constants
     table = build_coefficients(params)
     pole_fns = (table._common_part, table._both_parts)
     pole_literals = [complex_literals(fn) for fn in pole_fns]
@@ -320,20 +361,43 @@ def test_poles_are_the_loop_poles(params):
             assert all(complex(n2pi2) in literals for literals in pole_literals), n
         if table.a[n]:
             assert complex(n2pi2) in refined_literals, n
+    moments = moment_literals(params)
     for fn, literals in zip(pole_fns, pole_literals):
-        assert literals - live <= CLOSING_LITERALS[fn.__name__], fn.__name__
+        assert moments[fn.__name__] <= literals, fn.__name__
+        assert literals - live - moments[fn.__name__] <= CLOSING_LITERALS[fn.__name__], \
+            fn.__name__
 
 
-@pytest.mark.parametrize("params, live_terms", [
-    (SeriesParams(), 23),
-    (SeriesParams(n_terms=2000), 104),   # c_n is 0.0 from n = 105 at tau_m = 12
-    (SeriesParams(tau_m=0.1), 0),
+@pytest.mark.parametrize("params, live_terms, degree", [
+    (SeriesParams(), 23, 15),
+    (SeriesParams(n_terms=2000), 104, 5),   # c_n is 0.0 from n = 105 at tau_m = 12
+    (SeriesParams(tau_m=0.1), 0, None),
+    (SeriesParams(n_terms=15), 15, None),   # K = 32: the pole sum is shorter
+    (SeriesParams(tau_m=1e4, n_terms=600), 600, None),   # M_49 would overflow
 ])
-def test_underflowed_terms_generate_no_code(params, live_terms):
+def test_underflowed_terms_generate_no_code(params, live_terms, degree):
+    # 2 literals per live term, and K + 1 moments per pole sum of the far
+    # tier where it has fewer terms than the pole sum
     table = build_coefficients(params)
-    for fn in (table._common_part, table._both_parts):
+    moments = 0 if degree is None else degree + 1
+    for fn, sums in ((table._common_part, 1), (table._both_parts, 2)):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
-        assert len(literals) == 2 * live_terms, fn.__name__
+        assert len(literals) == 2 * live_terms + sums * moments, fn.__name__
+
+
+def test_far_tier_at_the_defaults():
+    # U = 2 p_max with p_max = 23^2 pi^2, and K = 15 the least degree whose
+    # remainder bound is at most 2^-55 sum_n c_n
+    terms = loop_terms(SeriesParams())
+    far, moments, alternating_moments = far_tier(SeriesParams())
+    assert far == 2.0 * terms[-1][0] and math.sqrt(far) / 12.0 == pytest.approx(8.5155, 1e-5)
+    assert len(moments) == len(alternating_moments) == 16
+
+    def bound(degree):
+        return math.fsum(c * (p / far) ** (degree + 1) / (1.0 - p / far) for p, c in terms)
+    total = math.fsum(c for _, c in terms)
+    assert bound(15) <= 2.0 ** -55 * total < bound(14)
+    assert moments[0] == -total
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -346,3 +410,76 @@ def test_table_survives_pickle_round_trip(params):
         for _ in range(200):
             z = complex(15.0 * rng.random(), 3.0 * (1.0 - rng.random()))
             assert w_adaptive(z, restored) == w_adaptive(z, table), z
+
+
+def far_arguments(params, count=2000):
+    """About ``count`` (tz, u) with Im z >= 0 and |u| >= U: just above U at
+    every angle, on the imaginary axis with both signs of zero (where u has
+    a signed zero imaginary part), and log-uniform in |z| up to 1e153, or to
+    where (tau_m z)^2 would overflow."""
+    tau = params.tau_m
+    low = math.sqrt(far_tier(params)[0]) / tau
+    high = min(1e153, 0.5 * math.sqrt(sys.float_info.max) / tau)
+    rng = random.Random(31)
+    zs = []
+    for _ in range(-(-count // 3)):
+        zs.append(cmath.rect(low * (1.0 + 10.0 ** rng.uniform(-12, -2)), math.pi * rng.random()))
+        zs.append(complex(rng.choice((0.0, -0.0)), low * (high / low) ** rng.random()))
+        zs.append(cmath.rect(low * (high / low) ** rng.random(), math.pi * rng.random()))
+    return [(tau * z, (tau * z) * (tau * z)) for z in zs]
+
+
+def exact_parts(tz, u, e_itz, terms):
+    """The common part and the full route at (tz, u, e_itz) from the terms
+    (n^2 pi^2, c_n), to 40 digits: decimal arithmetic on (re, im) pairs,
+    from the doubles' exact values."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    tz, u, e_itz = ((Decimal(c.real), Decimal(c.imag)) for c in (tz, u, e_itz))
+    sums = [[0, 0], [0, 0]]   # S and S'
+    for n, (n2pi2, c_n) in enumerate(terms, start=1):
+        # c_n / (p_n - u) = c_n (p_n - u_re + i u_im) / |p_n - u|^2
+        d = Decimal(n2pi2) - u[0]
+        s = Decimal(c_n) / (d * d + u[1] * u[1])
+        q = (d * s, u[1] * s)
+        for acc, sign in zip(sums, (1, -1 if n % 2 else 1)):
+            acc[0] += sign * q[0]
+            acc[1] += sign * q[1]
+    norm = tz[0] * tz[0] + tz[1] * tz[1]
+    inverse = (tz[0] / norm, -tz[1] / norm)
+    common = mul((0, 1), inverse)
+    common = tuple(a - 2 * b for a, b in zip(common, mul((0, 1), mul(tz, sums[0]))))
+    bracket = tuple(a - 2 * b for a, b in zip(inverse, mul(tz, sums[1])))
+    refining = mul((0, -1), mul(e_itz, bracket))
+    return common, (common[0] + refining[0], common[1] + refining[1])
+
+
+def relative_error(got, want):
+    """|got - want| / |want| for a complex got and a decimal pair want."""
+    dr, di = Decimal(got.real) - want[0], Decimal(got.imag) - want[1]
+    return float(((dr * dr + di * di) / (want[0] * want[0] + want[1] * want[1])).sqrt())
+
+
+@pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
+def test_far_tier_against_40_digits(params):
+    # where the table has a far tier, both parts from it are within 1e-15 of
+    # a 40-digit sum over the same constants, and no farther off than the
+    # partial fractions; the full route is the two parts added
+    if not math.isfinite(far_tier(params)[0]):
+        assert "abs" not in build_coefficients(params)._common_part.__code__.co_names
+        return
+    table = build_coefficients(params)
+    terms = [(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n]
+    worst = {"common": [0.0, 0.0], "full": [0.0, 0.0]}
+    with localcontext() as context:
+        context.prec = 40
+        for tz, u in far_arguments(params):
+            e_itz = cmath.exp(1j * tz)
+            want = dict(zip(("common", "full"), exact_parts(tz, u, e_itz, terms)))
+            for side, (common, refining) in enumerate((
+                    table._both_parts(tz, u, e_itz), loop_both_parts(tz, u, e_itz, terms))):
+                for key, got in (("common", common), ("full", common + refining)):
+                    worst[key][side] = max(worst[key][side], relative_error(got, want[key]))
+            assert table._common_part(tz, u) == table._both_parts(tz, u, e_itz)[0]
+    for key, (far, loop) in worst.items():
+        assert far <= 1e-15 and far <= loop, (key, far, loop)

@@ -110,8 +110,7 @@ class TestErfcComplex:
         assert erfc_complex(0j, coeffs) == 1.0
 
     def test_imaginary_axis_against_mpmath(self, coeffs):
-        # erfc(iy) = 1 - i erfi(y): its Re is e^{y^2} Re w(-y), which is 1
-        # only as far as Re w(-y) is e^{-y^2} to the last bit
+        # erfc(iy) = 1 - i erfi(y): its Re is exactly 1, its Im e^{y^2} Im w(-y)
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(37)
         ys = [7.0 * (1.0 - rng.random()) for _ in range(500)] + [5.5, 6.0, 6.9]
@@ -119,8 +118,21 @@ class TestErfcComplex:
             got = erfc_complex(complex(0.0, y), coeffs)
             with mpmath.workdps(40):
                 want = -float(mpmath.erfi(y))
-            assert abs(got.real - 1.0) <= 1e-15, y
+            assert got.real == 1.0, y
             assert abs(got.imag - want) <= 1e-14 * abs(want), y
+
+    def test_imaginary_axis_real_part_is_one(self, coeffs):
+        # Re erfc(iy) = 1 for every real y, returned exactly, also where the
+        # product e^{y^2} Re w(-y) rounded it (0.5i) and where Re w(-y) =
+        # e^{-y^2} is subnormal (+-26.7i); y = 0 and both signs of zero too
+        ys = [10.0 ** (k / 8) for k in range(-2400, 12)] + [0.5, 6.9, 26.0, 26.5, 26.7, 0.0]
+        for y in ys:
+            for z in (complex(0.0, y), complex(-0.0, y), complex(0.0, -y), complex(-0.0, -y)):
+                assert erfc_complex(z, coeffs).real == 1.0, z
+        # the imaginary part still overflows where erfi(y) does
+        for z in (27.0j, -27.0j):
+            with pytest.raises(OverflowError):
+                erfc_complex(z, coeffs)
 
     def test_real_axis_value(self, coeffs):
         # z = 1 maps to the adaptive switch boundary (Im iz = 1), so the
