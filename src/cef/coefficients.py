@@ -174,21 +174,25 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _far_moments(live: list[tuple[float, float]]) -> tuple[float, list, list]:
+def _far_moments(live: list[tuple[complex, complex]]) -> tuple[float, list, list]:
     """U = 2 p_max and the coefficients -M_k, -M'_k (k = 0..K) of S = v sum_k
     (-M_k) v^k and S', v = 1/u, |u| >= U: M_k = sum_n c_n p_n^k and M'_k =
     sum_n (-1)^n c_n p_n^k over the live (p_n, c_n). K is the least degree
     whose remainder bound sum_n c_n (p_n/U)^(K+1) / (1 - p_n/U) is at most
     2^-55 sum_n c_n; U = inf where K + 1 reaches their number or a moment may overflow."""
-    far = 2.0 * live[-1][0] if live else math.inf
-    total = math.fsum(c for _, c in live)
-    degree = next((k for k in range(len(live) - 1) if math.fsum(
-        c * (p / far) ** (k + 1) / (1.0 - p / far) for p, c in live) <= 2.0 ** -55 * total), None)
-    if degree is None or degree * math.log2(far) + math.log2(total) > 1000.0:
-        return math.inf, [], []
-    terms = [[c * p ** k for p, c in live] for k in range(degree + 1)]  # n = 1, 2, ...
-    return (far, [-math.fsum(t) for t in terms],
-            [-math.fsum([*t[1::2], *(-x for x in t[0::2])]) for t in terms])
+    far = 2.0 * live[-1][0].real if live else math.inf
+    total = math.fsum(c.real for _, c in live)
+    moments, alternating = [], []
+    for k in range(len(live) - 1):
+        if k * math.log2(far) + math.log2(total) > 1000.0:
+            break
+        terms = [c.real * p.real ** k for p, c in live]   # n = 1, 2, ...
+        moments.append(-math.fsum(terms))
+        alternating.append(math.fsum([*terms[0::2], *map(float.__neg__, terms[1::2])]))
+        if math.fsum(c.real * (p.real / far) ** (k + 1) / (1.0 - p.real / far)
+                     for p, c in live) <= 2.0 ** -55 * total:
+            return far, moments, alternating
+    return math.inf, [], []
 
 
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
@@ -200,7 +204,8 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     ``compile``; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
 
     The far tier comes first: K + 1 Horner steps in v = 1/u over the moments,
-    about half the operations of the partial fractions and no less accurate.
+    about half the operations of the partial fractions and no less accurate;
+    that of ``_both_parts`` takes the common part from ``_common_part``.
 
     One statement per term, never one chained expression, which nests one
     level per term and exhausts the compiler's recursion limit at large N;
@@ -216,9 +221,9 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     later quotient is a signed zero, which leaves the 0j-seeded sums
     unchanged; generation stops there.
     """
-    plain = ["    acc = 0j"]
+    plain = ["def _common_part(tz, u):", "    acc = 0j"]
     live = []  # the literals (n^2 pi^2, c_n) of the pole sum, for _pole_sum and the far tier
-    fused = ["    common = 0j", "    alternating = 0j"]
+    fused = ["def _both_parts(tz, u, e_itz):", "    common = 0j", "    alternating = 0j"]
     refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
     for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
         pole = repr(complex(n2pi2))
@@ -234,21 +239,20 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
         fused.append(f"    q = {coeff} / ({pole} - u)")
         fused.append("    common += q")
         fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
-    plain_return = f"return {_COMMON_PART.format('acc')}"
-    fused_return = (f"return {_COMMON_PART.format('common')}, "
-                    f"{_REFINING_PART.format('alternating')}")
-    far, moments, alternating_moments = _far_moments([(p.real, c.real) for p, c in live])
-    if moments:  # the far tier first, each part closed by the same template
+    plain.append(f"    return {_COMMON_PART.format('acc')}")
+    fused.append(f"    return {_COMMON_PART.format('common')}, "
+                 f"{_REFINING_PART.format('alternating')}")
+    refined.append("    return acc")
+    far, moments, alternating_moments = _far_moments(live)
+    if moments:  # the far tier first, closed by the same templates
         test = [f"    if abs(u) >= {far!r}:", "        v = (1+0j) / u"]
-        plain[:0] = [*test, f"        acc = {_horner(moments)}", f"        {plain_return}"]
-        fused[:0] = [*test, f"        common = {_horner(moments)}",
-                     f"        alternating = {_horner(alternating_moments)}",
-                     f"        {fused_return}"]
-    source = ["def _common_part(tz, u):", *plain, f"    {plain_return}",
-              "def _both_parts(tz, u, e_itz):", *fused, f"    {fused_return}",
-              *refined, "    return acc"]
+        plain[1:1] = [*test, f"        acc = {_horner(moments)}", "    " + plain[-1]]
+        fused[1:1] = [*test, f"        alternating = {_horner(alternating_moments)}",
+                      "        return _common_part(tz, u), "
+                      + _REFINING_PART.format("alternating")]
     namespace: dict = {}
-    exec(compile("\n".join(source), f"<sums of {params!r}>", "exec"), namespace)
+    exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
+         namespace)
 
     def _pole_sum(u):
         acc = 0j

@@ -337,11 +337,11 @@ def complex_literals(fn):
 
 
 def moment_literals(params):
-    """The far tier's moment literals of _common_part and of _both_parts."""
+    """The far tier's moment literals: -M_k in _common_part, -M'_k in
+    _both_parts, whose far tier takes the common part from _common_part."""
     _, moments, alternating_moments = far_tier(params)
-    common = {complex(m) for m in moments}
-    return {"_common_part": common,
-            "_both_parts": common | {complex(m) for m in alternating_moments}}
+    return {"_common_part": {complex(m) for m in moments},
+            "_both_parts": {complex(m) for m in alternating_moments}}
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
@@ -368,21 +368,23 @@ def test_poles_are_the_loop_poles(params):
             fn.__name__
 
 
-@pytest.mark.parametrize("params, live_terms, degree", [
-    (SeriesParams(), 23, 15),
-    (SeriesParams(n_terms=2000), 104, 5),   # c_n is 0.0 from n = 105 at tau_m = 12
-    (SeriesParams(tau_m=0.1), 0, None),
-    (SeriesParams(n_terms=15), 15, None),   # K = 32: the pole sum is shorter
-    (SeriesParams(tau_m=1e4, n_terms=600), 600, None),   # M_49 would overflow
+@pytest.mark.parametrize("params, live_terms", [
+    (SeriesParams(), 23),
+    (SeriesParams(n_terms=2000), 104),   # c_n is 0.0 from n = 105 at tau_m = 12
+    (SeriesParams(tau_m=0.1), 0),
+    (SeriesParams(n_terms=15), 15),   # K = 32: the pole sum is shorter, no far tier
+    (SeriesParams(tau_m=1e4, n_terms=600), 600),   # M_49 would overflow: no far tier
 ])
-def test_underflowed_terms_generate_no_code(params, live_terms, degree):
-    # 2 literals per live term, and K + 1 moments per pole sum of the far
-    # tier where it has fewer terms than the pole sum
+def test_underflowed_terms_generate_no_code(params, live_terms):
+    # 2 literals per live term, and the K + 1 moments of its pole sum in
+    # each part's far tier: 16 at the defaults, 6 at n_terms = 2000, else
+    # no far tier
     table = build_coefficients(params)
-    moments = 0 if degree is None else degree + 1
-    for fn, sums in ((table._common_part, 1), (table._both_parts, 2)):
+    moments = len(far_tier(params)[1])
+    assert moments == {23: 16, 104: 6}.get(live_terms, 0)
+    for fn in (table._common_part, table._both_parts):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
-        assert len(literals) == 2 * live_terms + sums * moments, fn.__name__
+        assert len(literals) == 2 * live_terms + moments, fn.__name__
 
 
 def test_far_tier_at_the_defaults():
