@@ -14,8 +14,8 @@ This module builds those coefficients once, eagerly, so that evaluation
 is constant-time per call. What every series route runs (the paper's two
 parts, closed here once, and the refined series' accumulator) is compiled
 once per table into straight-line Python functions, one statement per term
-with the poles n^2 pi^2 and the other constants as complex literals, so a
-call pays no loop or tuple dispatch.
+(each quotient of the parts divided out once and added to its parity's sum)
+with the constants as complex literals, so a call pays no loop or dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
@@ -137,7 +137,7 @@ class CoefficientTable(_Record):
     ``_both_parts(tz, u, e_itz)``
                       (that part, -i e_itz (1/tz - 2 tz S')), the common and
                       refining parts, S' = sum_n (-1)^n c_n / (n^2 pi^2 - u),
-                      each quotient divided out once and added to both sums;
+                      each quotient divided out once and added to its parity's sum;
     ``_refined_sum(u, odd_num, even_num, skip, star)``
                       sum_n a_n num_n / (n^2 pi^2 - u) over the live terms,
                       num_n = odd_num for odd n and even_num for even n,
@@ -148,7 +148,8 @@ class CoefficientTable(_Record):
     ``build_coefficients``. Where |u| >= U = 2 p_max, p_max the largest live
     pole (10442.04, |z| >= 8.515, at the defaults), both parts take S and S'
     from their Laurent series in 1/u to degree K (15 at the defaults; see
-    ``_far_moments``); elsewhere all accumulate in ascending n from 0j. Each
+    ``_far_moments``); elsewhere S = odd + even and S' = even - odd, the odd-n
+    and even-n sums in descending n from 0j (``_refined_sum``: ascending). Each
     equals the same loop with the same far branch, over the same constants
     and closed the same way, bit for bit (on CPython up to 3.13; see
     ``_compile_sums``). ``a`` is a plain tuple, so
@@ -204,8 +205,11 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     ``compile``; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
 
     The far tier comes first: K + 1 Horner steps in v = 1/u over the moments,
-    about half the operations of the partial fractions and no less accurate;
-    that of ``_both_parts`` takes the common part from ``_common_part``.
+    half the operations of the partial fractions, within 3.6e-16 of 40 digits;
+    that of ``_both_parts`` takes the common part from ``_common_part``. Both
+    parts share the near tier's lines ``odd += c_n / (p_n - u)`` or ``even +=``,
+    in descending n: past the last pole both sums have one sign, S' = even - odd
+    cancels, and ascending n lost up to 0.26 digits of ``voigt_k`` accuracy.
 
     One statement per term, never one chained expression, which nests one
     level per term and exhausts the compiler's recursion limit at large N;
@@ -221,9 +225,7 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     later quotient is a signed zero, which leaves the 0j-seeded sums
     unchanged; generation stops there.
     """
-    plain = ["def _common_part(tz, u):", "    acc = 0j"]
     live = []  # the literals (n^2 pi^2, c_n) of the pole sum, for _pole_sum and the far tier
-    fused = ["def _both_parts(tz, u, e_itz):", "    common = 0j", "    alternating = 0j"]
     refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
     for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
         pole = repr(complex(n2pi2))
@@ -233,23 +235,21 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
                            f"{complex(a_n)!r} * {num} / ({pole} - u)")
         if c_n == 0.0:
             break
-        coeff = repr(complex(c_n))
         live.append((complex(n2pi2), complex(c_n)))
-        plain.append(f"    acc += {coeff} / ({pole} - u)")
-        fused.append(f"    q = {coeff} / ({pole} - u)")
-        fused.append("    common += q")
-        fused.append(f"    alternating {'-' if n % 2 else '+'}= q")
-    plain.append(f"    return {_COMMON_PART.format('acc')}")
-    fused.append(f"    return {_COMMON_PART.format('common')}, "
-                 f"{_REFINING_PART.format('alternating')}")
     refined.append("    return acc")
+    near = ["    odd = even = 0j", *(f"    {('even', 'odd')[n % 2]} += {c!r} / ({p!r} - u)"
+                                   for n, (p, c) in reversed([*enumerate(live, 1)]))]
+    plain = ["def _common_part(tz, u):", *near,
+             f"    return {_COMMON_PART.format('(odd + even)')}"]
+    fused = ["def _both_parts(tz, u, e_itz):", *near,
+             f"{plain[-1]}, {_REFINING_PART.format('(even - odd)')}"]
     far, moments, alternating_moments = _far_moments(live)
     if moments:  # the far tier first, closed by the same templates
         test = [f"    if abs(u) >= {far!r}:", "        v = (1+0j) / u"]
-        plain[1:1] = [*test, f"        acc = {_horner(moments)}", "    " + plain[-1]]
-        fused[1:1] = [*test, f"        alternating = {_horner(alternating_moments)}",
-                      "        return _common_part(tz, u), "
-                      + _REFINING_PART.format("alternating")]
+        plain[1:1] = [*test, f"        s = {_horner(moments)}",
+                      f"        return {_COMMON_PART.format('s')}"]
+        fused[1:1] = [*test, f"        s = {_horner(alternating_moments)}",
+                      "        return _common_part(tz, u), " + _REFINING_PART.format("s")]
     namespace: dict = {}
     exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
          namespace)

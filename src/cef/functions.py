@@ -32,12 +32,12 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     which raises DomainError for y <= 0 and non-finite arguments.
 
     Worst relative error by region (README's table): against
-    scipy.special.wofz, 2.6e-13 at |x| < 3 for y < 1 (1.6e-10 just above
+    scipy.special.wofz, 2.9e-13 at |x| < 3 for y < 1 (2.5e-10 just above
     y_switch = 1, the pole sum) and 1.2e-15 at |x| >= 10; against 60-digit
     mpmath, 1.5e-15 at 7 <= |x| < 10 for y >= 1e-16 and 7.2e-15 below (the
     rounding of x^2 in e^{-x^2}). At 3 <= |x| < 7 the error is ~eps |w|,
-    so it grows as Re w falls to e^{-x^2}: 2.0e-11 for y in [1e-4, 1),
-    1.9e-7 in [1e-8, 1e-4), ~23 at (6.97, 1.1e-16), ~4e4 below y ~ 1e-16.
+    so it grows as Re w falls to e^{-x^2}: 2.3e-11 for y in [1e-4, 1),
+    2.2e-7 in [1e-8, 1e-4), ~21 at (6.97, 1.1e-16), ~4e4 below y ~ 1e-16.
     """
     z = complex(abs(x), y)
     if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):
@@ -87,9 +87,9 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     restriction of that series turns into a small-Re restriction here).
     Its poles, z = 0 (of 1/(tau_m z)) and z = +-i n pi / tau_m (n = 1..N,
     of the sum), raise DomainError through one ZeroDivisionError handler;
-    a non-finite z raises it too. OverflowError is raised where (tau_m z)^2
-    or the value is not finite (the latter for subnormal |z|, where
-    1/(tau_m z) overflows).
+    a non-finite z raises it too. OverflowError is raised where ``_scaled``
+    raises it and where the value is not finite (the latter for subnormal
+    |z|, where 1/(tau_m z) overflows).
     """
     tz, tz2 = _scaled(z, coeffs)
     try:

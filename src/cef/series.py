@@ -43,12 +43,12 @@ Numer. Anal. 7, 1970; Poppe & Wijers, ACM TOMS 16, 1990), see
 ``_FAR_ABS``). The paper's formulas never switch; the refined series applies
 two axis identities (see ``_refined``). Each argument rule raises from one
 function, the domain rule first: DomainError from
-``errors._require_upper_half_plane``, OverflowError where (tau_m z)^2 is not
-finite from ``_scaled`` and where a pole-sum value is not from ``_finite``.
+``errors._require_upper_half_plane``, OverflowError from ``_scaled`` for a
+large (tau_m z)^2 and where a pole-sum value is not finite from ``_finite``.
 All functions are pure and safe to call concurrently against a shared table.
-Summation runs in ascending n with plain double accumulation; the terms
-decay like e^{-n^2 h^2}, so compensated summation buys nothing at the
-tolerances targeted here.
+Each quotient of the parts is divided out once and added to its parity's
+sum, in descending n with plain double accumulation; the terms decay like
+e^{-n^2 h^2}, so compensated summation buys nothing at these tolerances.
 
 At the removable points tau_m z = n pi (n = 0 is the origin) a numerator
 and a denominator vanish together, and both forms lose ~eps/|tau_m z - n pi|.
@@ -147,14 +147,16 @@ _CONTINUED_FRACTION = Path.CONTINUED_FRACTION
 
 
 def _scaled(z: complex, coeffs: CoefficientTable) -> tuple[complex, complex]:
-    """tau_m z and (tau_m z)^2 for a paper formula: DomainError for a
-    non-finite z, else OverflowError naming z where the square is not."""
+    """tau_m z and u = (tau_m z)^2 for a paper formula: DomainError for a
+    non-finite z, else OverflowError naming z where |Re u| + |Im u| is not:
+    CPython's complex division by p_n - u forms a divisor up to that large,
+    which overflows off the axes before u does (|z| = 9.5e152, arg pi/8)."""
     tz = z * coeffs.params.tau_m
     tz2 = tz * tz
-    if not cmath.isfinite(tz2):
+    if not abs(tz2.real) + abs(tz2.imag) < math.inf:
         if not cmath.isfinite(z):
             raise DomainError(f"the paper formulas require a finite argument, got z = {z!r}")
-        raise OverflowError(f"(tau_m z)^2 overflowed at z = {z!r}; "
+        raise OverflowError(f"(tau_m z)^2 or a pole-sum divisor overflowed at z = {z!r}; "
                             "w_adaptive and w_full_plane evaluate w(z) there")
     return tz, tz2
 
@@ -262,8 +264,8 @@ def w_refined(z: complex, coeffs: CoefficientTable) -> complex:
 
     Reproduces the reference tables to full double precision over
     x in [0, 15] and stays accurate as y -> 0, removable points included.
-    Raises OverflowError once (tau_m z)^2 is not finite (|z| >~ 1.1e153 at
-    tau_m = 12).
+    Raises OverflowError once |Re| + |Im| of (tau_m z)^2 is not finite
+    (|z| >~ 9.5e152 to 1.1e153 at tau_m = 12, see ``_scaled``).
     """
     _require_upper_half_plane(z, "w_refined")
     _scaled(z, coeffs)
@@ -275,8 +277,8 @@ def w_cr(z: complex, coeffs: CoefficientTable) -> complex:
 
     Noticeably faster than ``w_refined`` (no complex exponential, constant
     numerators) but only trustworthy for y around 1 and above; at small y
-    it is documented to fail outright. Raises OverflowError once
-    (tau_m z)^2 is not finite, and once 1/(tau_m z) is (subnormal |z|).
+    it is documented to fail outright. Raises OverflowError where
+    ``_scaled`` does, and once 1/(tau_m z) is not finite (subnormal |z|).
     """
     _require_upper_half_plane(z, "w_cr")
     tz, tz2 = _scaled(z, coeffs)
@@ -291,8 +293,8 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
     It is the second of the table's ``_both_parts``, whose sum is
     ``w_adaptive``'s full route, so ``w_cr(z) + refining_part(z)`` equals
-    that route bit for bit. Raises OverflowError once (tau_m z)^2 is not
-    finite, and once 1/(tau_m z) is (subnormal |z|).
+    that route bit for bit. Raises OverflowError where ``_scaled`` does,
+    and once 1/(tau_m z) is not finite (subnormal |z|).
     """
     _require_upper_half_plane(z, "refining_part")
     tz, tz2 = _scaled(z, coeffs)
@@ -322,7 +324,7 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     fast path skips a call). The full route is common + refining from one
     call of ``_both_parts``, with tau_m z, its square and e^{i tau_m z}
     formed once, and each quotient c_n / (n^2 pi^2 - tau_m^2 z^2) divided
-    out once for both parts.
+    out once and added to its parity's sum.
     Next to a removable point, where |tau_m z| < 1 or Im tau_m z and
     |Im e^{i tau_m z}| are below _NEAR_POLE, ``_refined`` answers as REFINED.
     The compiled routes take only _TINY_Y < y < _FAR_Y with a finite

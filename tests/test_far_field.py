@@ -334,6 +334,30 @@ def test_paper_formulas_raise_where_the_square_overflows(fn, coeffs):
         assert repr(z) in str(info.value)
 
 
+@pytest.mark.parametrize("fn", [w_cr, w_refined, refining_part, erfc_cr_series])
+def test_paper_formulas_raise_where_the_divisor_overflows(fn, coeffs):
+    # at |z| = 9.5e152 (tau_m z)^2 is finite on every ray, but off the axes
+    # |Re u| + |Im u|, which complex division by n^2 pi^2 - u forms, is not:
+    # w_cr and w_refined were 0.85 off there, refining_part 0
+    for angle in (math.pi / 8, 3 * math.pi / 8):
+        z = cmath.rect(9.5e152, angle)
+        assert cmath.isfinite((12.0 * z) * (12.0 * z))
+        with pytest.raises(OverflowError, match="overflowed") as info:
+            fn(z, coeffs)
+        assert repr(z) in str(info.value)
+    for angle in (0.1, math.pi / 4):
+        assert cmath.isfinite(fn(cmath.rect(9.5e152, angle), coeffs))
+
+
+@pytest.mark.parametrize("fn", [w_cr, w_refined])
+def test_paper_formulas_near_the_divisor_limit(fn, coeffs):
+    # where the divisor stays finite, the series still agree with the
+    # continued fraction (w ~ i/(sqrt(pi) z) out here)
+    for angle in (0.1, math.pi / 4):
+        z = cmath.rect(9.5e152, angle)
+        assert_close(fn(z, coeffs), z, 1e-14)
+
+
 @pytest.mark.parametrize("fn", [w_cr, refining_part, erfc_cr_series])
 def test_pole_sums_raise_where_one_over_tau_z_overflows(fn, coeffs):
     assert cmath.isfinite(fn(3e-309j, coeffs))

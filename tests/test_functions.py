@@ -64,6 +64,23 @@ class TestVoigt:
         for _ in range(200):
             assert voigt_k(rng.uniform(-15, 15), rng.uniform(1e-4, 15), coeffs) > 0.0
 
+    @pytest.mark.parametrize("band", [(0.0, 3.0, -300.0, 0.0, 2.9e-13),
+                                      (3.0, 7.0, -4.0, 0.0, 2.3e-11),
+                                      (3.0, 7.0, -8.0, -4.0, 2.2e-7)], ids=str)
+    def test_accuracy_by_band_against_wofz(self, band, coeffs):
+        # README's worst relative errors of K below y_switch, on 3000 seeded
+        # points a band, x of either sign and y log-uniform; the parity sums
+        # in ascending n fail them (4.5e-13 and 2.4e-7 here): past the last
+        # pole S' = even - odd cancels, and the small terms must come first
+        wofz = pytest.importorskip("scipy.special").wofz
+        x_lo, x_hi, e_lo, e_hi, bound = band
+        rng = random.Random(3)
+        for _ in range(3000):
+            x = rng.choice((-1.0, 1.0)) * rng.uniform(x_lo, x_hi)
+            y = 10.0 ** rng.uniform(e_lo, e_hi)
+            want = complex(wofz(complex(x, y))).real
+            assert rel_error(voigt_k(x, y, coeffs), want) <= bound, (x, y)
+
     def test_domain_errors(self, coeffs):
         with pytest.raises(DomainError):
             voigt_k(1.0, 0.0, coeffs)
