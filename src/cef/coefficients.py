@@ -39,6 +39,9 @@ __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# the far tier's rungs U / p_max, each just past a step of K at the defaults (_far_bands)
+_RUNGS = (1.35, 1.6, 2.0, 2.1, 2.3, 2.65, 3.1, 3.8, 5.0, 7.0, 10.5, 18.0)
+
 # the paper's two parts, each closing its pole sum; tz * 2.0 and (1+0j) put the
 # complex first
 _COMMON_PART = "1j / tz - 2j * tz * {}"
@@ -145,16 +148,15 @@ class CoefficientTable(_Record):
                       replaces none): the refined series' accumulator.
 
     All but ``_pole_sum`` are straight-line functions compiled by
-    ``build_coefficients``. Where |u| >= U = 2 p_max, p_max the largest live
-    pole (10442.04, |z| >= 8.515, at the defaults), both parts take S and S'
-    from their Laurent series in 1/u to degree K (15 at the defaults; see
-    ``_far_moments``); elsewhere S = odd + even and S' = even - odd, the odd-n
-    and even-n sums in descending n from 0j (``_refined_sum``: ascending). Each
-    equals the same loop with the same far branch, over the same constants
-    and closed the same way, bit for bit (on CPython up to 3.13; see
-    ``_compile_sums``). ``a`` is a plain tuple, so
-    the table is deeply immutable. The repr, == and hash cover ``params``
-    and ``a`` only. A table pickles as its parameters and is rebuilt.
+    ``build_coefficients``. Where |u| >= U_0 = 1.35 p_max, p_max the largest
+    live pole (7048.38, |z| >= 6.996, at the defaults), both parts take S and S'
+    from their Laurent series in 1/u, each radius band at its own degree (see
+    ``_far_bands``); elsewhere S = odd + even and S' = even - odd, the odd-n and
+    even-n sums in descending n from 0j (``_refined_sum``: ascending). Each
+    equals the same loop with the same bands, over the same constants and closed
+    the same way, bit for bit (on CPython up to 3.13; see ``_compile_sums``).
+    ``a`` is a plain tuple, so the table is deeply immutable. The repr, == and
+    hash cover ``params`` and ``a`` only, and a table pickles as its parameters.
     """
 
     _fields = __match_args__ = ("params", "a")
@@ -175,25 +177,34 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _far_moments(live: list[tuple[complex, complex]]) -> tuple[float, list, list]:
-    """U = 2 p_max and the coefficients -M_k, -M'_k (k = 0..K) of S = v sum_k
-    (-M_k) v^k and S', v = 1/u, |u| >= U: M_k = sum_n c_n p_n^k and M'_k =
-    sum_n (-1)^n c_n p_n^k over the live (p_n, c_n). K is the least degree
-    whose remainder bound sum_n c_n (p_n/U)^(K+1) / (1 - p_n/U) is at most
-    2^-55 sum_n c_n; U = inf where K + 1 reaches their number or a moment may overflow."""
-    far = 2.0 * live[-1][0].real if live else math.inf
-    total = math.fsum(c.real for _, c in live)
-    moments, alternating = [], []
+def _far_bands(live: list[tuple[complex, complex]]) -> tuple[list, list, list]:
+    """The far tier's bands (U_j, K_j), innermost first, and the coefficients -M_k,
+    -M'_k (k <= K_0) of S = v sum_k (-M_k) v^k and S', v = 1/u: M_k = sum_n c_n p_n^k
+    and M'_k = sum_n (-1)^n c_n p_n^k over the N live (p_n, c_n). Band j runs from
+    |u| = U_j at K_j, the least degree with sum_n c_n (p_n/U_j)^(K+1) / (1 - p_n/U_j)
+    <= 2^-55 sum_n c_n. U_0 is the least rung r p_max (r in ``_RUNGS``) with K + 1
+    < N; out from it each rung whose K falls starts a band. None where the rung 2
+    has no such K or a moment may overflow. One pass over k serves every rung."""
+    if not live:
+        return [], [], []
+    poles, weights = [p.real for p, _ in live], [c.real for _, c in live]
+    p_max, total = poles[-1], math.fsum(weights)
+    ratios = {rung: [p / (rung * p_max) for p in poles] for rung in _RUNGS}
+    unsettled, degrees, moments, alternating = list(_RUNGS), {}, [], []
     for k in range(len(live) - 1):
-        if k * math.log2(far) + math.log2(total) > 1000.0:
+        if not unsettled or k * math.log2(p_max) + math.log2(total) > 1000.0:
             break
-        terms = [c.real * p.real ** k for p, c in live]   # n = 1, 2, ...
+        terms = [c * p ** k for p, c in zip(poles, weights)]   # n = 1, 2, ...
         moments.append(-math.fsum(terms))
         alternating.append(math.fsum([*terms[0::2], *map(float.__neg__, terms[1::2])]))
-        if math.fsum(c.real * (p.real / far) ** (k + 1) / (1.0 - p.real / far)
-                     for p, c in live) <= 2.0 ** -55 * total:
-            return far, moments, alternating
-    return math.inf, [], []
+        while unsettled and math.fsum(c * x ** (k + 1) / (1.0 - x) for c, x in zip(
+                weights, ratios[unsettled[-1]])) <= 2.0 ** -55 * total:
+            degrees[unsettled.pop()] = k
+    if 2.0 not in degrees:
+        return [], [], []
+    kept = sorted(degrees.items())   # K falls or stays from each rung to the next
+    bands = [(r * p_max, k) for (r, k), (_, j) in zip(kept, [(0, math.inf), *kept]) if k < j]
+    return bands, moments[:bands[0][1] + 1], alternating[:bands[0][1] + 1]
 
 
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
@@ -201,25 +212,26 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
                   ) -> tuple[Callable, ...]:
     """Generate the table's functions from the poles n^2 pi^2, the factors c_n
     and the coefficients a_n, n = 1..N in order: the parts, closed by
-    ``_COMMON_PART`` and ``_REFINING_PART``, and ``_refined_sum`` in one
-    ``compile``; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
+    ``_COMMON_PART`` and ``_REFINING_PART``, and ``_refined_sum``, one
+    ``compile`` each; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
 
-    The far tier comes first: K + 1 Horner steps in v = 1/u over the moments,
-    half the operations of the partial fractions, within 3.6e-16 of 40 digits;
-    that of ``_both_parts`` takes the common part from ``_common_part``. Both
-    parts share the near tier's lines ``odd += c_n / (p_n - u)`` or ``even +=``,
-    in descending n: past the last pole both sums have one sign, S' = even - odd
-    cancels, and ascending n lost up to 0.26 digits of ``voigt_k`` accuracy.
+    The far tier comes first: K_j + 1 Horner steps in v = 1/u over the moments in
+    band j (at most 22 for 23 partial fractions at the defaults), within 4.4e-16
+    of 40 digits; that of ``_both_parts`` takes the common part from
+    ``_common_part``. Both parts share the near tier's lines ``odd += c_n / (p_n -
+    u)`` or ``even +=``, in descending n: past the last pole both sums have one
+    sign, S' = even - odd cancels, and ascending n lost up to 0.26 digits of
+    ``voigt_k`` accuracy.
 
-    One statement per term, never one chained expression, which nests one
-    level per term and exhausts the compiler's recursion limit at large N;
-    a far-tier sum is one expression, K + 1 <= 56 levels deep (p_n/U <= 1/2).
-    The constants are complex literals whose repr round-trips exactly, so
-    each float-complex operation of a loop over them becomes one
-    complex-complex operation with the same operands and rounding (CPython
-    up to 3.13 promoted the float to complex(x, 0.0); 3.14's mixed-mode
-    rules can change the sign of a zero imaginary part). The skipped term
-    of ``_refined_sum`` is added as -star, which rounds as subtracting star.
+    One statement per term, never one chained expression, which nests one level
+    per term and exhausts the compiler's recursion limit at large N; a far-tier
+    sum is one expression, K_0 + 1 <= 132 levels deep (p_n/U_0 <= 1/1.35) plus
+    one per band. The constants are complex literals whose repr round-trips
+    exactly, so each float-complex operation of a loop over them becomes one
+    complex-complex operation with the same operands and rounding (CPython up
+    to 3.13 promoted the float to complex(x, 0.0); 3.14's mixed-mode rules can
+    change the sign of a zero imaginary part). The skipped term of
+    ``_refined_sum`` is added as -star, which rounds as subtracting star.
 
     c_n and a_n decrease strictly, so once one underflows to 0.0 every
     later quotient is a signed zero, which leaves the 0j-seeded sums
@@ -243,16 +255,16 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
              f"    return {_COMMON_PART.format('(odd + even)')}"]
     fused = ["def _both_parts(tz, u, e_itz):", *near,
              f"{plain[-1]}, {_REFINING_PART.format('(even - odd)')}"]
-    far, moments, alternating_moments = _far_moments(live)
-    if moments:  # the far tier first, closed by the same templates
-        test = [f"    if abs(u) >= {far!r}:", "        v = (1+0j) / u"]
-        plain[1:1] = [*test, f"        s = {_horner(moments)}",
+    bands, moments, alternating_moments = _far_bands(live)
+    if bands:  # the far tier first, closed by the same templates
+        test = [f"    if (au := abs(u)) >= {bands[0][0]!r}:", "        v = (1+0j) / u"]
+        plain[1:1] = [*test, f"        s = {_laurent(bands, moments)}",
                       f"        return {_COMMON_PART.format('s')}"]
-        fused[1:1] = [*test, f"        s = {_horner(alternating_moments)}",
+        fused[1:1] = [*test, f"        s = {_laurent(bands, alternating_moments)}",
                       "        return _common_part(tz, u), " + _REFINING_PART.format("s")]
     namespace: dict = {}
-    exec(compile("\n".join(plain + fused + refined), f"<sums of {params!r}>", "exec"),
-         namespace)
+    for lines in (plain, fused, refined):   # one at a time: a lower peak of memory
+        exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
 
     def _pole_sum(u):
         acc = 0j
@@ -263,11 +275,19 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
             namespace["_refined_sum"])
 
 
-def _horner(coefficients: list[float]) -> str:
-    """v sum_k coefficients[k] v^k as one Horner expression, K + 1 levels deep."""
-    top, *rest = reversed(coefficients)
-    return "(" * len(rest) + repr(complex(top)) + "".join(
-        f" * v + {complex(m)!r})" for m in rest) + " * v"
+def _laurent(bands: list, coefficients: list[float]) -> str:
+    """v sum_k coefficients[k] v^k by Horner in v from degree K_j in band j: one
+    expression that tests the bands from the outermost inward and runs the
+    deepest terms first, each band's steps continuing those of the band inside."""
+    terms = [repr(complex(c)) for c in coefficients]
+    top = bands[0][1]
+    s = terms[top]
+    for far, low in [*bands[1:], (None, 0)]:   # continue s down to degree low
+        s = "(" * (top - low) + s + "".join(f" * v + {t})" for t in terms[low:top][::-1])
+        if far:   # the band from U_j = far starts at its own top term
+            s = f"({s} if au < {far!r} else {terms[low]})"
+        top = low
+    return s + " * v"
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:

@@ -27,9 +27,9 @@ CoefficientTable:
 
 Both parts are the table's compiled ``_common_part`` and ``_both_parts``, which
 write their formulas once: no route here writes one or runs a Python loop.
-Where |tau_m z|^2 is at least twice the largest live pole n^2 pi^2 (|z| >=
-8.515 at the defaults) they take the pole sums from Laurent series in
-1/(tau_m z)^2, in about half the operations.
+Where |tau_m z|^2 is at least 1.35 times the largest live pole n^2 pi^2 (|z| >=
+6.996 at the defaults) they take the pole sums from Laurent series in
+1/(tau_m z)^2 by radius band, in two thirds of the operations or fewer.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop,

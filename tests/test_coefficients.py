@@ -14,7 +14,7 @@ import pytest
 
 from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcome, GridSpec,
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
-from cef.coefficients import _far_moments
+from cef.coefficients import _RUNGS, _far_bands
 from cef.fixtures import ReferenceRow
 from conftest import ulp_diff
 
@@ -244,16 +244,22 @@ def loop_pole_sum(u, terms):
 
 
 def far_tier(params):
-    """U and the moments -M_k, -M'_k of the table's far tier, from the loop
-    terms; U is inf where the table has no far tier."""
-    return _far_moments([(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n])
+    """The bands (U_j, K_j) and the moments -M_k, -M'_k of the table's far
+    tier, from the loop terms; no bands where the table has no far tier."""
+    return _far_bands([(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n])
 
 
-def loop_laurent(u, moments):
-    """v sum_k moments[k] v^k, v = 1/u, by Horner from the top degree."""
+def band_degree(u, bands):
+    """K_j of the outermost band with U_j <= |u|, or None below them all."""
+    degrees = [degree for far, degree in bands if abs(u) >= far]
+    return degrees[-1] if degrees else None
+
+
+def loop_laurent(u, moments, degree):
+    """v sum_k moments[k] v^k (k <= degree), v = 1/u, by Horner from the top."""
     v = (1+0j) / u
-    acc = complex(moments[-1])
-    for m in moments[-2::-1]:
+    acc = complex(moments[degree])
+    for m in moments[degree - 1::-1]:
         acc = acc * v + complex(m)
     return acc * v
 
@@ -267,17 +273,19 @@ def loop_parity_sums(u, terms):
     return sums[1], sums[0]
 
 
-def loop_common_part(tz, u, terms, far=(math.inf, [], [])):
-    if abs(u) >= far[0]:
-        return 1j / tz - 2j * tz * loop_laurent(u, far[1])
+def loop_common_part(tz, u, terms, far=([], [], [])):
+    degree = band_degree(u, far[0])
+    if degree is not None:
+        return 1j / tz - 2j * tz * loop_laurent(u, far[1], degree)
     odd, even = loop_parity_sums(u, terms)
     return 1j / tz - 2j * tz * (odd + even)
 
 
-def loop_both_parts(tz, u, e_itz, terms, far=(math.inf, [], [])):
-    if abs(u) >= far[0]:
-        common = loop_laurent(u, far[1])
-        alternating = loop_laurent(u, far[2])
+def loop_both_parts(tz, u, e_itz, terms, far=([], [], [])):
+    degree = band_degree(u, far[0])
+    if degree is not None:
+        common = loop_laurent(u, far[1], degree)
+        alternating = loop_laurent(u, far[2], degree)
     else:
         odd, even = loop_parity_sums(u, terms)
         common, alternating = odd + even, even - odd
@@ -321,9 +329,8 @@ def sample_arguments(params):
     args = [(tau * z, (tau * z) * (tau * z)) for z in zs]
     args += [(1j, u) for u in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0),
                                complex(-2.5, -0.0))]
-    far = far_tier(params)[0]
-    if math.isfinite(far):
-        # on both sides of the far tier's threshold |u| = U
+    for far, _ in far_tier(params)[0]:
+        # on both sides of each band's threshold |u| = U_j
         below = math.nextafter(far, 0.0)
         args += [(1j, u) for u in (complex(far), complex(-far, -0.0), complex(0.0, far),
                                    complex(below), complex(0.0, -below))]
@@ -391,34 +398,71 @@ def test_poles_are_the_loop_poles(params):
     (SeriesParams(), 23),
     (SeriesParams(n_terms=2000), 104),   # c_n is 0.0 from n = 105 at tau_m = 12
     (SeriesParams(tau_m=0.1), 0),
-    (SeriesParams(n_terms=15), 15),   # K = 32: the pole sum is shorter, no far tier
-    (SeriesParams(tau_m=1e4, n_terms=600), 600),   # M_49 would overflow: no far tier
+    (SeriesParams(n_terms=15), 15),   # K = 32 at 2 p_max: the pole sum is shorter, no far tier
+    (SeriesParams(tau_m=1e4, n_terms=600), 600),   # K = 49 at 2 p_max, M_k may overflow
+                                                    # from k = 46: no far tier
 ])
 def test_underflowed_terms_generate_no_code(params, live_terms):
-    # 2 literals per live term, and the K + 1 moments of its pole sum in
-    # each part's far tier: 16 at the defaults, 6 at n_terms = 2000, else
-    # no far tier
+    # 2 literals per live term, and the K_0 + 1 moments of its pole sum in
+    # each part's far tier, K_0 the innermost band's degree: 22 at the
+    # defaults, 7 at n_terms = 2000, else no far tier
     table = build_coefficients(params)
     moments = len(far_tier(params)[1])
-    assert moments == {23: 16, 104: 6}.get(live_terms, 0)
+    assert moments == {23: 22, 104: 7}.get(live_terms, 0)
     for fn in (table._common_part, table._both_parts):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
         assert len(literals) == 2 * live_terms + moments, fn.__name__
 
 
-def test_far_tier_at_the_defaults():
-    # U = 2 p_max with p_max = 23^2 pi^2, and K = 15 the least degree whose
-    # remainder bound is at most 2^-55 sum_n c_n
-    terms = loop_terms(SeriesParams())
-    far, moments, alternating_moments = far_tier(SeriesParams())
-    assert far == 2.0 * terms[-1][0] and math.sqrt(far) / 12.0 == pytest.approx(8.5155, 1e-5)
-    assert len(moments) == len(alternating_moments) == 16
+def remainder_bound(terms, far, degree):
+    """The far tier's remainder bound at |u| = far for the degree."""
+    return math.fsum(c * (p / far) ** (degree + 1) / (1.0 - p / far) for p, c in terms)
 
-    def bound(degree):
-        return math.fsum(c * (p / far) ** (degree + 1) / (1.0 - p / far) for p, c in terms)
+
+def least_degree(terms, far):
+    """The least degree whose bound is at most 2^-55 sum_n c_n, or None below N - 1."""
     total = math.fsum(c for _, c in terms)
-    assert bound(15) <= 2.0 ** -55 * total < bound(14)
+    return next((k for k in range(len(terms) - 1)
+                 if remainder_bound(terms, far, k) <= 2.0 ** -55 * total), None)
+
+
+@pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
+def test_far_bands(params):
+    # U_0 is the least rung r p_max with K + 1 < N; a rung further out starts
+    # a band exactly where its least degree falls, so each band's K_j is the
+    # least degree that meets the bound at U_j and K_j - 1 fails it; the
+    # degrees strictly fall outward. No bands where the rung 2 has none.
+    terms = [(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n]
+    bands, moments, alternating_moments = far_tier(params)
+    if not terms or least_degree(terms, 2.0 * terms[-1][0]) is None:
+        assert bands == moments == alternating_moments == []
+        return
+    p_max = terms[-1][0]
+    total = math.fsum(c for _, c in terms)
+    rungs = [(rung * p_max, least_degree(terms, rung * p_max)) for rung in _RUNGS]
+    rungs = [(far, degree) for far, degree in rungs if degree is not None]
+    assert bands[0] == rungs[0]
+    assert bands == [(far, degree) for (far, degree), (_, inner) in zip(rungs, [(0, None), *rungs])
+                     if inner is None or degree < inner]
+    for far, degree in bands:
+        assert remainder_bound(terms, far, degree) <= 2.0 ** -55 * total, far
+        assert degree == 0 or remainder_bound(terms, far, degree - 1) > 2.0 ** -55 * total, far
+    assert all(b[0] < a[0] and a[1] < b[1] for b, a in zip(bands, bands[1:]))
+    assert len(moments) == len(alternating_moments) == bands[0][1] + 1
     assert moments[0] == -total
+
+
+def test_far_bands_at_the_defaults():
+    # the innermost band starts at 1.35 p_max (|z| = 6.996) with K = 21, and
+    # the single tier's U = 2 p_max and K = 15 stays a band
+    terms = loop_terms(SeriesParams())
+    bands, moments, _ = far_tier(SeriesParams())
+    p_max = terms[-1][0]
+    assert bands[0] == (1.35 * p_max, 21) and math.sqrt(bands[0][0]) / 12.0 == pytest.approx(
+        6.996, abs=5e-4)
+    assert (2.0 * p_max, 15) in bands
+    assert [degree for _, degree in bands] == [21, 17, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6]
+    assert len(moments) == 22
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -434,17 +478,19 @@ def test_table_survives_pickle_round_trip(params):
 
 
 def far_arguments(params, count=2000):
-    """About ``count`` (tz, u) with Im z >= 0 and |u| >= U: just above U at
-    every angle, on the imaginary axis with both signs of zero (where u has
-    a signed zero imaginary part), and log-uniform in |z| up to 1e153, or to
-    where (tau_m z)^2 would overflow."""
+    """About ``count`` (tz, u) with Im z >= 0 and |u| >= U_0: just above each
+    band's U_j in turn at every angle, on the imaginary axis with both signs
+    of zero (where u has a signed zero imaginary part), and log-uniform in
+    |z| up to 1e153, or to where (tau_m z)^2 would overflow."""
     tau = params.tau_m
-    low = math.sqrt(far_tier(params)[0]) / tau
+    edges = [math.sqrt(far) / tau for far, _ in far_tier(params)[0]]
+    low = edges[0]
     high = min(1e153, 0.5 * math.sqrt(sys.float_info.max) / tau)
     rng = random.Random(31)
     zs = []
-    for _ in range(-(-count // 3)):
-        zs.append(cmath.rect(low * (1.0 + 10.0 ** rng.uniform(-12, -2)), math.pi * rng.random()))
+    for i in range(-(-count // 3)):
+        edge = edges[i % len(edges)]
+        zs.append(cmath.rect(edge * (1.0 + 10.0 ** rng.uniform(-12, -2)), math.pi * rng.random()))
         zs.append(complex(rng.choice((0.0, -0.0)), low * (high / low) ** rng.random()))
         zs.append(cmath.rect(low * (high / low) ** rng.random(), math.pi * rng.random()))
     return [(tau * z, (tau * z) * (tau * z)) for z in zs]
@@ -487,8 +533,8 @@ def test_far_tier_against_40_digits(params):
     # a 40-digit sum over the same constants, and no farther off than the
     # ascending partial fractions it replaced; the full route is the two parts
     # added. (The near tier's descending parity sums are more accurate out
-    # here: 3.0e-16 worst against the far tier's 3.6e-16 at the defaults.)
-    if not math.isfinite(far_tier(params)[0]):
+    # here: 2.9e-16 worst against the far tier's 3.3e-16 at the defaults.)
+    if not far_tier(params)[0]:
         assert "abs" not in build_coefficients(params)._common_part.__code__.co_names
         return
     table = build_coefficients(params)
