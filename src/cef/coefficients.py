@@ -135,8 +135,8 @@ class CoefficientTable(_Record):
     The functions are implementation details. With tz = tau_m z,
     u = tz^2, c_n = exp(-n^2 pi^2 / tau_m^2) and n = 1..N:
 
-    ``_pole_sum(u)``  S = sum_n c_n / (n^2 pi^2 - u), for ``erfc_cr_series``;
-    ``_common_part(tz, u)``  i/tz - 2i tz S, the paper's common part;
+    ``_common_part(tz, u)``  i/tz - 2i tz S, the paper's common part, with
+                      S = sum_n c_n / (n^2 pi^2 - u);
     ``_both_parts(tz, u, e_itz)``
                       (that part, -i e_itz (1/tz - 2 tz S')), the common and
                       refining parts, S' = sum_n (-1)^n c_n / (n^2 pi^2 - u),
@@ -147,8 +147,9 @@ class CoefficientTable(_Record):
                       with the term n = skip replaced by -star (skip = 0
                       replaces none): the refined series' accumulator.
 
-    All but ``_pole_sum`` are straight-line functions compiled by
-    ``build_coefficients``. Where |u| >= U_0 = 1.35 p_max, p_max the largest
+    All three are straight-line functions compiled by ``build_coefficients``;
+    ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share the
+    common part. Where |u| >= U_0 = 1.35 p_max, p_max the largest
     live pole (7048.38, |z| >= 6.996, at the defaults), both parts take S and S'
     from their Laurent series in 1/u, each radius band at its own degree (see
     ``_far_bands``); elsewhere S = odd + even and S' = even - odd, the odd-n and
@@ -162,13 +163,12 @@ class CoefficientTable(_Record):
     _fields = __match_args__ = ("params", "a")
     params: SeriesParams
     a: tuple[float, ...]
-    _pole_sum: Callable[[complex], complex]
     _common_part: Callable[[complex, complex], complex]
     _both_parts: Callable[[complex, complex, complex], tuple[complex, complex]]
     _refined_sum: Callable[[complex, complex, complex, int, complex], complex]
 
-    def __init__(self, params, a, _pole_sum, _common_part, _both_parts, _refined_sum) -> None:
-        vars(self).update(params=params, a=a, _pole_sum=_pole_sum, _common_part=_common_part,
+    def __init__(self, params, a, _common_part, _both_parts, _refined_sum) -> None:
+        vars(self).update(params=params, a=a, _common_part=_common_part,
                           _both_parts=_both_parts, _refined_sum=_refined_sum)
 
     def __reduce__(self):
@@ -177,7 +177,7 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _far_bands(live: list[tuple[complex, complex]]) -> tuple[list, list, list]:
+def _far_bands(live: list[tuple[float, float]]) -> tuple[list, list, list]:
     """The far tier's bands (U_j, K_j), innermost first, and the coefficients -M_k,
     -M'_k (k <= K_0) of S = v sum_k (-M_k) v^k and S', v = 1/u: M_k = sum_n c_n p_n^k
     and M'_k = sum_n (-1)^n c_n p_n^k over the N live (p_n, c_n). Band j runs from
@@ -187,7 +187,7 @@ def _far_bands(live: list[tuple[complex, complex]]) -> tuple[list, list, list]:
     has no such K or a moment may overflow. One pass over k serves every rung."""
     if not live:
         return [], [], []
-    poles, weights = [p.real for p, _ in live], [c.real for _, c in live]
+    poles, weights = zip(*live)
     p_max, total = poles[-1], math.fsum(weights)
     ratios = {rung: [p / (rung * p_max) for p in poles] for rung in _RUNGS}
     unsettled, degrees, moments, alternating = list(_RUNGS), {}, [], []
@@ -213,7 +213,7 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     """Generate the table's functions from the poles n^2 pi^2, the factors c_n
     and the coefficients a_n, n = 1..N in order: the parts, closed by
     ``_COMMON_PART`` and ``_REFINING_PART``, and ``_refined_sum``, one
-    ``compile`` each; ``_pole_sum``, for ``erfc_cr_series``, loops over the literals.
+    ``compile`` each.
 
     The far tier comes first: K_j + 1 Horner steps in v = 1/u over the moments in
     band j (at most 22 for 23 partial fractions at the defaults), within 4.4e-16
@@ -237,7 +237,7 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     later quotient is a signed zero, which leaves the 0j-seeded sums
     unchanged; generation stops there.
     """
-    live = []  # the literals (n^2 pi^2, c_n) of the pole sum, for _pole_sum and the far tier
+    live = []  # the (n^2 pi^2, c_n) of the pole sum with c_n > 0
     refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
     for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
         pole = repr(complex(n2pi2))
@@ -247,9 +247,10 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
                            f"{complex(a_n)!r} * {num} / ({pole} - u)")
         if c_n == 0.0:
             break
-        live.append((complex(n2pi2), complex(c_n)))
+        live.append((n2pi2, c_n))
     refined.append("    return acc")
-    near = ["    odd = even = 0j", *(f"    {('even', 'odd')[n % 2]} += {c!r} / ({p!r} - u)"
+    near = ["    odd = even = 0j", *(f"    {('even', 'odd')[n % 2]} += {complex(c)!r} / "
+                                   f"({complex(p)!r} - u)"
                                    for n, (p, c) in reversed([*enumerate(live, 1)]))]
     plain = ["def _common_part(tz, u):", *near,
              f"    return {_COMMON_PART.format('(odd + even)')}"]
@@ -265,14 +266,7 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     namespace: dict = {}
     for lines in (plain, fused, refined):   # one at a time: a lower peak of memory
         exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
-
-    def _pole_sum(u):
-        acc = 0j
-        for pole, coeff in live:
-            acc += coeff / (pole - u)
-        return acc
-    return (_pole_sum, namespace["_common_part"], namespace["_both_parts"],
-            namespace["_refined_sum"])
+    return namespace["_common_part"], namespace["_both_parts"], namespace["_refined_sum"]
 
 
 def _laurent(bands: list, coefficients: list[float]) -> str:

@@ -6,9 +6,9 @@ Im w(x + iy) is its odd-in-x companion. erfc follows from the identity
 erfc(z) = e^{-z^2} w(iz) for Re z >= 0 and from erfc(z) = 2 - erfc(-z)
 for Re z < 0; L and erfc take w from ``w_full_plane``. The direct
 pole-sum approximation of erfc (``erfc_cr_series``), kept for validation,
-evaluates the same compiled pole sum as ``w_cr`` and, like it, is only
-accurate at larger Re z. Both erfc functions take e^{-z^2} and its range
-rules from ``plane._exp_neg_square``.
+is e^{-z^2} w_cr(iz): the table's compiled common part at i tau_m z, so,
+like ``w_cr``, it is only accurate at larger Re z. Both erfc functions take
+e^{-z^2} and its range rules from ``plane._exp_neg_square``.
 """
 
 from __future__ import annotations
@@ -77,14 +77,16 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
-    """Direct pole-sum approximation of erfc,
+    """Direct pole-sum approximation of erfc, e^{-z^2} w_cr(iz),
 
         e^{-z^2} (1/(tau_m z) + 2 tau_m z sum_n e^{-n^2 pi^2/tau_m^2}
                                              / (n^2 pi^2 + tau_m^2 z^2)),
 
-    the table's compiled pole sum at u = -(tau_m z)^2. Accurate only for
-    larger Re z (it is the pole sum of w evaluated at iz, so the small-Im
-    restriction of that series turns into a small-Re restriction here).
+    the table's compiled common part at i tau_m z and u = -(tau_m z)^2. Where
+    w(iz) takes the common part alone, this is ``erfc_complex``'s value bit for
+    bit. Accurate only for larger Re z (it is the pole sum of w evaluated at
+    iz, so the small-Im restriction of that series turns into a small-Re
+    restriction here).
     Its poles, z = 0 (of 1/(tau_m z)) and z = +-i n pi / tau_m (n = 1..N,
     of the sum), raise DomainError through one ZeroDivisionError handler;
     a non-finite z raises it too. OverflowError is raised where ``_scaled``
@@ -93,7 +95,7 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
     """
     tz, tz2 = _scaled(z, coeffs)
     try:
-        series = 1.0 / tz + 2.0 * tz * coeffs._pole_sum(-tz2)
+        common = coeffs._common_part(1j * tz, -tz2)
     except ZeroDivisionError:
         raise DomainError(f"erfc_cr_series has an explicit pole at z = {z!r}") from None
-    return _finite(_exp_neg_square(z, series), z)
+    return _finite(_exp_neg_square(z, common), z)

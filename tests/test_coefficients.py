@@ -184,10 +184,10 @@ def test_table_record_contract():
     assert repr(table) == f"CoefficientTable(params={params!r}, a={table.a!r})"
     assert hash(table) == hash((table.params, table.a))
     # the compiled sums take no part in == or hash
-    bare = CoefficientTable(params=params, a=table.a, _pole_sum=None, _common_part=None,
-                            _both_parts=None, _refined_sum=None)
+    bare = CoefficientTable(params=params, a=table.a, _common_part=None, _both_parts=None,
+                            _refined_sum=None)
     assert bare == table and hash(bare) == hash(table)
-    assert CoefficientTable(params, (0.0,), None, None, None, None) != table
+    assert CoefficientTable(params, (0.0,), None, None, None) != table
     assert table != (params, table.a)
     assert table.__eq__(params) is NotImplemented
     assert table.__reduce__() == (build_coefficients, (params,))
@@ -234,13 +234,6 @@ def loop_terms(params):
     return [((n * n) * (math.pi * math.pi),
              math.exp(-(n * n) * (math.pi * math.pi) / tau_sq))
             for n in range(1, params.n_terms + 1)]
-
-
-def loop_pole_sum(u, terms):
-    acc = 0j
-    for n2pi2, c_n in terms:
-        acc += c_n / (n2pi2 - u)
-    return acc
 
 
 def far_tier(params):
@@ -344,7 +337,6 @@ def test_compiled_sums_equal_loops_bitwise(params):
     far = far_tier(params)
     for tz, u in sample_arguments(params):
         e_itz = cmath.exp(1j * tz)
-        assert bits(table._pole_sum(u)) == bits(loop_pole_sum(u, terms)), u
         assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms, far)), u
         common, refining = table._both_parts(tz, u, e_itz)
         want_common, want_refining = loop_both_parts(tz, u, e_itz, terms, far)

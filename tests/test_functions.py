@@ -226,8 +226,29 @@ class TestErfcSeries:
         assert rel_error(erfc_cr_series(3.0 + 0j, coeffs).real, ERFC_ORACLE[3.0]) <= 1e-11
 
     def test_agrees_with_identity_route_at_large_x(self, coeffs):
-        for z in (2.0 + 0j, 3.0 + 0j, 5.0 + 0j, 8.0 + 0j, 2.0 + 0.3j, 4.0 - 0.5j):
+        # the last six take the compiled common part's far tier
+        for z in (2.0 + 0j, 3.0 + 0j, 5.0 + 0j, 8.0 + 0j, 2.0 + 0.3j, 4.0 - 0.5j,
+                  9.0 + 2.0j, 9.0 - 2.0j, 12.5 - 3.0j, 20.0 + 15.0j, 20.0 - 15.0j,
+                  30.0 + 28.0j):
             assert rel_error(erfc_cr_series(z, coeffs), erfc_complex(z, coeffs)) <= 1e-12
+
+    def test_equals_identity_route_where_w_takes_the_common_part(self, coeffs):
+        # e^{-z^2} w_cr(iz) is erfc_complex's product wherever w(iz) takes the
+        # common part alone: y_switch <= Re z and |z| < 7, both half-planes and
+        # the real axis with both zero signs
+        rng = random.Random(20121016)
+        low = coeffs.params.y_switch
+        zs = []
+        while len(zs) < 1600:
+            z = complex(rng.uniform(low, 7.0), rng.uniform(-7.0, 7.0))
+            if abs(z) < 7.0:
+                zs.append(z)
+        for _ in range(200):
+            x = rng.uniform(low, 7.0)
+            zs += [complex(x, 0.0), complex(x, -0.0)]
+        for z in zs:
+            got, want = erfc_cr_series(z, coeffs), erfc_complex(z, coeffs)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
 
     def test_documented_failure_at_small_argument(self, coeffs):
         got = erfc_cr_series(0.01 + 0j, coeffs)

@@ -1,10 +1,10 @@
 """Leftovers the interpreter does not report: a module-level import that its
 module never uses, a module-level private name that nothing in the
-package uses, both read from the source with ``ast``, and a source line
-longer than MAX_LINE characters. Also read with ``ast``: the oracle's
-imports from the package, which keep it an independent reference, and
-the modules that importing the package would load, which leave out
-``dataclasses`` and ``typing``."""
+package uses, a module-level helper in ``tests/`` that no test calls, all
+read from the source with ``ast``, and a source line longer than MAX_LINE
+characters. Also read with ``ast``: the oracle's imports from the package,
+which keep it an independent reference, and the modules that importing
+the package would load, which leave out ``dataclasses`` and ``typing``."""
 
 import ast
 import pathlib
@@ -15,6 +15,8 @@ PACKAGE = pathlib.Path(cef.__file__).parent
 MAX_LINE = 99
 SOURCES = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
+TEST_TREES = {path.name: ast.parse(path.read_text(), path.name)
+              for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))}
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -64,6 +66,31 @@ def test_every_module_level_private_name_is_used():
     unused = [f"{name}: {private}" for name, tree in TREES.items()
               for private in sorted(module_level_private_names(tree) - used)]
     assert not unused, unused
+
+
+def called_names(tree: ast.AST) -> set[str]:
+    """The names and attributes called anywhere in the tree."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
+def is_fixture(node: ast.FunctionDef) -> bool:
+    """Decorated with ``pytest.fixture``, bare or called."""
+    return any(isinstance(target := getattr(d, "func", d), ast.Attribute)
+               and target.attr == "fixture" for d in node.decorator_list)
+
+
+def test_every_test_helper_is_called():
+    called = set().union(*(called_names(tree) for tree in TEST_TREES.values()))
+    uncalled = [f"{name}: {node.name}" for name, tree in TEST_TREES.items()
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
+                and not is_fixture(node) and node.name not in called]
+    assert not uncalled, uncalled
 
 
 def test_no_line_is_longer_than_max_line():

@@ -11,8 +11,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from cef import (CoefficientTable, DomainError, Path, SeriesParams, build_coefficients,
-                 refining_part, w_adaptive, w_cr, w_refined)
+                 erfc_cr_series, refining_part, w_adaptive, w_cr, w_refined)
 from cef.fixtures import reference_rows
+from cef.plane import _exp_neg_square
 from cef.series import _refined
 from conftest import component_rel_errors, mp_w, rel_error
 
@@ -236,11 +237,12 @@ def test_routes_return_the_tables_parts(coeffs):
     # no route derives a part itself: with a table whose compiled parts
     # return sentinels, each route returns them (the full route their sum)
     common, both = 0.25 + 0.5j, (-8.0 + 4.0j, 1024.0 - 2048.0j)
-    table = CoefficientTable(coeffs.params, coeffs.a, coeffs._pole_sum,
-                             lambda tz, u: common, lambda tz, u, e_itz: both,
-                             coeffs._refined_sum)
+    table = CoefficientTable(coeffs.params, coeffs.a, lambda tz, u: common,
+                             lambda tz, u, e_itz: both, coeffs._refined_sum)
     high, low = 0.7 + 2.0j, 0.3 + 0.5j
     assert w_cr(high, table) == w_cr(low, table) == common
+    for z in (high, low, 3.0 - 1.5j):   # e^{-z^2} w_cr(iz)
+        assert erfc_cr_series(z, table) == _exp_neg_square(z, common), z
     assert refining_part(high, table) == refining_part(low, table) == both[1]
     assert w_adaptive(high, table) == (common, Path.COMMON_ONLY)
     assert w_adaptive(low, table) == (both[0] + both[1], Path.FULL_DECOMPOSITION)
