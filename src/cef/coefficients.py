@@ -12,9 +12,9 @@ whose coefficients have the closed form
 
 This module builds those coefficients once, eagerly, so that evaluation
 is constant-time per call. What every series route runs (the paper's two
-parts, closed here once, and the refined series' accumulator) is compiled
-once per table into straight-line Python functions, one statement per term
-(each quotient of the parts divided out once and added to its parity's sum)
+parts, closed here once, and the parity sums the refined series closes) is
+compiled once per table into straight-line Python functions, one statement
+per term (each quotient divided out once and added to its parity's sum)
 with the constants as complex literals, so a call pays no loop or dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
@@ -141,11 +141,10 @@ class CoefficientTable(_Record):
                       (that part, -i e_itz (1/tz - 2 tz S')), the common and
                       refining parts, S' = sum_n (-1)^n c_n / (n^2 pi^2 - u),
                       each quotient divided out once and added to its parity's sum;
-    ``_refined_sum(u, odd_num, even_num, skip, star)``
-                      sum_n a_n num_n / (n^2 pi^2 - u) over the live terms,
-                      num_n = odd_num for odd n and even_num for even n,
-                      with the term n = skip replaced by -star (skip = 0
-                      replaces none): the refined series' accumulator.
+    ``_refined_sum(u, skip)``
+                      (odd, even), the odd-n and even-n sums of S without
+                      the term n = skip (skip = 0 drops none): the refined
+                      series, which writes that term in closed form.
 
     All three are straight-line functions compiled by ``build_coefficients``;
     ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share the
@@ -153,7 +152,7 @@ class CoefficientTable(_Record):
     live pole (7048.38, |z| >= 6.996, at the defaults), both parts take S and S'
     from their Laurent series in 1/u, each radius band at its own degree (see
     ``_far_bands``); elsewhere S = odd + even and S' = even - odd, the odd-n and
-    even-n sums in descending n from 0j (``_refined_sum``: ascending). Each
+    even-n sums in descending n from 0j, as in ``_refined_sum``. Each
     equals the same loop with the same bands, over the same constants and closed
     the same way, bit for bit (on CPython up to 3.13; see ``_compile_sums``).
     ``a`` is a plain tuple, so the table is deeply immutable. The repr, == and
@@ -165,7 +164,7 @@ class CoefficientTable(_Record):
     a: tuple[float, ...]
     _common_part: Callable[[complex, complex], complex]
     _both_parts: Callable[[complex, complex, complex], tuple[complex, complex]]
-    _refined_sum: Callable[[complex, complex, complex, int, complex], complex]
+    _refined_sum: Callable[[complex, int], tuple[complex, complex]]
 
     def __init__(self, params, a, _common_part, _both_parts, _refined_sum) -> None:
         vars(self).update(params=params, a=a, _common_part=_common_part,
@@ -207,21 +206,19 @@ def _far_bands(live: list[tuple[float, float]]) -> tuple[list, list, list]:
     return bands, moments[:bands[0][1] + 1], alternating[:bands[0][1] + 1]
 
 
-def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
-                  exp_factors: list[float], a: tuple[float, ...]
+def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: list[float]
                   ) -> tuple[Callable, ...]:
-    """Generate the table's functions from the poles n^2 pi^2, the factors c_n
-    and the coefficients a_n, n = 1..N in order: the parts, closed by
-    ``_COMMON_PART`` and ``_REFINING_PART``, and ``_refined_sum``, one
-    ``compile`` each.
+    """Generate the table's functions from the poles n^2 pi^2 and the factors
+    c_n, n = 1..N in order: the parts, closed by ``_COMMON_PART`` and
+    ``_REFINING_PART``, and ``_refined_sum``, one ``compile`` each.
 
     The far tier comes first: K_j + 1 Horner steps in v = 1/u over the moments in
     band j (at most 22 for 23 partial fractions at the defaults), within 4.4e-16
     of 40 digits; that of ``_both_parts`` takes the common part from
-    ``_common_part``. Both parts share the near tier's lines ``odd += c_n / (p_n -
-    u)`` or ``even +=``, in descending n: past the last pole both sums have one
-    sign, S' = even - odd cancels, and ascending n lost up to 0.26 digits of
-    ``voigt_k`` accuracy.
+    ``_common_part``. All three share the near tier's lines ``odd += c_n / (p_n -
+    u)`` or ``even +=``, in descending n (``_refined_sum``'s each behind ``if
+    skip != n:``): past the last pole both sums have one sign, S' = even - odd
+    cancels, and ascending n lost up to 0.26 digits of ``voigt_k`` accuracy.
 
     One statement per term, never one chained expression, which nests one level
     per term and exhausts the compiler's recursion limit at large N; a far-tier
@@ -230,32 +227,23 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...],
     exactly, so each float-complex operation of a loop over them becomes one
     complex-complex operation with the same operands and rounding (CPython up
     to 3.13 promoted the float to complex(x, 0.0); 3.14's mixed-mode rules can
-    change the sign of a zero imaginary part). The skipped term of
-    ``_refined_sum`` is added as -star, which rounds as subtracting star.
+    change the sign of a zero imaginary part).
 
-    c_n and a_n decrease strictly, so once one underflows to 0.0 every
-    later quotient is a signed zero, which leaves the 0j-seeded sums
-    unchanged; generation stops there.
+    c_n decreases strictly, so once it underflows to 0.0 every later quotient
+    is a signed zero, which leaves the 0j-seeded sums unchanged; those terms
+    generate no code.
     """
-    live = []  # the (n^2 pi^2, c_n) of the pole sum with c_n > 0
-    refined = ["def _refined_sum(u, odd_num, even_num, skip, star):", "    acc = 0j"]
-    for n, (n2pi2, c_n, a_n) in enumerate(zip(poles, exp_factors, a[1:]), start=1):
-        pole = repr(complex(n2pi2))
-        if a_n != 0.0:
-            num = "odd_num" if n % 2 else "even_num"
-            refined.append(f"    acc += -star if skip == {n} else "
-                           f"{complex(a_n)!r} * {num} / ({pole} - u)")
-        if c_n == 0.0:
-            break
-        live.append((n2pi2, c_n))
-    refined.append("    return acc")
-    near = ["    odd = even = 0j", *(f"    {('even', 'odd')[n % 2]} += {complex(c)!r} / "
-                                   f"({complex(p)!r} - u)"
-                                   for n, (p, c) in reversed([*enumerate(live, 1)]))]
+    # the (n^2 pi^2, c_n) of the pole sums with c_n > 0, and their lines in descending n
+    live = [(n2pi2, c_n) for n2pi2, c_n in zip(poles, exp_factors) if c_n]
+    terms = [(n, f"{('even', 'odd')[n % 2]} += {complex(c)!r} / ({complex(p)!r} - u)")
+             for n, (p, c) in reversed([*enumerate(live, 1)])]
+    near = ["    odd = even = 0j", *(f"    {term}" for _, term in terms)]
     plain = ["def _common_part(tz, u):", *near,
              f"    return {_COMMON_PART.format('(odd + even)')}"]
     fused = ["def _both_parts(tz, u, e_itz):", *near,
              f"{plain[-1]}, {_REFINING_PART.format('(even - odd)')}"]
+    refined = ["def _refined_sum(u, skip):", near[0],
+               *(f"    if skip != {n}: {term}" for n, term in terms), "    return odd, even"]
     bands, moments, alternating_moments = _far_bands(live)
     if bands:  # the far tier first, closed by the same templates
         test = [f"    if (au := abs(u)) >= {bands[0][0]!r}:", "        v = (1+0j) / u"]
@@ -299,5 +287,5 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
     poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, params.n_terms + 1))
     exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
     a = tuple(prefactor * c for c in exp_factors)
-    return CoefficientTable(params, a, *_compile_sums(params, poles, exp_factors[1:], a))
+    return CoefficientTable(params, a, *_compile_sums(params, poles, exp_factors[1:]))
 

@@ -8,12 +8,14 @@ for Re z < 0; L and erfc take w from ``w_full_plane``. The direct
 pole-sum approximation of erfc (``erfc_cr_series``), kept for validation,
 is e^{-z^2} w_cr(iz): the table's compiled common part at i tau_m z, so,
 like ``w_cr``, it is only accurate at larger Re z. Both erfc functions take
-e^{-z^2} and its range rules from ``plane._exp_neg_square``.
+e^{-z^2} and its range rules from ``plane._exp_neg_square``, and fold Im z < 0
+or -0.0 to conj erfc(conj z): erfc(conj z) = conj erfc(z) bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 from .coefficients import CoefficientTable
 from .errors import DomainError, _require_upper_half_plane
@@ -70,10 +72,22 @@ def erfc_complex(z: complex, coeffs: CoefficientTable) -> complex:
     Re erfc(iy) = 1 is returned exactly, which the product missed by ~1 ulp,
     and by 6.2e-15 where Re w(-y) = e^{-y^2} is subnormal (+-26.7i).
     """
-    if z.real < 0.0:
-        return 2.0 - erfc_complex(-z, coeffs)
+    if math.copysign(1.0, z.imag) < 0.0:
+        return _conjugate(erfc_complex, z, coeffs)
+    if not cmath.isfinite(z):
+        raise DomainError(f"erfc_complex requires a finite argument, got z = {z!r}")
+    if z.real < 0.0:   # e^{-(-z)^2} is e^{-z^2}: (-z) * (-z) is z * z bit for bit
+        return 2.0 - _exp_neg_square(z, w_full_plane(1j * -z, coeffs)[0])
     value = _exp_neg_square(z, w_full_plane(1j * z, coeffs)[0])
     return complex(1.0, value.imag) if z.real == 0.0 else value
+
+
+def _conjugate(erfc, z: complex, coeffs: CoefficientTable) -> complex:
+    """conj erfc(conj z); an error, raised at conj z, names z instead."""
+    try:
+        return erfc(z.conjugate(), coeffs).conjugate()
+    except (DomainError, OverflowError) as error:
+        raise type(error)(str(error).replace(repr(z.conjugate()), repr(z))) from None
 
 
 def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
@@ -84,15 +98,16 @@ def erfc_cr_series(z: complex, coeffs: CoefficientTable) -> complex:
 
     the table's compiled common part at i tau_m z and u = -(tau_m z)^2. Where
     w(iz) takes the common part alone, this is ``erfc_complex``'s value bit for
-    bit. Accurate only for larger Re z (it is the pole sum of w evaluated at
-    iz, so the small-Im restriction of that series turns into a small-Re
-    restriction here).
+    bit. Accurate only for larger Re z: at iz, the pole sum's small-Im
+    restriction becomes a small-Re one.
     Its poles, z = 0 (of 1/(tau_m z)) and z = +-i n pi / tau_m (n = 1..N,
     of the sum), raise DomainError through one ZeroDivisionError handler;
     a non-finite z raises it too. OverflowError is raised where ``_scaled``
     raises it and where the value is not finite (the latter for subnormal
     |z|, where 1/(tau_m z) overflows).
     """
+    if math.copysign(1.0, z.imag) < 0.0:
+        return _conjugate(erfc_cr_series, z, coeffs)
     tz, tz2 = _scaled(z, coeffs)
     try:
         common = coeffs._common_part(1j * tz, -tz2)

@@ -221,9 +221,11 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     = i (sin h / h) e^{i h} with h = d/2; sin(h)/h, not 2 sin(h)/d, so that
     a subnormal d, which halves inexactly, adds no rounding. Only for
     |d| < 1 and |n*| <= N: beyond, no term cancels and sin h overflows
-    at large y. The sum over the terms up to the last a_n > 0 is the
-    table's compiled ``_refined_sum``, which takes the closed-form term as
-    ``star`` in place of term |n*| (past the last a_n > 0, both are zeros).
+    at large y. As a_n = (2 sqrt(pi)/tau_m) c_n, the other terms are the
+    common and refining parts' pole sums regrouped: 2i tau_m z times the
+    table's odd-n and even-n sums without term |n*| (``_refined_sum``),
+    times -e^{i tau_m z} - 1 and e^{i tau_m z} - 1 respectively. Past the
+    last c_n > 0 the closed-form term is a zero, as the skipped term was.
 
     Two axis identities replace a part the series resolves only to ~eps |w|
     (its Im near x = 0 is noise, even of the wrong sign): Re w = e^{-x^2} on
@@ -248,9 +250,9 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
             skip = abs(n_near)
             star = e_d * coeffs.a[skip] / (tz + n_near * math.pi)
     lead = -1j * e_d if near and n_near == 0 else 1j * ((1+0j) - e_itz) / tz
-    # n = 1, 2, ... takes the numerator (-1)^n e^{i tau_m z} - 1
-    acc = coeffs._refined_sum(tz * tz, -e_itz - 1.0, e_itz - 1.0, skip, star)
-    value = lead + 1j * (z * (tau * tau) / _SQRT_PI) * acc
+    odd, even = coeffs._refined_sum(tz * tz, skip)
+    value = (lead + 2j * tz * ((-e_itz - 1.0) * odd + (e_itz - 1.0) * even)
+             - 1j * (z * (tau * tau) / _SQRT_PI) * star)
     x, y = z.real, z.imag
     re = math.exp(-x * x) if y == 0.0 else value.real
     if abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]:

@@ -37,6 +37,25 @@ def interleaved_throughputs(method_a, method_b, coeffs, total=1_000_000, batches
     return total / wall[method_a], total / wall[method_b]
 
 
+def loop_terms(params):
+    """(n^2 pi^2, c_n) for n = 1..N, built as the loop kernels built them."""
+    tau_sq = params.tau_m * params.tau_m
+    return [((n * n) * (math.pi * math.pi),
+             math.exp(-(n * n) * (math.pi * math.pi) / tau_sq))
+            for n in range(1, params.n_terms + 1)]
+
+
+def loop_parity_sums(u, terms, skip=0):
+    """The odd-n and even-n partial sums of c_n / (n^2 pi^2 - u) without the
+    term n = skip (skip = 0 drops none), each in descending n from 0j; the
+    underflowed terms come first and leave 0j as it is."""
+    sums = [0j, 0j]   # even n, odd n
+    for n, (n2pi2, c_n) in reversed(list(enumerate(terms, start=1))):
+        if n != skip:
+            sums[n % 2] += c_n / (n2pi2 - u)
+    return sums[1], sums[0]
+
+
 def ulp_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0

@@ -31,15 +31,15 @@ TABLE_STDOUT = {
     (): """\
 x  y  refined_re  refined_im  cr_re  cr_im  note
 0.01   0.01   9.887176929549548E-1  1.108529605747723E-2  4.196286232960261E0  4.137187541585457E0  inaccurate
-0.1    0.1    8.884785624756437E-1  9.433165105728503E-2  7.590865094856970E-1  2.042540773419455E-1  inaccurate
+0.1    0.1    8.884785624756436E-1  9.433165105728519E-2  7.590865094856970E-1  2.042540773419455E-1  inaccurate
 0.5    0.5    5.331567079121748E-1  2.304882313844584E-1  5.331626469616391E-1  2.304774733809672E-1  inaccurate (reduced precision)
 1      1      3.047442052569126E-1  2.082189382028317E-1  3.047442051814129E-1  2.082189382021633E-1  slightly reduced precision
 2.5    2.5    1.167371250446503E-1  1.079085859964814E-1  1.167371250446503E-1  1.079085859964814E-1
 5      5      5.696543988817698E-2  5.583874277539103E-2  5.696543988817698E-2  5.583874277539103E-2
-7.5    7.5    3.777752935845999E-2  3.744329372959512E-2  3.777752935845999E-2  3.744329372959513E-2
-10     10     2.827946745423245E-2  2.813843327633690E-2  2.827946745423246E-2  2.813843327633690E-2
-12.5   12.5   2.260351678541391E-2  2.253130329137736E-2  2.260351678541392E-2  2.253130329137736E-2
-15     15     1.882714532513675E-2  1.878535427799564E-2  1.882714532513676E-2  1.878535427799565E-2
+7.5    7.5    3.777752935846000E-2  3.744329372959514E-2  3.777752935845999E-2  3.744329372959513E-2
+10     10     2.827946745423246E-2  2.813843327633690E-2  2.827946745423246E-2  2.813843327633690E-2
+12.5   12.5   2.260351678541392E-2  2.253130329137736E-2  2.260351678541392E-2  2.253130329137736E-2
+15     15     1.882714532513676E-2  1.878535427799565E-2  1.882714532513676E-2  1.878535427799565E-2
 """,
     ("--method", "cr"): """\
 x  y  cr_re  cr_im  note
@@ -57,15 +57,15 @@ x  y  cr_re  cr_im  note
     ("--method", "refined"): """\
 x  y  refined_re  refined_im
 0.01   0.01   9.887176929549548E-1  1.108529605747723E-2
-0.1    0.1    8.884785624756437E-1  9.433165105728503E-2
+0.1    0.1    8.884785624756436E-1  9.433165105728519E-2
 0.5    0.5    5.331567079121748E-1  2.304882313844584E-1
 1      1      3.047442052569126E-1  2.082189382028317E-1
 2.5    2.5    1.167371250446503E-1  1.079085859964814E-1
 5      5      5.696543988817698E-2  5.583874277539103E-2
-7.5    7.5    3.777752935845999E-2  3.744329372959512E-2
-10     10     2.827946745423245E-2  2.813843327633690E-2
-12.5   12.5   2.260351678541391E-2  2.253130329137736E-2
-15     15     1.882714532513675E-2  1.878535427799564E-2
+7.5    7.5    3.777752935846000E-2  3.744329372959514E-2
+10     10     2.827946745423246E-2  2.813843327633690E-2
+12.5   12.5   2.260351678541392E-2  2.253130329137736E-2
+15     15     1.882714532513676E-2  1.878535427799565E-2
 """,
 }
 

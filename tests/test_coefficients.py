@@ -16,7 +16,7 @@ from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcom
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
 from cef.coefficients import _RUNGS, _far_bands
 from cef.fixtures import ReferenceRow
-from conftest import ulp_diff
+from conftest import loop_parity_sums, loop_terms, ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
 A0_EXTENDED = 0.29540897515091935   # 2 sqrt(pi) / 12
@@ -228,14 +228,6 @@ SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=200
                                SeriesParams(tau_m=0.1)]
 
 
-def loop_terms(params):
-    """(n^2 pi^2, c_n) for n = 1..N, built as the loop kernels built them."""
-    tau_sq = params.tau_m * params.tau_m
-    return [((n * n) * (math.pi * math.pi),
-             math.exp(-(n * n) * (math.pi * math.pi) / tau_sq))
-            for n in range(1, params.n_terms + 1)]
-
-
 def far_tier(params):
     """The bands (U_j, K_j) and the moments -M_k, -M'_k of the table's far
     tier, from the loop terms; no bands where the table has no far tier."""
@@ -255,15 +247,6 @@ def loop_laurent(u, moments, degree):
     for m in moments[degree - 1::-1]:
         acc = acc * v + complex(m)
     return acc * v
-
-
-def loop_parity_sums(u, terms):
-    """The odd-n and even-n partial sums of c_n / (n^2 pi^2 - u), each in
-    descending n from 0j; the underflowed terms come first and leave 0j as it is."""
-    sums = [0j, 0j]   # even n, odd n
-    for n, (n2pi2, c_n) in reversed(list(enumerate(terms, start=1))):
-        sums[n % 2] += c_n / (n2pi2 - u)
-    return sums[1], sums[0]
 
 
 def loop_common_part(tz, u, terms, far=([], [], [])):
@@ -332,9 +315,11 @@ def sample_arguments(params):
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_compiled_sums_equal_loops_bitwise(params):
+    # _refined_sum too, with no term skipped and without one live term
     table = build_coefficients(params)
     terms = loop_terms(params)
     far = far_tier(params)
+    live_skip = sum(1 for _, c_n in terms if c_n) // 2 + 1
     for tz, u in sample_arguments(params):
         e_itz = cmath.exp(1j * tz)
         assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms, far)), u
@@ -342,12 +327,16 @@ def test_compiled_sums_equal_loops_bitwise(params):
         want_common, want_refining = loop_both_parts(tz, u, e_itz, terms, far)
         assert bits(common) == bits(want_common), u
         assert bits(refining) == bits(want_refining), u
+        for skip in (0, live_skip):
+            got, want = table._refined_sum(u, skip), loop_parity_sums(u, terms, skip)
+            assert [bits(part) for part in got] == [bits(part) for part in want], (u, skip)
 
 
 # the complex literals that close each compiled sum (1j, 2j, -1j, 1+0j, the
 # last also v = 1/u's numerator), besides the live terms' constants and the
-# far tier's moments; 0j seeds every sum
-CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_both_parts": {1j, 2j, -1j, 1+0j}}
+# far tier's moments; 0j seeds every sum, and _refined_sum returns its two
+CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_both_parts": {1j, 2j, -1j, 1+0j},
+                    "_refined_sum": set()}
 
 
 def complex_literals(fn):
@@ -356,29 +345,26 @@ def complex_literals(fn):
 
 def moment_literals(params):
     """The far tier's moment literals: -M_k in _common_part, -M'_k in
-    _both_parts, whose far tier takes the common part from _common_part."""
+    _both_parts, whose far tier takes the common part from _common_part;
+    _refined_sum has no far tier."""
     _, moments, alternating_moments = far_tier(params)
     return {"_common_part": {complex(m) for m in moments},
-            "_both_parts": {complex(m) for m in alternating_moments}}
+            "_both_parts": {complex(m) for m in alternating_moments}, "_refined_sum": set()}
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
-    # each live pole n^2 pi^2 of the loops is a complex literal of the
-    # compiled sums: of both parts where c_n > 0, of _refined_sum where
-    # a_n > 0; the parts' only other literals are the far tier's moments
-    # and the closing constants
+    # each live pole n^2 pi^2 of the loops, where c_n > 0, is a complex
+    # literal of all three compiled sums; their only other literals are the
+    # far tier's moments and the closing constants
     table = build_coefficients(params)
-    pole_fns = (table._common_part, table._both_parts)
+    pole_fns = (table._common_part, table._both_parts, table._refined_sum)
     pole_literals = [complex_literals(fn) for fn in pole_fns]
-    refined_literals = complex_literals(table._refined_sum)
     live = set()
     for n, (n2pi2, c_n) in enumerate(loop_terms(params), start=1):
         if c_n:
             live |= {complex(n2pi2), complex(c_n)}
             assert all(complex(n2pi2) in literals for literals in pole_literals), n
-        if table.a[n]:
-            assert complex(n2pi2) in refined_literals, n
     moments = moment_literals(params)
     for fn, literals in zip(pole_fns, pole_literals):
         assert moments[fn.__name__] <= literals, fn.__name__
@@ -397,13 +383,14 @@ def test_poles_are_the_loop_poles(params):
 def test_underflowed_terms_generate_no_code(params, live_terms):
     # 2 literals per live term, and the K_0 + 1 moments of its pole sum in
     # each part's far tier, K_0 the innermost band's degree: 22 at the
-    # defaults, 7 at n_terms = 2000, else no far tier
+    # defaults, 7 at n_terms = 2000, else no far tier; _refined_sum has none
     table = build_coefficients(params)
     moments = len(far_tier(params)[1])
     assert moments == {23: 22, 104: 7}.get(live_terms, 0)
-    for fn in (table._common_part, table._both_parts):
+    for fn in (table._common_part, table._both_parts, table._refined_sum):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
-        assert len(literals) == 2 * live_terms + moments, fn.__name__
+        far = 0 if fn is table._refined_sum else moments
+        assert len(literals) == 2 * live_terms + far, fn.__name__
 
 
 def remainder_bound(terms, far, degree):

@@ -255,3 +255,14 @@ class TestErfcSeries:
         assert rel_error(got.real, ERFC_ORACLE[0.01]) > 1e-2
         got = erfc_cr_series(0.05 + 0j, coeffs)
         assert rel_error(got, erfc_complex(0.05 + 0j, coeffs)) > 1e-3
+
+
+@pytest.mark.parametrize("fn", [erfc_complex, erfc_cr_series])
+@pytest.mark.parametrize("z", [1.36 - 28.6j, -1.36 + 28.6j, -1.36 - 28.6j,
+                               complex(1.0, -math.inf), complex(-math.inf, -1.0)])
+def test_erfc_errors_name_the_callers_z(fn, z, coeffs):
+    # both erfc functions fold Im z < 0 to conj erfc(conj z), and erfc_complex
+    # forms 2 - erfc(-z) at z, but an error still names the z of the call
+    with pytest.raises((DomainError, OverflowError)) as raised:
+        fn(z, coeffs)
+    assert f"z = {z!r}" in str(raised.value), str(raised.value)

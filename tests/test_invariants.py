@@ -2,23 +2,26 @@
 
 Properties that hold for every finite z need no reference, so they are
 checked on a seeded log-uniform sweep: |x| and |y| in [1e-300, 1e300] in
-all four quadrants, plus a tenth of the points on y = 0 and real-axis
+all four quadrants, plus a tenth of the points on y = 0, real-axis
 points at 7 <= |x| < 26, where only the continued fraction's e^{-x^2}
-makes Re w positive. Re w > 0 is checked wherever a lower bound puts it
-above 1e-300, and K non-increasing in |x| on seeded pairs. A known defect
-is an excluded box tagged ``defect`` with its documented figure; the
-change that mends it deletes the exclusion.
+makes Re w positive, and imaginary-axis points at |y| < 30, with both
+signs of zero. Re w > 0 is checked wherever a lower bound puts it above
+1e-300, erfc(conj z) = conj erfc(z) bit for bit for both erfc functions
+on the axes and a tenth of the other points, and K non-increasing in |x|
+on seeded pairs. A known defect is an excluded box tagged ``defect`` with
+its documented figure; the change that mends it deletes the exclusion.
 """
 
 import cmath
 import math
 import random
 
-from cef import voigt_k, w_full_plane
+from cef import DomainError, erfc_complex, erfc_cr_series, voigt_k, w_full_plane
 from cef.plane import _REFLECTION_OVERFLOW_LIMIT, _UNDERFLOW_LIMIT
 
 POINTS = 100_000
 REAL_AXIS_POINTS = 1000
+IMAG_AXIS_POINTS = 1000
 PAIRS = 20_000
 
 
@@ -61,6 +64,15 @@ def _w(z: complex, coeffs):
         return None
 
 
+def _bits(call):
+    """The bits of call()'s parts, or the type of the error it raises."""
+    try:
+        value = call()
+    except (DomainError, OverflowError) as error:
+        return type(error)
+    return value.real.hex(), value.imag.hex()
+
+
 def _sweep(seed: int):
     yield complex(6.2801, 3.3e-51)
     rng = random.Random(seed)
@@ -71,12 +83,19 @@ def _sweep(seed: int):
         yield complex(x, y)
     for _ in range(REAL_AXIS_POINTS):
         yield complex(rng.choice((1.0, -1.0)) * rng.uniform(7.0, 26.0), 0.0)
+    for _ in range(IMAG_AXIS_POINTS):
+        yield complex(rng.choice((0.0, -0.0)), rng.uniform(-30.0, 30.0))
 
 
 def test_invariants_over_the_double_range(coeffs):
     failures = []
-    for z in _sweep(11):
+    for i, z in enumerate(_sweep(11)):
         x, y = z.real, z.imag
+        erfcs = (erfc_complex, erfc_cr_series) if x == 0.0 or y == 0.0 or i % 10 == 0 else ()
+        for erfc in erfcs:
+            if (_bits(lambda: erfc(z.conjugate(), coeffs))
+                    != _bits(lambda: erfc(z, coeffs).conjugate())):
+                failures.append((f"{erfc.__name__}(conj z) = conj of its value at z", z, None))
         w = _w(z, coeffs)
         if (w is None) != _overflow_expected(z):
             failures.append(("raises where expected, finite elsewhere", z, w))

@@ -15,7 +15,7 @@ from cef import (CoefficientTable, DomainError, Path, SeriesParams, build_coeffi
 from cef.fixtures import reference_rows
 from cef.plane import _exp_neg_square
 from cef.series import _refined
-from conftest import component_rel_errors, mp_w, rel_error
+from conftest import component_rel_errors, loop_parity_sums, loop_terms, mp_w, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
 
@@ -56,6 +56,19 @@ def test_refined_matches_algorithm_680_column(coeffs):
         err_re, err_im = component_rel_errors(w_refined(complex(x, y), coeffs),
                                               row.reference)
         assert err_re <= 1e-14 and err_im <= 1e-14, (x, y)
+
+
+@pytest.mark.parametrize("seed", [99, 7, 2012])
+def test_refined_against_40_digits(seed, coeffs):
+    # |x| log-uniform in [1e-3, 30], both signs, y log-uniform in [1e-300, 10]
+    pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(600):
+        x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+        z = complex(x, 10.0 ** rng.uniform(-300.0, 1.0))
+        worst = max(worst, rel_error(w_refined(z, coeffs), mp_w(z)))
+    assert worst <= 9e-16, worst
 
 
 def test_refined_pure_imaginary_argument_is_real(coeffs):
@@ -241,8 +254,10 @@ def test_routes_return_the_tables_parts(coeffs):
                              lambda tz, u, e_itz: both, coeffs._refined_sum)
     high, low = 0.7 + 2.0j, 0.3 + 0.5j
     assert w_cr(high, table) == w_cr(low, table) == common
-    for z in (high, low, 3.0 - 1.5j):   # e^{-z^2} w_cr(iz)
+    for z in (high, low):   # e^{-z^2} w_cr(iz), and its conjugate fold below the axis
         assert erfc_cr_series(z, table) == _exp_neg_square(z, common), z
+    z = 3.0 - 1.5j
+    assert erfc_cr_series(z, table) == _exp_neg_square(z.conjugate(), common).conjugate()
     assert refining_part(high, table) == refining_part(low, table) == both[1]
     assert w_adaptive(high, table) == (common, Path.COMMON_ONLY)
     assert w_adaptive(low, table) == (both[0] + both[1], Path.FULL_DECOMPOSITION)
@@ -294,32 +309,32 @@ def test_refined_at_large_y_keeps_the_loop(coeffs):
 
 
 def loop_refined(z, table):
-    """_refined as the loop over every term n = 1..N, the ones whose a_n
-    has underflowed to 0.0 included: the reference for stopping early.
-    It applies _refined's two axis identities: Re w = e^{-x^2} on y = 0,
-    and Im w = x A - (2/3) x^3 (A - yB) at |x| < 8e-4 and y < 0.1, with
-    A = 2/sqrt(pi) - 2y Re w and B = 2yA - 2 Re w, and Im w = x at x = +-0."""
+    """_refined from the loops over every term n = 1..N, the ones whose c_n
+    has underflowed to 0.0 included: the reference for stopping early. The
+    parity sums without term |n*| are closed as _refined closes them, each
+    times its numerator (-1)^n e^{i tau_m z} - 1, with the closed-form term
+    -a_|n*| E(d) / (n* pi + tau_m z) added apart. It applies _refined's two
+    axis identities: Re w = e^{-x^2} on y = 0, and Im w = x A - (2/3) x^3
+    (A - yB) at |x| < 8e-4 and y < 0.1, with A = 2/sqrt(pi) - 2y Re w and
+    B = 2yA - 2 Re w, and Im w = x at x = +-0."""
     tau = table.params.tau_m
     n_terms = table.params.n_terms
     tz = tau * z
-    tz2 = tz * tz
     e_itz = cmath.exp(1j * tz)
     n_near = round(tz.real / math.pi) if abs(tz.real) < (n_terms + 0.5) * math.pi else 0
     d = tz - n_near * math.pi
     near = abs(d) < 1.0
+    skip, star = 0, 0j
     if near:
         h = 0.5 * d
         e_d = 1j * (cmath.sin(h) / h if h else 1.0) * cmath.exp(1j * h)
+        if n_near:
+            skip = abs(n_near)
+            star = e_d * table.a[skip] / (tz + n_near * math.pi)
     lead = -1j * e_d if near and n_near == 0 else 1j * (1.0 - e_itz) / tz
-    acc = 0j
-    for n in range(1, n_terms + 1):
-        a_n = table.a[n]
-        if near and n == abs(n_near):
-            acc -= a_n * e_d / (n_near * math.pi + tz)
-        else:
-            acc += a_n * ((-e_itz - 1.0) if n % 2 else (e_itz - 1.0)) \
-                / ((n * n) * (math.pi * math.pi) - tz2)
-    value = lead + 1j * (tau * tau * z / math.sqrt(math.pi)) * acc
+    odd, even = loop_parity_sums(tz * tz, loop_terms(table.params), skip)
+    value = (lead + 2j * tz * ((-e_itz - 1.0) * odd + (e_itz - 1.0) * even)
+             - 1j * (z * (tau * tau) / math.sqrt(math.pi)) * star)
     x, y = z.real, z.imag
     re = math.exp(-x * x) if y == 0.0 else value.real
     if abs(x) < 8e-4 and y < 0.1:
