@@ -220,7 +220,7 @@ FIRST_OVERFLOWING_SQUARE_X = 1.1173173274952164e153
 def test_real_axis(x, coeffs):
     # the continued fraction from x = _FAR_ABS on, on both sides of the overflow
     # of (tau_m x)^2, so the refined series' loss next to it (its terms
-    # a_n num_n / (n^2 pi^2 - u) go subnormal as u -> DBL_MAX) never shows
+    # c_n / (n^2 pi^2 - u) go subnormal as u -> DBL_MAX) never shows
     plus = w_full_plane(complex(x, 0.0), coeffs)
     minus = w_full_plane(complex(-x, 0.0), coeffs)
     assert plus.path is Path.CONTINUED_FRACTION
