@@ -40,11 +40,23 @@ __all__ = ["SeriesParams", "CoefficientTable", "build_coefficients"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# the far tier's rungs U / p_max, each just past a step of K at the defaults (_far_bands)
-_RUNGS = (1.35, 1.6, 2.0, 2.1, 2.3, 2.65, 3.1, 3.8, 5.0, 7.0, 10.5, 18.0)
+# The Laplace continued fraction's numerators, deepest first, cut at nu = 14 levels: w(z) ~
+# (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - ...))). series._continued_fraction writes them as
+# literals; the common part's far tier takes them times tau_m^2, in tau_m z (_compile_sums).
+_LEVELS = (7.0, 6.5, 6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5)
 
-# the paper's common part, closing its pole sum
-_COMMON_PART = "1j / tz - 2j * tz * {}"
+# The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 14 it is
+# within 2.5e-16 of 40-digit mpmath on 400 angles of the quadrant at
+# |z| = 7, 8, 9, 10, 12, 15, 28 and 100; at |z| = 6.5 it is 8.5e-16 off, at
+# 6 2.1e-14 and at 5 1.2e-10, and no useful depth reaches 1e-11 at |z| ~ 5.
+# For a finite z with y >= 0 the test is `y >= _FAR_ABS or abs(z) >=
+# _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
+# 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot.
+# series._edge, plane.w_full_plane and functions.voigt_k write it inline: as a shared
+# function it cost ~120 ns a call (CPython 3.11, 2-vCPU Xeon VM), full_plane
+# 5.9% of its points/s and voigt_profiles-shaped batches 2.4% of their time.
+# tests/test_far_field.py pins the three to one boundary and the largest doubles.
+_FAR_ABS = 7.0
 
 
 def _is_real(value: object) -> bool:
@@ -146,13 +158,13 @@ class CoefficientTable(_Record):
 
     Both are straight-line functions compiled by ``build_coefficients``;
     ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share the
-    common part. Where |u| >= U_0 = 1.35 p_max, p_max the largest live pole
-    (7048.38, |z| >= 6.996, at the defaults), the common part takes S from its
-    Laurent series in 1/u, each radius band at its own degree (see
-    ``_far_bands``); elsewhere S = odd + even, the odd-n and even-n sums in
-    descending n from 0j, as in ``_refined_sum``. Each equals the same loop
-    with the same bands, over the same constants and closed the same way, bit
-    for bit (on CPython up to 3.13; see ``_compile_sums``).
+    common part. Where |u| >= U = max((7 tau_m)^2, 1.35 p_max), p_max the
+    largest live pole (7056, |z| >= 7, at the defaults), and the pole sum is
+    w's asymptotic series to 2^-55 there, the common part is the Laplace
+    continued fraction in tz (see ``_compile_sums``); elsewhere S = odd + even,
+    the odd-n and even-n sums in descending n from 0j, as in ``_refined_sum``.
+    Each equals the same loop over the same constants, closed the same way,
+    bit for bit (on CPython up to 3.13; see ``_compile_sums``).
     ``a`` is a plain tuple, so the table is deeply immutable. The repr, == and
     hash cover ``params`` and ``a`` only, and a table pickles as its parameters.
     """
@@ -173,56 +185,34 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _far_bands(live: list[tuple[float, float]]) -> tuple[list, list]:
-    """The far tier's bands (U_j, K_j), innermost first, and the coefficients -M_k
-    (k <= K_0) of S = v sum_k (-M_k) v^k, v = 1/u, M_k = sum_n c_n p_n^k over the N
-    live (p_n, c_n). Band j runs from |u| = U_j at K_j, the least degree with
-    sum_n c_n (p_n/U_j)^(K+1) / (1 - p_n/U_j) <= 2^-55 sum_n c_n. U_0 is the least
-    rung r p_max (r in ``_RUNGS``) with K + 1 < N; out from it each rung whose K
-    falls starts a band. None where the rung 2 has no such K or a moment may
-    overflow. One pass over k serves every rung."""
-    if not live:
-        return [], []
-    poles, weights = zip(*live)
-    p_max, total = poles[-1], math.fsum(weights)
-    ratios = {rung: [p / (rung * p_max) for p in poles] for rung in _RUNGS}
-    unsettled, degrees, moments = list(_RUNGS), {}, []
-    for k in range(len(live) - 1):
-        if not unsettled or k * math.log2(p_max) + math.log2(total) > 1000.0:
-            break
-        moments.append(-math.fsum(c * p ** k for p, c in live))
-        while unsettled and math.fsum(c * x ** (k + 1) / (1.0 - x) for c, x in zip(
-                weights, ratios[unsettled[-1]])) <= 2.0 ** -55 * total:
-            degrees[unsettled.pop()] = k
-    if 2.0 not in degrees:
-        return [], []
-    kept = sorted(degrees.items())   # K falls or stays from each rung to the next
-    bands = [(r * p_max, k) for (r, k), (_, j) in zip(kept, [(0, math.inf), *kept]) if k < j]
-    return bands, moments[:bands[0][1] + 1]
-
-
 def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: list[float]
                   ) -> tuple[Callable, Callable]:
     """Generate the table's two functions from the poles n^2 pi^2 and the
-    factors c_n, n = 1..N in order: ``_common_part``, closed by ``_COMMON_PART``,
-    and ``_refined_sum``, one ``compile`` each.
+    factors c_n, n = 1..N in order: ``_common_part`` and ``_refined_sum``, one
+    ``compile`` each.
 
-    The common part's far tier comes first: K_j + 1 Horner steps in v = 1/u over
-    the moments in band j (at most 22 for 23 partial fractions at the defaults),
-    within 4.4e-16 of 40 digits. Both share the near tier's lines ``odd += c_n /
-    (p_n - u)`` or ``even +=``, in descending n (``_refined_sum``'s each behind
-    ``if skip != n:``): past the last pole both sums have one sign, the refining
-    part's S' = even - odd cancels, and ascending n lost up to 0.26 digits of
-    ``voigt_k`` accuracy.
-
+    Both share the near tier's lines ``odd += c_n / (p_n - u)`` or ``even +=``,
+    in descending n (``_refined_sum``'s each behind ``if skip != n:``): past the
+    last pole both sums have one sign, the refining part's S' = even - odd
+    cancels, and ascending n lost up to 0.26 digits of ``voigt_k`` accuracy.
     One statement per term, never one chained expression, which nests one level
-    per term and exhausts the compiler's recursion limit at large N; a far-tier
-    sum is one expression, K_0 + 1 <= 132 levels deep (p_n/U_0 <= 1/1.35) plus
-    one per band. The constants are complex literals whose repr round-trips
-    exactly, so each float-complex operation of a loop over them becomes one
-    complex-complex operation with the same operands and rounding (CPython up
-    to 3.13 promoted the float to complex(x, 0.0); 3.14's mixed-mode rules can
-    change the sign of a zero imaginary part).
+    per term and exhausts the compiler's recursion limit at large N.
+
+    The common part's far tier comes first, from |u| = U = max((7 tau_m)^2,
+    1.35 p_max), p_max the largest live pole: ``series._continued_fraction`` in
+    tz, its levels times tau_m^2 and without e^{-z^2}, which the pole sum lacks,
+    returning the common part itself. From |z| = 7 the fraction is within
+    2.5e-16 of w; 1.35 p_max keeps a long table's live poles on the partial
+    fractions. Past them the pole sum is w's asymptotic series up to c_{N+1},
+    the first omitted factor, and e^{-tau_m^2}, its moments' aliasing: where
+    either exceeds 2^-55 (n_terms <= 22 at tau_m = 12) it differs from the
+    fraction by about that much, and there is no far tier.
+
+    The constants are complex literals whose repr round-trips exactly, so each
+    float-complex operation of a loop over them becomes one complex-complex
+    operation with the same operands and rounding (CPython up to 3.13 promoted
+    the float to complex(x, 0.0); 3.14's mixed-mode rules can change the sign
+    of a zero imaginary part).
 
     c_n decreases strictly, so once it underflows to 0.0 every later quotient
     is a signed zero, which leaves the 0j-seeded sums unchanged; those terms
@@ -233,34 +223,22 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: l
     terms = [(n, f"{('even', 'odd')[n % 2]} += {complex(c)!r} / ({complex(p)!r} - u)")
              for n, (p, c) in reversed([*enumerate(live, 1)])]
     near = ["    odd = even = 0j", *(f"    {term}" for _, term in terms)]
-    plain = ["def _common_part(tz, u):", *near,
-             f"    return {_COMMON_PART.format('(odd + even)')}"]
+    plain = ["def _common_part(tz, u):", *near, "    return 1j / tz - 2j * tz * (odd + even)"]
     refined = ["def _refined_sum(u, skip):", near[0],
                *(f"    if skip != {n}: {term}" for n, term in terms), "    return odd, even"]
-    bands, moments = _far_bands(live)
-    if bands:  # the far tier first, closed by the same template
-        plain[1:1] = [f"    if (au := abs(u)) >= {bands[0][0]!r}:", "        v = (1+0j) / u",
-                      f"        s = {_laurent(bands, moments)}",
-                      f"        return {_COMMON_PART.format('s')}"]
+    tau, n = params.tau_m, params.n_terms + 1
+    tau_sq = tau * tau
+    if max(math.exp(-(n * n) * (math.pi * math.pi) / tau_sq), math.exp(-tau_sq)) <= 2.0 ** -55:
+        # tau_m^2 >= 38 here, so c_1 > 0.77 and live is not empty
+        far = max(_FAR_ABS * _FAR_ABS * tau_sq, 1.35 * live[-1][0])
+        plain[1:1] = [f"    if abs(u) >= {far!r}:",
+                      *(f"        t = tz - {complex(k * tau_sq)!r} / {'t' if i else 'tz'}"
+                        for i, k in enumerate(_LEVELS)),
+                      f"        return {complex(0.0, 0.5 * tau / _SQRT_PI)!r} / ((0.5+0j) * t)"]
     namespace: dict = {}
     for lines in (plain, refined):   # one at a time: a lower peak of memory
         exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
     return namespace["_common_part"], namespace["_refined_sum"]
-
-
-def _laurent(bands: list, coefficients: list[float]) -> str:
-    """v sum_k coefficients[k] v^k by Horner in v from degree K_j in band j: one
-    expression that tests the bands from the outermost inward and runs the
-    deepest terms first, each band's steps continuing those of the band inside."""
-    terms = [repr(complex(c)) for c in coefficients]
-    top = bands[0][1]
-    s = terms[top]
-    for far, low in [*bands[1:], (None, 0)]:   # continue s down to degree low
-        s = "(" * (top - low) + s + "".join(f" * v + {t})" for t in terms[low:top][::-1])
-        if far:   # the band from U_j = far starts at its own top term
-            s = f"({s} if au < {far!r} else {terms[low]})"
-        top = low
-    return s + " * v"
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:

@@ -29,17 +29,17 @@ def voigt_k(x: float, y: float, coeffs: CoefficientTable) -> float:
     """Voigt function K(x, y) = Re w(x + iy), y > 0.
 
     Evaluated at |x|, so even in x by construction. The continued fraction
-    answers where |z| >= 7 (``series._FAR_ABS``, tested inline: a shared
+    answers where |z| >= 7 (``coefficients._FAR_ABS``, tested inline: a shared
     test made a line-shape batch 2.4% slower), ``w_adaptive`` elsewhere,
     which raises DomainError for y <= 0 and non-finite arguments.
 
     Worst relative error by region (README's table): against
-    scipy.special.wofz, 2.9e-13 at |x| < 3 for y < 1 (2.5e-10 just above
-    y_switch = 1, the pole sum) and 1.2e-15 at |x| >= 10; against 60-digit
-    mpmath, 1.5e-15 at 7 <= |x| < 10 for y >= 1e-16 and 7.2e-15 below (the
-    rounding of x^2 in e^{-x^2}). At 3 <= |x| < 7 the error is ~eps |w|,
-    so it grows as Re w falls to e^{-x^2}: 2.3e-11 for y in [1e-4, 1),
-    2.2e-7 in [1e-8, 1e-4), ~21 at (6.97, 1.1e-16), ~4e4 below y ~ 1e-16.
+    scipy.special.wofz, 2.9e-13 at |x| < 3 for y < 1 and 1.2e-15 at |x| >= 10;
+    against 40-digit mpmath, 4.8e-10 at y = y_switch = 1 and |x| < 3 (the pole
+    sum, at K(0, 1)), and 1.5e-15 at 7 <= |x| < 10 for y >= 1e-16 and 7.2e-15
+    below (the rounding of x^2 in e^{-x^2}, against 60 digits). At 3 <= |x| < 7
+    the error is ~eps |w|, so it grows as Re w falls to e^{-x^2}: 2.3e-11 for y
+    in [1e-4, 1), 2.2e-7 in [1e-8, 1e-4), ~21 at (6.97, 1.1e-16), ~4e4 below y ~ 1e-16.
     """
     z = complex(abs(x), y)
     if y > 0.0 and (y >= _FAR_ABS or abs(z) >= _FAR_ABS) and cmath.isfinite(z):

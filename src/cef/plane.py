@@ -10,7 +10,7 @@ Faddeeva symmetries apply:
 Wijers (ACM TOMS 16, 1990) do, so the real-axis series sees only x >= 0.
 
 In the quadrant, the real axis, origin included, and every point with
-|z| >= 7 (``series._FAR_ABS``) go to ``series._edge``, which only routes,
+|z| >= 7 (``coefficients._FAR_ABS``) go to ``series._edge``, which only routes,
 the rest to ``w_adaptive``; no point is special.
 
 e^{-z^2}, of the reflection here and of erfc(z) = e^{-z^2} w(iz) in

@@ -28,9 +28,10 @@ CoefficientTable:
 The common part is the table's compiled ``_common_part``. The refining part,
 the refined series and ``w_adaptive``'s full route close its parity sums
 ``_refined_sum``, the last two by one function, ``_closing``. No route runs a Python loop.
-Where |tau_m z|^2 is at least 1.35 times the largest live pole n^2 pi^2 (|z| >=
-6.996 at the defaults) the common part takes its pole sum from Laurent series
-in 1/(tau_m z)^2 by radius band, in two thirds of the operations or fewer.
+From |z| = 7 (``_FAR_ABS``), and past 1.35 times the largest live pole n^2 pi^2
+of a long table, the common part is the continued fraction below in tau_m z,
+where the pole sum is w's asymptotic series; a table too short for that keeps
+its partial fractions.
 
 ``w_adaptive`` switches the refining part off whenever y >= y_switch and
 reports which route produced the value. Where the compiled sums stop,
@@ -66,7 +67,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .coefficients import _SQRT_PI, CoefficientTable
+from .coefficients import _FAR_ABS, _SQRT_PI, CoefficientTable
 from .errors import DomainError, _require_upper_half_plane
 
 __all__ = ["Path", "EvaluationOutcome", "w_refined", "w_cr", "refining_part",
@@ -79,19 +80,6 @@ _HALF_I_OVER_SQRT_PI = 0.5j / _SQRT_PI
 # the continued fraction answers. The reference table and the boxes the
 # acceptance tests pin (y <= 15) stay on the series routes.
 _FAR_Y = 28.0
-
-# The continued fraction answers wherever |z| >= _FAR_ABS: at nu = 14 it is
-# within 2.5e-16 of 40-digit mpmath on 400 angles of the quadrant at
-# |z| = 7, 8, 9, 10, 12, 15, 28 and 100; at |z| = 6.5 it is 8.5e-16 off, at
-# 6 2.1e-14 and at 5 1.2e-10, and no useful depth reaches 1e-11 at |z| ~ 5.
-# For a finite z with y >= 0 the test is `y >= _FAR_ABS or abs(z) >=
-# _FAR_ABS`: abs(z) raises OverflowError past |z| ~ 1.8e308 (at 1.5e308 +
-# 1.5e308j), and it runs only for y < _FAR_ABS, where it cannot. _edge,
-# plane.w_full_plane and functions.voigt_k write it inline: as a shared
-# function it cost ~120 ns a call (CPython 3.11, 2-vCPU Xeon VM), full_plane
-# 5.9% of its points/s and voigt_profiles-shaped batches 2.4% of their time.
-# tests/test_far_field.py pins the three to one boundary and the largest doubles.
-_FAR_ABS = 7.0
 
 # ... and adds e^{-x^2}, the term of Re w it leaves out, below this y. Near
 # the real axis at |z| >= 7, Re w ~ y / (sqrt(pi) x^2) and e^{-x^2} falls

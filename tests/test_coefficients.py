@@ -14,7 +14,7 @@ import pytest
 
 from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcome, GridSpec,
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
-from cef.coefficients import _RUNGS, _far_bands
+from cef.coefficients import _LEVELS
 from cef.fixtures import ReferenceRow
 from cef.series import _closing
 from conftest import loop_parity_sums, loop_terms, ulp_diff
@@ -229,30 +229,28 @@ SUM_PARAM_SETS = PARAM_SETS + [SeriesParams(n_terms=1), SeriesParams(n_terms=200
 
 
 def far_tier(params):
-    """The bands (U_j, K_j) and the moments -M_k of the common part's far
-    tier, from the loop terms; no bands where the table has no far tier."""
-    return _far_bands([(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n])
+    """U, where the common part's far tier starts, or None where the table has
+    none: where c_{N+1}, the first factor the table omits, or e^{-tau_m^2}
+    exceeds 2^-55. U = max((7 tau_m)^2, 1.35 p_max), p_max the largest live pole."""
+    tau_sq = params.tau_m * params.tau_m
+    omitted = loop_terms(SeriesParams(params.tau_m, params.n_terms + 1))[-1][1]
+    if max(omitted, math.exp(-tau_sq)) > 2.0 ** -55:
+        return None
+    return max(49.0 * tau_sq, 1.35 * max(p for p, c in loop_terms(params) if c))
 
 
-def band_degree(u, bands):
-    """K_j of the outermost band with U_j <= |u|, or None below them all."""
-    degrees = [degree for far, degree in bands if abs(u) >= far]
-    return degrees[-1] if degrees else None
+def loop_fraction(tz, tau):
+    """The Laplace continued fraction in tz = tau_m z as a loop over _LEVELS:
+    t = tz - k tau_m^2 / t (t = tz at first), then i tau_m / (2 sqrt(pi)) over t/2."""
+    t = tz
+    for k in _LEVELS:
+        t = tz - complex(k * (tau * tau)) / t
+    return complex(0.0, 0.5 * tau / math.sqrt(math.pi)) / ((0.5+0j) * t)
 
 
-def loop_laurent(u, moments, degree):
-    """v sum_k moments[k] v^k (k <= degree), v = 1/u, by Horner from the top."""
-    v = (1+0j) / u
-    acc = complex(moments[degree])
-    for m in moments[degree - 1::-1]:
-        acc = acc * v + complex(m)
-    return acc * v
-
-
-def loop_common_part(tz, u, terms, far=([], [])):
-    degree = band_degree(u, far[0])
-    if degree is not None:
-        return 1j / tz - 2j * tz * loop_laurent(u, far[1], degree)
+def loop_common_part(tz, u, terms, tau, far=None):
+    if far is not None and abs(u) >= far:
+        return loop_fraction(tz, tau)
     odd, even = loop_parity_sums(u, terms)
     return 1j / tz - 2j * tz * (odd + even)
 
@@ -286,11 +284,13 @@ def sample_arguments(params):
     args = [(tau * z, (tau * z) * (tau * z)) for z in zs]
     args += [(1j, u) for u in (complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-0.0, 1.0),
                                complex(-2.5, -0.0))]
-    for far, _ in far_tier(params)[0]:
-        # on both sides of each band's threshold |u| = U_j
+    far = far_tier(params)
+    if far is not None:
+        # on both sides of the far tier's threshold |u| = U
         below = math.nextafter(far, 0.0)
-        args += [(1j, u) for u in (complex(far), complex(-far, -0.0), complex(0.0, far),
-                                   complex(below), complex(0.0, -below))]
+        args += [(cmath.sqrt(u), u) for u in (complex(far), complex(-far, -0.0),
+                                              complex(0.0, far), complex(below),
+                                              complex(0.0, -below))]
     return args
 
 
@@ -302,33 +302,37 @@ def test_compiled_sums_equal_loops_bitwise(params):
     far = far_tier(params)
     live_skip = sum(1 for _, c_n in terms if c_n) // 2 + 1
     for tz, u in sample_arguments(params):
-        assert bits(table._common_part(tz, u)) == bits(loop_common_part(tz, u, terms, far)), u
+        want = loop_common_part(tz, u, terms, params.tau_m, far)
+        assert bits(table._common_part(tz, u)) == bits(want), u
         for skip in (0, live_skip):
             got, want = table._refined_sum(u, skip), loop_parity_sums(u, terms, skip)
             assert [bits(part) for part in got] == [bits(part) for part in want], (u, skip)
 
 
-# the complex literals that close each compiled sum (1j, 2j and v = 1/u's
-# numerator 1+0j), besides the live terms' constants and the far tier's
-# moments; 0j seeds every sum, and _refined_sum returns its two
-CLOSING_LITERALS = {"_common_part": {1j, 2j, 1+0j}, "_refined_sum": set()}
+# the complex literals that close each compiled sum (1j and 2j, and the far
+# tier's halving constant 0.5+0j), besides the live terms' constants and the
+# far tier's fraction; 0j seeds every sum, and _refined_sum returns its two
+CLOSING_LITERALS = {"_common_part": {1j, 2j, 0.5+0j}, "_refined_sum": set()}
 
 
 def complex_literals(fn):
     return {c for c in fn.__code__.co_consts if isinstance(c, complex) and c}
 
 
-def moment_literals(params):
-    """The far tier's moment literals: -M_k in _common_part; _refined_sum
-    has no far tier."""
-    return {"_common_part": {complex(m) for m in far_tier(params)[1]}, "_refined_sum": set()}
+def fraction_literals(params):
+    """The far tier's literals: the 14 levels k tau_m^2 and the numerator
+    i tau_m / (2 sqrt(pi)) in _common_part; _refined_sum has no far tier."""
+    tau = params.tau_m
+    fraction = {complex(k * (tau * tau)) for k in _LEVELS}
+    fraction.add(complex(0.0, 0.5 * tau / math.sqrt(math.pi)))
+    return {"_common_part": fraction if far_tier(params) else set(), "_refined_sum": set()}
 
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_poles_are_the_loop_poles(params):
     # each live pole n^2 pi^2 of the loops, where c_n > 0, is a complex
     # literal of both compiled sums; their only other literals are the
-    # far tier's moments and the closing constants
+    # far tier's fraction and the closing constants
     table = build_coefficients(params)
     pole_fns = (table._common_part, table._refined_sum)
     pole_literals = [complex_literals(fn) for fn in pole_fns]
@@ -337,10 +341,10 @@ def test_poles_are_the_loop_poles(params):
         if c_n:
             live |= {complex(n2pi2), complex(c_n)}
             assert all(complex(n2pi2) in literals for literals in pole_literals), n
-    moments = moment_literals(params)
+    fraction = fraction_literals(params)
     for fn, literals in zip(pole_fns, pole_literals):
-        assert moments[fn.__name__] <= literals, fn.__name__
-        assert literals - live - moments[fn.__name__] <= CLOSING_LITERALS[fn.__name__], \
+        assert fraction[fn.__name__] <= literals, fn.__name__
+        assert literals - live - fraction[fn.__name__] <= CLOSING_LITERALS[fn.__name__], \
             fn.__name__
 
 
@@ -348,72 +352,60 @@ def test_poles_are_the_loop_poles(params):
     (SeriesParams(), 23),
     (SeriesParams(n_terms=2000), 104),   # c_n is 0.0 from n = 105 at tau_m = 12
     (SeriesParams(tau_m=0.1), 0),
-    (SeriesParams(n_terms=15), 15),   # K = 32 at 2 p_max: the pole sum is shorter, no far tier
-    (SeriesParams(tau_m=1e4, n_terms=600), 600),   # K = 49 at 2 p_max, M_k may overflow
-                                                    # from k = 46: no far tier
+    (SeriesParams(n_terms=15), 15),   # c_16 = 2.4e-8: the pole sum is shorter, no far tier
+    (SeriesParams(tau_m=1e4, n_terms=600), 600),   # c_601 = 0.96: no far tier
 ])
 def test_underflowed_terms_generate_no_code(params, live_terms):
-    # 2 literals per live term, and the K_0 + 1 moments of the pole sum in
-    # the common part's far tier, K_0 the innermost band's degree: 22 at the
-    # defaults, 7 at n_terms = 2000, else no far tier; _refined_sum has none
+    # 2 literals per live term, and the 14 levels and the numerator of the
+    # common part's far tier at the defaults and at n_terms = 2000, else no
+    # far tier; _refined_sum has none
     table = build_coefficients(params)
-    moments = len(far_tier(params)[1])
-    assert moments == {23: 22, 104: 7}.get(live_terms, 0)
+    fraction = len(fraction_literals(params)["_common_part"])
+    assert fraction == {23: 15, 104: 15}.get(live_terms, 0)
     for fn in (table._common_part, table._refined_sum):
         literals = complex_literals(fn) - CLOSING_LITERALS[fn.__name__]
-        far = 0 if fn is table._refined_sum else moments
+        far = 0 if fn is table._refined_sum else fraction
         assert len(literals) == 2 * live_terms + far, fn.__name__
 
 
-def remainder_bound(terms, far, degree):
-    """The far tier's remainder bound at |u| = far for the degree."""
-    return math.fsum(c * (p / far) ** (degree + 1) / (1.0 - p / far) for p, c in terms)
+# SUM_PARAM_SETS, (20, 35) among them with c_36 = 1.3e-14, and tables on both
+# sides of the far tier's rule: c_21 = 7.5e-14 at (12, 20), e^{-tau_m^2} =
+# 2.0e-17 at (6.2, 12) and 2.3e-16 at (6, 11)
+RULE_PARAM_SETS = SUM_PARAM_SETS + [SeriesParams(n_terms=20), SeriesParams(6.2, 12),
+                                    SeriesParams(6.0, 11)]
 
 
-def least_degree(terms, far):
-    """The least degree whose bound is at most 2^-55 sum_n c_n, or None below N - 1."""
-    total = math.fsum(c for _, c in terms)
-    return next((k for k in range(len(terms) - 1)
-                 if remainder_bound(terms, far, k) <= 2.0 ** -55 * total), None)
-
-
-@pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
-def test_far_bands(params):
-    # U_0 is the least rung r p_max with K + 1 < N; a rung further out starts
-    # a band exactly where its least degree falls, so each band's K_j is the
-    # least degree that meets the bound at U_j and K_j - 1 fails it; the
-    # degrees strictly fall outward. No bands where the rung 2 has none.
-    terms = [(n2pi2, c_n) for n2pi2, c_n in loop_terms(params) if c_n]
-    bands, moments = far_tier(params)
-    if not terms or least_degree(terms, 2.0 * terms[-1][0]) is None:
-        assert bands == moments == []
+@pytest.mark.parametrize("params", RULE_PARAM_SETS, ids=repr)
+def test_far_tier_rules(params):
+    # the far tier exists exactly where c_{N+1} and e^{-tau_m^2} are at most
+    # 2^-55, and starts at U (7056, |z| = 7, at the defaults): the next float
+    # below is on the partial fractions. There the common part is within
+    # 4.4e-16 of a 40-digit pole sum from U out to |z| = 1e3, both half-planes.
+    table = build_coefficients(params)
+    tau, far = params.tau_m, far_tier(params)
+    assert ("abs" in table._common_part.__code__.co_names) == (far is not None)
+    assert (far == 7056.0) == (params == SeriesParams())
+    if far is None:
         return
-    p_max = terms[-1][0]
-    total = math.fsum(c for _, c in terms)
-    rungs = [(rung * p_max, least_degree(terms, rung * p_max)) for rung in _RUNGS]
-    rungs = [(far, degree) for far, degree in rungs if degree is not None]
-    assert bands[0] == rungs[0]
-    assert bands == [(far, degree) for (far, degree), (_, inner) in zip(rungs, [(0, None), *rungs])
-                     if inner is None or degree < inner]
-    for far, degree in bands:
-        assert remainder_bound(terms, far, degree) <= 2.0 ** -55 * total, far
-        assert degree == 0 or remainder_bound(terms, far, degree - 1) > 2.0 ** -55 * total, far
-    assert all(b[0] < a[0] and a[1] < b[1] for b, a in zip(bands, bands[1:]))
-    assert len(moments) == bands[0][1] + 1
-    assert moments[0] == -total
-
-
-def test_far_bands_at_the_defaults():
-    # the innermost band starts at 1.35 p_max (|z| = 6.996) with K = 21, and
-    # the single tier's U = 2 p_max and K = 15 stays a band
-    terms = loop_terms(SeriesParams())
-    bands, moments = far_tier(SeriesParams())
-    p_max = terms[-1][0]
-    assert bands[0] == (1.35 * p_max, 21) and math.sqrt(bands[0][0]) / 12.0 == pytest.approx(
-        6.996, abs=5e-4)
-    assert (2.0 * p_max, 15) in bands
-    assert [degree for _, degree in bands] == [21, 17, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6]
-    assert len(moments) == 22
+    terms = loop_terms(params)
+    for edge in (far, math.nextafter(far, 0.0)):
+        for u in (complex(edge), complex(0.0, edge)):
+            tz = cmath.sqrt(u)
+            want = loop_fraction(tz, tau) if edge == far else loop_common_part(tz, u, terms, tau)
+            assert bits(table._common_part(tz, u)) == bits(want), u
+    live = [(n2pi2, c_n) for n2pi2, c_n in terms if c_n]
+    low = math.sqrt(far) / tau
+    rng = random.Random(38)
+    worst = 0.0
+    with localcontext() as context:
+        context.prec = 40
+        for _ in range(300):
+            tz = tau * cmath.rect(low * (1e3 / low) ** rng.random(), math.pi * rng.uniform(-1, 1))
+            u = tz * tz
+            # the common part does not depend on e^{i tz}: 0j drops the refining part
+            want = exact_parts(tz, u, 0j, live)[0]
+            worst = max(worst, relative_error(table._common_part(tz, u), want))
+    assert worst <= 4.4e-16, worst
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -429,19 +421,17 @@ def test_table_survives_pickle_round_trip(params):
 
 
 def far_arguments(params, count=2000):
-    """About ``count`` (tz, u) with Im z >= 0 and |u| >= U_0: just above each
-    band's U_j in turn at every angle, on the imaginary axis with both signs
-    of zero (where u has a signed zero imaginary part), and log-uniform in
-    |z| up to 1e153, or to where (tau_m z)^2 would overflow."""
+    """About ``count`` (tz, u) with Im z >= 0 and |u| >= U: just above U at
+    every angle, on the imaginary axis with both signs of zero (where u has a
+    signed zero imaginary part), and log-uniform in |z| up to 1e153, or to
+    where (tau_m z)^2 would overflow."""
     tau = params.tau_m
-    edges = [math.sqrt(far) / tau for far, _ in far_tier(params)[0]]
-    low = edges[0]
+    low = math.sqrt(far_tier(params)) / tau
     high = min(1e153, 0.5 * math.sqrt(sys.float_info.max) / tau)
     rng = random.Random(31)
     zs = []
-    for i in range(-(-count // 3)):
-        edge = edges[i % len(edges)]
-        zs.append(cmath.rect(edge * (1.0 + 10.0 ** rng.uniform(-12, -2)), math.pi * rng.random()))
+    for _ in range(-(-count // 3)):
+        zs.append(cmath.rect(low * (1.0 + 10.0 ** rng.uniform(-12, -2)), math.pi * rng.random()))
         zs.append(complex(rng.choice((0.0, -0.0)), low * (high / low) ** rng.random()))
         zs.append(cmath.rect(low * (high / low) ** rng.random(), math.pi * rng.random()))
     return [(tau * z, (tau * z) * (tau * z)) for z in zs]
@@ -480,12 +470,12 @@ def relative_error(got, want):
 
 @pytest.mark.parametrize("params", SUM_PARAM_SETS, ids=repr)
 def test_far_tier_against_40_digits(params):
-    # where the table has a far tier, the common part from it is within 1e-15
-    # of a 40-digit sum over the same constants, and no farther off than the
-    # ascending partial fractions it replaced. The full route, which closes
+    # where the table has a far tier, the continued fraction there is within
+    # 1e-15 of a 40-digit pole sum over the same constants, and no farther off
+    # than the ascending partial fractions. The full route, which closes
     # the near tier's descending parity sums (_refined_sum at skip 0) at
     # every |u|, is within 1e-15 too.
-    if not far_tier(params)[0]:
+    if far_tier(params) is None:
         assert "abs" not in build_coefficients(params)._common_part.__code__.co_names
         return
     table = build_coefficients(params)

@@ -13,7 +13,8 @@ import pytest
 from cef import (DomainError, Path, SeriesParams, build_coefficients, erfc_complex,
                  erfc_cr_series, imag_l, refining_part, voigt_k, w_adaptive, w_cr,
                  w_full_plane, w_refined)
-from cef.series import _FAR_ABS, _continued_fraction
+from cef.coefficients import _LEVELS
+from cef.series import _FAR_ABS, _STOKES_Y, _continued_fraction
 from conftest import mp_w, rel_error
 
 EPS = 2.0 ** -52
@@ -200,11 +201,11 @@ def test_inner_band_against_mpmath(coeffs):
         assert abs(l - want.imag) <= 1e-14 * abs(want.imag), (z, l)
 
 
-def test_full_route_past_the_laurent_radius_against_mpmath(coeffs):
+def test_full_route_past_the_far_tier_radius_against_mpmath(coeffs):
     # w_adaptive's full route closes the partial fractions at every |z|, so
-    # also at 6.996 <= |z| < 15, where the common part takes its Laurent
-    # tier: within 1e-15 of 40-digit mpmath (7.2e-16 worst on these points),
-    # y log-uniform over [1e-4, 1), x of either sign
+    # also at 6.996 <= |z| < 15, where from |z| = 7 the common part takes its
+    # far tier: within 1e-15 of 40-digit mpmath (7.2e-16 worst on these
+    # points), y log-uniform over [1e-4, 1), x of either sign
     rng = random.Random(37)
     checked = 0
     while checked < 800:
@@ -319,6 +320,22 @@ def test_continued_fraction_equals_float_constant_loop_bitwise():
     assert sum(0.0 < z.imag < 2.3e-308 for z in points) > 100
     for z in points:
         assert bits(_continued_fraction(z)) == bits(float_constant_fraction(z)), z
+
+
+def test_both_fractions_take_their_levels_from_one_list(coeffs):
+    # _continued_fraction's literals are _LEVELS, and the common part's far
+    # tier, the same fraction in tau_m z, is within 1e-15 |w| of it at
+    # 7 <= |z| < 40 where neither adds e^{-x^2} (4.3e-16 worst on these points)
+    assert {c for c in _continued_fraction.__code__.co_consts
+            if isinstance(c, complex)} == {complex(k) for k in _LEVELS}
+    tau = coeffs.params.tau_m
+    rng = random.Random(38)
+    for _ in range(2000):
+        z = cmath.rect(7.0 * (40.0 / 7.0) ** rng.random(), math.pi * rng.random())
+        z = complex(z.real, max(z.imag, _STOKES_Y))
+        tz = tau * z
+        want = _continued_fraction(z)
+        assert abs(coeffs._common_part(tz, tz * tz) - want) <= 1e-15 * abs(want), z
 
 
 def test_reflection_term_left_out_where_it_underflows(coeffs):

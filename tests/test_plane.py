@@ -86,7 +86,7 @@ def test_near_origin_taylor_disc(coeffs, radius):
 
 def test_matches_algorithm_680_column(coeffs):
     # y = 1 sits on the adaptive switch, where the common-only route's
-    # documented ~2.5e-10 error shows
+    # documented ~4.8e-10 error shows
     for (x, y), row in ROWS.items():
         err_re, err_im = component_rel_errors(w_full_plane(complex(x, y), coeffs).value,
                                               row.reference)

@@ -159,7 +159,7 @@ def assert_full_route_is_the_decomposition(z, value, coeffs):
     bit for bit where that writes no term in closed form (y >= 0.1), and
     common + refining regrouped, within 1e-15 |w| of w_cr + refining_part
     (not bit for bit: the two group the sums differently, and w_cr takes
-    its Laurent tier from |z| = 6.996 on)."""
+    its far tier, the continued fraction, from |z| = 7 on)."""
     if z.imag >= 0.1:
         assert value == w_refined(z, coeffs), z
     parts = w_cr(z, coeffs) + refining_part(z, coeffs)
