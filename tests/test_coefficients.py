@@ -16,7 +16,7 @@ from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcom
                  Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
 from cef.coefficients import _LEVELS
 from cef.fixtures import ReferenceRow
-from cef.series import _closing
+from cef.series import _closing, _continued_fraction
 from conftest import loop_parity_sums, loop_terms, ulp_diff
 
 # closed-form values for tau_m = 12, evaluated with mpmath at 60 digits
@@ -406,6 +406,29 @@ def test_far_tier_rules(params):
             want = exact_parts(tz, u, 0j, live)[0]
             worst = max(worst, relative_error(table._common_part(tz, u), want))
     assert worst <= 4.4e-16, worst
+
+
+def test_far_tier_at_the_defaults():
+    # U = (7 tau_m)^2 = 7056 wins over 1.35 p_max = 7048.4, so the far tier
+    # starts at |z| = 7, the radius where w_adaptive takes the continued
+    # fraction, and all 23 poles lie inside it; one term fewer (c_23 = 1.8e-16)
+    # has no far tier. There the common part is series._continued_fraction
+    # in z, its levels scaled by tau_m^2, to within 4.4e-16 (3.8e-16 seen).
+    params = SeriesParams()
+    terms = loop_terms(params)
+    assert far_tier(params) == 7056.0 == (7.0 * params.tau_m) ** 2
+    assert 1.35 * terms[-1][0] == pytest.approx(7048.4, abs=0.05)
+    assert all(c > 0.0 and p < 7056.0 for p, c in terms) and len(terms) == 23
+    assert far_tier(SeriesParams(n_terms=22)) is None
+    assert "abs" not in build_coefficients(SeriesParams(n_terms=22))._common_part.__code__.co_names
+    table = build_coefficients(params)
+    assert 7056.0 in table._common_part.__code__.co_consts
+    rng = random.Random(44)
+    for _ in range(200):
+        z = cmath.rect(7.0 * 10.0 ** (3 * rng.random()), math.pi * rng.random())
+        tz = params.tau_m * z
+        want = _continued_fraction(z)
+        assert abs(table._common_part(tz, tz * tz) - want) <= 4.4e-16 * abs(want), z
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
