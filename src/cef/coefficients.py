@@ -11,12 +11,12 @@ whose coefficients have the closed form
     a_n = (2 sqrt(pi) / tau_m) exp(-n^2 pi^2 / tau_m^2).
 
 This module builds those coefficients once, eagerly, so that evaluation
-is constant-time per call. What every series route runs (the paper's
-common part, closed here, and the parity sums that the refined series and
-the full route close) is compiled once per table into straight-line Python
-functions, one statement per term (each quotient divided out once and added
-to its parity's sum) with the constants as complex literals, so a call pays
-no loop or dispatch.
+is constant-time per call. What the series routes run (the paper's common
+part, closed here, which every route runs and a table compiles when built,
+and the parity sums that the refined series and the full route close, which
+it compiles on first use) is straight-line Python, one statement per term
+(each quotient divided out once and added to its parity's sum) with the
+constants as complex literals, so a call pays no loop or dispatch.
 A built table is immutable and safe to share between threads;
 there is no module-level default table: callers build one with
 ``build_coefficients(SeriesParams())`` and pass it to every kernel.
@@ -33,6 +33,7 @@ of ``fixtures``) are ``collections.namedtuple`` classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 
@@ -57,6 +58,8 @@ _LEVELS = (7.0, 6.5, 6.0, 5.5, 5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5)
 # 5.9% of its points/s and voigt_profiles-shaped batches 2.4% of their time.
 # tests/test_far_field.py pins the three to one boundary and the largest doubles.
 _FAR_ABS = 7.0
+
+_COMPILED_ON_FIRST_USE = object()
 
 
 def _is_real(value: object) -> bool:
@@ -156,15 +159,16 @@ class CoefficientTable(_Record):
                       the full route and the refining part close them at
                       skip = 0 (S' = even - odd is the refining part's sum).
 
-    Both are straight-line functions compiled by ``build_coefficients``;
-    ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share the
-    common part. Where |u| >= U = max((7 tau_m)^2, 1.35 p_max), p_max the
-    largest live pole (7056, |z| >= 7, at the defaults), and the pole sum is
-    w's asymptotic series to 2^-55 there, the common part is the Laplace
-    continued fraction in tz (see ``_compile_sums``); elsewhere S = odd + even,
-    the odd-n and even-n sums in descending n from 0j, as in ``_refined_sum``.
-    Each equals the same loop over the same constants, closed the same way,
-    bit for bit (on CPython up to 3.13; see ``_compile_sums``).
+    Both are straight-line functions. ``build_coefficients`` compiles the first,
+    which ``w_cr``, ``w_adaptive`` and ``erfc_cr_series`` (at i tau_m z) share;
+    the table the second on its first access (a ``cached_property``, ~0.5 ms
+    at the defaults, which no caller at y >= y_switch pays). Where |u| >= U =
+    max((7 tau_m)^2, 1.35 p_max), p_max the largest live pole (7056, |z| >= 7,
+    at the defaults), and the pole sum is w's asymptotic series to 2^-55 there,
+    the common part is the Laplace continued fraction in tz; elsewhere S = odd +
+    even, the odd-n and even-n sums in descending n from 0j, as in
+    ``_refined_sum``. Each equals the same loop over the same constants, closed
+    the same way, bit for bit (on CPython up to 3.13; see ``_compile_sums``).
     ``a`` is a plain tuple, so the table is deeply immutable. The repr, == and
     hash cover ``params`` and ``a`` only, and a table pickles as its parameters.
     """
@@ -173,11 +177,17 @@ class CoefficientTable(_Record):
     params: SeriesParams
     a: tuple[float, ...]
     _common_part: Callable[[complex, complex], complex]
-    _refined_sum: Callable[[complex, int], tuple[complex, complex]]
 
-    def __init__(self, params, a, _common_part, _refined_sum) -> None:
-        vars(self).update(params=params, a=a, _common_part=_common_part,
-                          _refined_sum=_refined_sum)
+    def __init__(self, params, a, _common_part, _refined_sum=_COMPILED_ON_FIRST_USE) -> None:
+        vars(self).update(params=params, a=a, _common_part=_common_part)
+        if _refined_sum is not _COMPILED_ON_FIRST_USE:
+            vars(self)["_refined_sum"] = _refined_sum
+
+    # stored in vars(self) on first access, which then shadows it; not __getattr__,
+    # which would slow every attribute load of the table ~2.5x on CPython 3.11
+    @functools.cached_property
+    def _refined_sum(self) -> Callable[[complex, int], tuple[complex, complex]]:
+        return _compile_sums(self.params, "_refined_sum")
 
     def __reduce__(self):
         # compiled functions do not pickle; the build is deterministic, so
@@ -185,11 +195,10 @@ class CoefficientTable(_Record):
         return build_coefficients, (self.params,)
 
 
-def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: list[float]
-                  ) -> tuple[Callable, Callable]:
+def _compile_sums(params: SeriesParams, name: str) -> Callable:
     """Generate the table's two functions from the poles n^2 pi^2 and the
-    factors c_n, n = 1..N in order: ``_common_part`` and ``_refined_sum``, one
-    ``compile`` each.
+    factors c_n, n = 1..N in order, ``_common_part`` and ``_refined_sum``, and
+    ``compile`` the one called ``name``.
 
     Both share the near tier's lines ``odd += c_n / (p_n - u)`` or ``even +=``,
     in descending n (``_refined_sum``'s each behind ``if skip != n:``): past the
@@ -218,16 +227,18 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: l
     is a signed zero, which leaves the 0j-seeded sums unchanged; those terms
     generate no code.
     """
+    tau = params.tau_m
+    tau_sq = tau * tau
     # the (n^2 pi^2, c_n) of the pole sums with c_n > 0, and their lines in descending n
-    live = [(n2pi2, c_n) for n2pi2, c_n in zip(poles, exp_factors) if c_n]
+    poles = [(n * n) * (math.pi * math.pi) for n in range(1, params.n_terms + 1)]
+    live = [(p, c) for p in poles if (c := math.exp(-p / tau_sq))]
     terms = [(n, f"{('even', 'odd')[n % 2]} += {complex(c)!r} / ({complex(p)!r} - u)")
              for n, (p, c) in reversed([*enumerate(live, 1)])]
     near = ["    odd = even = 0j", *(f"    {term}" for _, term in terms)]
     plain = ["def _common_part(tz, u):", *near, "    return 1j / tz - 2j * tz * (odd + even)"]
     refined = ["def _refined_sum(u, skip):", near[0],
                *(f"    if skip != {n}: {term}" for n, term in terms), "    return odd, even"]
-    tau, n = params.tau_m, params.n_terms + 1
-    tau_sq = tau * tau
+    n = params.n_terms + 1
     if max(math.exp(-(n * n) * (math.pi * math.pi) / tau_sq), math.exp(-tau_sq)) <= 2.0 ** -55:
         # tau_m^2 >= 38 here, so c_1 > 0.77 and live is not empty
         far = max(_FAR_ABS * _FAR_ABS * tau_sq, 1.35 * live[-1][0])
@@ -236,9 +247,9 @@ def _compile_sums(params: SeriesParams, poles: tuple[float, ...], exp_factors: l
                         for i, k in enumerate(_LEVELS)),
                       f"        return {complex(0.0, 0.5 * tau / _SQRT_PI)!r} / ((0.5+0j) * t)"]
     namespace: dict = {}
-    for lines in (plain, refined):   # one at a time: a lower peak of memory
-        exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
-    return namespace["_common_part"], namespace["_refined_sum"]
+    lines = {"_common_part": plain, "_refined_sum": refined}[name]
+    exec(compile("\n".join(lines), f"<sums of {params!r}>", "exec"), namespace)
+    return namespace[name]
 
 
 def build_coefficients(params: SeriesParams) -> CoefficientTable:
@@ -253,8 +264,7 @@ def build_coefficients(params: SeriesParams) -> CoefficientTable:
     prefactor = 2.0 * _SQRT_PI / tau
     tau_sq = tau * tau
 
-    poles = tuple((n * n) * (math.pi * math.pi) for n in range(1, params.n_terms + 1))
-    exp_factors = [math.exp(-n2pi2 / tau_sq) for n2pi2 in (0.0, *poles)]
-    a = tuple(prefactor * c for c in exp_factors)
-    return CoefficientTable(params, a, *_compile_sums(params, poles, exp_factors[1:]))
+    a = tuple(prefactor * math.exp(-(n * n) * (math.pi * math.pi) / tau_sq)
+              for n in range(params.n_terms + 1))
+    return CoefficientTable(params, a, _compile_sums(params, "_common_part"))
 

@@ -2,13 +2,15 @@
 
 import math
 import sys
+import time
+import types
 import warnings
 
 import pytest
 
-from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, analysis, oracle,
-                 bench_points, error_scan, measure_throughput, w_adaptive, w_quadrature,
-                 w_refined)
+from cef import (ConvergenceError, GridSpec, Path, QuadratureSpec, SeriesParams, analysis,
+                 bench_points, build_coefficients, coefficients, error_scan,
+                 measure_throughput, oracle, w_adaptive, w_quadrature, w_refined)
 from cef.cli import _evaluate
 from conftest import interleaved_throughputs, rel_error
 
@@ -242,6 +244,21 @@ class TestBench:
             v = w_refined(z, coeffs)
             manual += v.real + v.imag
         assert rel_error(report.checksum, manual) <= 1e-12
+
+    def test_first_report_of_a_fresh_table_excludes_the_compile(self, coeffs, monkeypatch):
+        # a fresh table compiles _refined_sum at its first low-y call, which
+        # measure_throughput makes before its clock starts and leaves out of
+        # the checksum
+        table = build_coefficients(SeriesParams())
+        events = []
+        compile_sums, clock = coefficients._compile_sums, time.perf_counter
+        monkeypatch.setattr(coefficients, "_compile_sums",
+                            lambda *args: events.append("compile") or compile_sums(*args))
+        monkeypatch.setattr(analysis, "time", types.SimpleNamespace(
+            perf_counter=lambda: events.append("clock") or clock()))
+        report = measure_throughput("adaptive_low_y", 10_000, 5, table)
+        assert events == ["compile", "clock", "clock"]
+        assert report.checksum == measure_throughput("adaptive_low_y", 10_000, 5, coeffs).checksum
 
     def test_pole_sum_outruns_refined_series(self, coeffs):
         fast, slow = interleaved_throughputs("cr", "refined", coeffs, total=100_000, batches=10)

@@ -8,12 +8,14 @@ import pickle
 import random
 import struct
 import sys
+import threading
 from decimal import Decimal, localcontext
 
 import pytest
 
 from cef import (AccuracyReport, BenchReport, CoefficientTable, EvaluationOutcome, GridSpec,
-                 Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive)
+                 Path, QuadratureSpec, SeriesParams, build_coefficients, w_adaptive,
+                 w_refined)
 from cef.coefficients import _LEVELS
 from cef.fixtures import ReferenceRow
 from cef.series import _closing, _continued_fraction
@@ -194,6 +196,52 @@ def test_table_record_contract():
     assert copy.copy(table) == table
     with pytest.raises(dataclasses.FrozenInstanceError):
         del table.a
+
+
+def test_refined_sum_compiled_on_first_access_keeps_the_record_contract():
+    # a built table compiles _refined_sum on its first access and is then
+    # ==, hash, repr and pickle-equal to a fresh one; one passed in is kept
+    params = SeriesParams()
+    table, fresh = build_coefficients(params), build_coefficients(params)
+    assert "_refined_sum" not in vars(table)
+    table._refined_sum(2.0 + 1.0j, 0)
+    assert "_refined_sum" in vars(table) and "_refined_sum" not in vars(fresh)
+    assert table == fresh and hash(table) == hash(fresh) and repr(table) == repr(fresh)
+    assert pickle.dumps(table) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(table)) == fresh
+    assert CoefficientTable(params, table.a, None, None)._refined_sum is None
+    assert CoefficientTable(params, table.a, None, _refined_sum=len)._refined_sum is len
+    with pytest.raises(AttributeError, match="_pole_sum"):
+        table._pole_sum
+    assert not hasattr(table, "extra") and "extra" not in vars(table)
+
+
+def test_threads_share_the_first_refined_sum_compile():
+    # 8 threads make the first w_refined call on one fresh table at once, so
+    # they race for its _refined_sum, and each gets the bits of a warm table
+    points = [complex(0.37 * k, 0.05 + 0.11 * k) for k in range(8)]
+    want = [w_refined(z, build_coefficients(SeriesParams())) for z in points]
+    table = build_coefficients(SeriesParams())
+    barrier = threading.Barrier(len(points), timeout=30)
+    got = [None] * len(points)
+
+    def first_call(i):
+        barrier.wait()
+        got[i] = w_refined(points[i], table)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(len(points))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+        (v.real.hex(), v.imag.hex()) for v in want]
 
 
 def test_evaluation_outcome_contract(coeffs):

@@ -1,7 +1,8 @@
 """Large |z|: the continued-fraction route, the real axis past the overflow
 of (tau_m x)^2, the reflection where e^{-z^2} underflows, and the named
 errors of the paper's formulas out there. References are mpmath
-(``conftest.mp_w``) and, where it is finite, ``scipy.special.wofz``."""
+(``conftest.mp_w``) and, where it is finite, ``scipy.special.wofz``; across
+|z| = 7, also the library's own w continued from the near side."""
 
 import cmath
 import math
@@ -128,6 +129,37 @@ def test_both_sides_of_the_far_radius(coeffs):
             assert imag_l(-outside.real, outside.imag, coeffs) == -far.value.imag
             assert voigt_k(-inside.real, inside.imag, coeffs) == near.value.real
             assert imag_l(inside.real, inside.imag, coeffs) == near.value.imag
+
+
+def continued(w0: complex, z0: complex, step: complex, terms: int = 40) -> complex:
+    """w(z0 + step) from w(z0) by the Taylor series of w'' = -2z w' - 2w
+    (DLMF 7.10), w' = -2z w + 2i/sqrt(pi): with c_n = w^(n)(z0) step^n / n!,
+    c_{n+2} = -(2 z0 step c_{n+1} + 2 step^2 c_n) / (n + 2)."""
+    c0, c1 = w0, (-2.0 * z0 * w0 + 2j / math.sqrt(math.pi)) * step
+    total = c0 + c1
+    for n in range(terms - 2):
+        c0, c1 = c1, -(2.0 * z0 * step * c1 + 2.0 * step * step * c0) / (n + 2)
+        total += c1
+    return total
+
+
+@pytest.mark.parametrize("kernel, angles, paths", [
+    # y < 0.9, first quadrant: the full route inside, series._continued_fraction outside
+    (w_full_plane, (0.002, 0.125), (Path.FULL_DECOMPOSITION, Path.CONTINUED_FRACTION)),
+    # y >= 2, both quadrants: the partial fractions inside, the table's far tier outside
+    (w_adaptive, (0.2915, math.pi - 0.2915), (Path.COMMON_ONLY, Path.COMMON_ONLY)),
+], ids=["full_plane", "adaptive"])
+def test_continuation_across_the_far_radius(kernel, angles, paths, coeffs):
+    # the library's own w at |z0| = 6.98 predicts w at |z1| = 7.02 on the same
+    # ray, on 200 seeded rays per crossing, away from y_switch (5.2e-16 and
+    # 5.8e-16 worst); with both fractions cut at 10 levels, 2.2e-14 and 1.5e-14
+    rng = random.Random(7)
+    for _ in range(200):
+        ray = cmath.exp(1j * rng.uniform(*angles))
+        z0, z1 = 6.98 * ray, 7.02 * ray
+        near, far = kernel(z0, coeffs), kernel(z1, coeffs)
+        assert (near.path, far.path) == paths, z0
+        assert rel_error(continued(near.value, z0, z1 - z0), far.value) <= 2e-15, z0
 
 
 def wing_points(count: int) -> list[tuple[float, float]]:

@@ -5,7 +5,8 @@ read from the source with ``ast``, and a source line longer than MAX_LINE
 characters. Also read with ``ast``: the oracle's imports from the package,
 which keep it an independent reference, and the modules that importing
 the package would load, which leave out ``dataclasses`` and ``typing``.
-Counted at run time: the ``compile`` calls of a table's set-up."""
+Counted at run time: the ``compile`` calls of a table's set-up and of its
+first refined-series call."""
 
 import ast
 import pathlib
@@ -151,17 +152,24 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 def test_a_table_compiles_two_functions(monkeypatch):
-    # the set-up budget: _common_part and _refined_sum, one compile each;
-    # the full route and the refining part close _refined_sum's sums
+    # the set-up budget: the build compiles _common_part alone, which every
+    # route needs; _refined_sum, which only the routes below y_switch close,
+    # compiles on its first access, once
     sources = []
 
     def counting_compile(source, *args):
-        sources.append(source)
+        sources.append(source.partition("(")[0])
         return compile(source, *args)
 
     monkeypatch.setattr(cef.coefficients, "compile", counting_compile, raising=False)
     table = cef.build_coefficients(cef.SeriesParams())
-    assert [source.partition("(")[0] for source in sources] == [
-        "def _common_part", "def _refined_sum"]
-    assert "_both_parts" not in vars(table)
-    assert {"_common_part", "_refined_sum"} <= set(vars(table))
+    assert sources == ["def _common_part"]
+    assert set(vars(table)) == {"params", "a", "_common_part"}
+    assert cef.w_adaptive(3 + 2j, table).path is cef.Path.COMMON_ONLY
+    assert cef.w_cr(3 + 2j, table) and "_refined_sum" not in vars(table)
+    refined_sum = table._refined_sum
+    assert sources == ["def _common_part", "def _refined_sum"]
+    assert vars(table)["_refined_sum"] is refined_sum is table._refined_sum
+    cef.w_refined(3 + 0.2j, table)
+    assert cef.w_adaptive(3 + 0.2j, table).path is cef.Path.FULL_DECOMPOSITION
+    assert len(sources) == 2

@@ -1,7 +1,8 @@
-"""What importing and using the package loads: the scan and oracle layers
-only on the first lookup of one of their names, numpy only once the
-quadrature oracle or a scan grid needs it, dataclasses never, inspect and
-typing only with numpy, and the published table only for ``cef table``."""
+"""What importing and using the package loads: the plane and derived-function
+layers, and the scan and oracle layers, only on the first lookup of one of
+their names, numpy only once the quadrature oracle or a scan grid needs it,
+dataclasses never, inspect and typing only with numpy, and the published
+table only for ``cef table``."""
 
 import importlib.util
 import os
@@ -90,6 +91,61 @@ else:
 
 def test_scan_and_oracle_layers_load_on_first_use():
     done = _run_fresh(LAZY_SCRIPT)
+    assert done.returncode == 0, done.stderr
+
+
+# the series kernels run without the plane and derived-function layers, which
+# load once, on the first lookup of one of their names; a meta-path finder
+# that finds nothing counts each search for a module not yet loaded
+LAYER_SCRIPT = """
+import sys
+import cef
+
+table = cef.build_coefficients(cef.SeriesParams())
+for z in (1 + 0.5j, 0.3 + 2j, 7.5 + 3j):
+    cef.w_adaptive(z, table)
+    cef.w_cr(z, table)
+    cef.w_refined(z, table)
+loaded = [name for name in ("cef.plane", "cef.functions") if name in sys.modules]
+assert not loaded, "loaded by the series kernels: " + ", ".join(loaded)
+listed = dir(cef)
+assert set(cef.__all__) | {"plane", "functions"} <= set(listed)
+
+
+class CountingFinder:
+    searched = []
+
+    def find_spec(self, name, path=None, target=None):
+        self.searched.append(name)
+
+
+sys.meta_path.insert(0, CountingFinder())
+functions = cef.functions
+assert functions is sys.modules["cef.functions"] and "cef.plane" in sys.modules
+assert CountingFinder.searched == ["cef.functions", "cef.plane"], CountingFinder.searched
+# perfbench's tracer and its pole-sum test patch this global of voigt_k's
+patched = []
+original = functions.w_adaptive
+functions.w_adaptive = lambda z, coeffs: patched.append(z) or original(z, coeffs)
+assert cef.voigt_k(1.0, 0.5, table) == original(1 + 0.5j, table).value.real and patched
+moved = {"plane": "plane", "w_full_plane": "plane", "functions": "functions",
+         "voigt_k": "functions", "imag_l": "functions", "erfc_complex": "functions",
+         "erfc_cr_series": "functions"}
+for name, module_name in moved.items():
+    module = sys.modules["cef." + module_name]
+    value = getattr(cef, name)
+    assert value is (module if name == module_name else getattr(module, name)), name
+    assert getattr(cef, name) is value is vars(cef)[name], name
+assert CountingFinder.searched == ["cef.functions", "cef.plane"], CountingFinder.searched
+assert dir(cef) == listed
+namespace = {}
+exec("from cef import *", namespace)
+assert sorted(name for name in namespace if name != "__builtins__") == sorted(cef.__all__)
+"""
+
+
+def test_plane_and_derived_function_layers_load_on_first_use():
+    done = _run_fresh(LAYER_SCRIPT)
     assert done.returncode == 0, done.stderr
 
 
